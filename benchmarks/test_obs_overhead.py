@@ -151,11 +151,11 @@ def test_bench_tracing_overhead(ladder, trace, benchmark):
 def test_bench_telemetry_overhead(ladder, trace):
     """Labeled telemetry (families + sampling) adds <10% to inference.
 
-    Same protocol as the tracing benchmark: the telemetry path mirrors
-    every ``ServerMetrics`` event into labeled families, updates gauges
-    through registered collectors and samples the series store once per
-    virtual millisecond — all behind one ``if tele is not None`` guard,
-    so the unmetered path is untouched.
+    Same protocol as the tracing benchmark: ``ServerMetrics`` records into
+    labeled families either way (a private telemetry when none is
+    given), so the metered path adds only the gauges refreshed through
+    registered collectors and the series store sampled once per virtual
+    millisecond.
     """
     config = ServerConfig(deadline_ms=DEADLINE_MS, execute=True, seed=0)
     plain = Server(ladder, config)

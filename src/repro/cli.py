@@ -425,12 +425,12 @@ def cmd_trace(args) -> int:
     result = server.run_trace(trace)
 
     registry = MetricsRegistry()
-    registry.gauge("serve.final_rung").set(ladder.current_index)
     registry.mount("serve", result.metrics)
     registry.mount("trace", tracer)
     registry.mount("drift", drift)
     print(f"{args.requests} Poisson requests @ {rate:,.0f} req/s, "
           f"deadline {args.deadline_ms} ms, seed {args.seed}\n")
+    print(f"serve.final_rung: {ladder.current_index}")
     print(registry.report())
     if args.out:
         n = write_jsonl(tracer, args.out)

@@ -1,21 +1,19 @@
 """Cluster metrics: routing counters plus a per-replica roll-up.
 
-The cluster layer adds only what the single-node metrics cannot know —
-how requests were routed, what was dropped because no replica could take
-it, and when the autoscaler acted. Everything latency-shaped stays in
-each replica's own :class:`repro.serve.ServerMetrics`; the roll-up merges
-those (bin-exact histogram merges, counter sums) into one cluster-wide
-view, and :meth:`ClusterMetrics.snapshot` nests all three levels so a
-:class:`repro.obs.MetricsRegistry` mount exposes the fleet as one
-monitoring surface with a per-replica breakdown.
+The cluster layer records only what single-node metrics cannot know —
+routing, requests no replica could take, autoscaler actions — as its own
+children of labeled telemetry families. Everything latency-shaped stays
+in each replica's :class:`repro.serve.ServerMetrics`; the roll-up folds
+those replica by replica, dropping the ``replica`` label, and
+:meth:`ClusterMetrics.snapshot` nests cluster, aggregate and replicas.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.obs.telemetry import Counter
+from repro.obs.telemetry import ChildSum, FamilyView, Telemetry
 from repro.serve.metrics import ServerMetrics
 
 __all__ = ["ScaleEvent", "ClusterMetrics"]
@@ -31,114 +29,67 @@ class ScaleEvent:
     miss_rate: float
     mean_load: float
 
-    def as_dict(self) -> dict:
-        return {"time_ms": self.time_ms, "action": self.action,
-                "replica": self.replica, "miss_rate": self.miss_rate,
-                "mean_load": self.mean_load}
-
 
 class ClusterMetrics:
-    """Routing/scaling counters over a live fleet of replicas.
+    """Routing/scaling counters over the router's live replica list,
+    stored like :class:`repro.serve.ServerMetrics` in ``telemetry``'s
+    families (or a private telemetry's)."""
 
-    The replica list is shared with the router (replicas the autoscaler
-    adds mid-run appear here automatically); snapshots deep-copy, so a
-    caller may mutate what it got back without corrupting the live view.
-    """
-
-    COUNTERS = ("arrived", "routed", "no_replica", "scale_ups",
-                "scale_downs")
+    FAMILIES = (
+        ("cluster_requests_total", "counter",
+         "cluster-level routing events", ("event",)),
+        ("cluster_routed_total", "counter",
+         "requests dispatched per replica", ("replica",)),
+        ("cluster_scale_events_total", "counter", "autoscaler actions",
+         ("action",)),
+    )
 
     def __init__(self, replicas: list, telemetry=None):
         self.replicas = replicas
-        self.counters = {name: Counter(name) for name in self.COUNTERS}
-        self.per_replica: dict[str, int] = {}
-        self.scale_events: list[ScaleEvent] = []
         self.telemetry = telemetry
-        if telemetry is not None:
-            events = telemetry.counter(
-                "cluster_requests_total",
-                "cluster-level routing events", ("event",))
-            self._events = {e: events.child((e,))
-                            for e in ("arrived", "routed", "no_replica")}
-            self._routed_family = telemetry.counter(
-                "cluster_routed_total",
-                "requests dispatched per replica", ("replica",))
-            self._scale_family = telemetry.counter(
-                "cluster_scale_events_total",
-                "autoscaler actions", ("action",))
-            self._routed_children: dict[str, Counter] = {}
-
-    # -- recording -----------------------------------------------------------
-    def record_arrival(self) -> None:
-        self.counters["arrived"].increment()
-        if self.telemetry is not None:
-            self._events["arrived"].increment()
+        self._view = view = FamilyView(telemetry or Telemetry(),
+                                       self.FAMILIES)
+        scale = view.children["cluster_scale_events_total"]
+        self.counters = {
+            e: view.child("cluster_requests_total", e)
+            for e in ("arrived", "routed", "no_replica")}
+        self.counters["scale_ups"] = ChildSum(scale, "scale-up")
+        self.counters["scale_downs"] = ChildSum(scale, "scale-down")
+        self.scale_events: list[ScaleEvent] = []
 
     def record_routed(self, replica: str) -> None:
         self.counters["routed"].increment()
-        self.per_replica[replica] = self.per_replica.get(replica, 0) + 1
-        if self.telemetry is not None:
-            self._events["routed"].increment()
-            child = self._routed_children.get(replica)
-            if child is None:
-                child = self._routed_children[replica] = \
-                    self._routed_family.child((replica,))
-            child.increment()
-
-    def record_no_replica(self) -> None:
-        """One request dropped because no replica could take it."""
-        self.counters["no_replica"].increment()
-        if self.telemetry is not None:
-            self._events["no_replica"].increment()
+        self._view.child("cluster_routed_total", replica).increment()
 
     def record_scale(self, event: ScaleEvent) -> None:
-        key = "scale_ups" if event.action == "scale-up" else "scale_downs"
-        self.counters[key].increment()
+        self._view.child("cluster_scale_events_total",
+                         event.action).increment()
         self.scale_events.append(event)
-        if self.telemetry is not None:
-            self._scale_family.child((event.action,)).increment()
 
-    # -- time-series roll-up -------------------------------------------------
+    @property
+    def per_replica(self) -> dict[str, int]:
+        """Requests routed to each replica, in first-routed order."""
+        return {name: c.value for (name,), c
+                in self._view.children["cluster_routed_total"].items()}
+
     def merged_series(self, name: str) -> dict:
-        """One fleet-wide series per label set, summed across replicas.
-
-        The time-series counterpart of :meth:`aggregate`: replicas sample
-        at their own instants, so their per-replica series (label
-        ``replica=<name>``) are summed as step functions — see
-        :meth:`repro.obs.telemetry.TimeSeriesStore.merged`. Requires the
-        cluster to have been run with a telemetry attached.
-        """
+        """One fleet-wide series per label set, summed across replicas
+        (see :meth:`repro.obs.telemetry.TimeSeriesStore.merged`)."""
         if self.telemetry is None:
             raise ValueError("cluster was run without telemetry")
         return self.telemetry.store.merged(name, drop_label="replica")
 
-    # -- roll-up -------------------------------------------------------------
     def aggregate(self) -> ServerMetrics:
-        """All replicas' serving metrics folded into one ServerMetrics.
-
-        Counters sum; histograms merge bin-exactly; transitions
-        interleave in time order. The deadline is taken from the first
-        replica (the cluster serves one deadline class per run).
-        """
+        """All replicas' serving metrics folded into one ServerMetrics;
+        deadline and rung inventory follow the first replica (one
+        deadline class, on one ladder, per run)."""
         deadline = (self.replicas[0].metrics.deadline_ms
                     if self.replicas else float("nan"))
         total = ServerMetrics(deadline)
         if self.replicas:
-            # like the deadline, the rung inventory follows the first
-            # replica (one ladder per deadline class per run)
-            total.set_ladder(self.replicas[0].metrics.ladder)
+            total.ladder = self.replicas[0].metrics.ladder
         for replica in self.replicas:
-            m = replica.metrics
-            for name, counter in m.counters.items():
-                total.counters[name].increment(counter.value)
-            total.latency.merge(m.latency)
-            total.queue_wait.merge(m.queue_wait)
-            total.service.merge(m.service)
-            total.batch_occupancy_sum += m.batch_occupancy_sum
-            for rung, n in m.per_rung.items():
-                total.per_rung[rung] = total.per_rung.get(rung, 0) + n
-            total.merge_tenants(m.tenants)
-            total.events.extend(m.events)
+            total.merge(replica.metrics)
         total.events.sort(key=lambda e: e.time_ms)
         return total
 
@@ -147,8 +98,8 @@ class ClusterMetrics:
         return copy.deepcopy({
             "cluster": {
                 "counters": {n: c.value for n, c in self.counters.items()},
-                "per_replica_routed": dict(self.per_replica),
-                "scale_events": [e.as_dict() for e in self.scale_events],
+                "per_replica_routed": self.per_replica,
+                "scale_events": [asdict(e) for e in self.scale_events],
                 "replicas": [r.name for r in self.replicas],
             },
             "aggregate": self.aggregate().snapshot(),

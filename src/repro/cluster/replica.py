@@ -75,7 +75,7 @@ class Replica:
         self.name = name
         self.config = config or ServerConfig()
         self.tracer = None if tracer is None else ReplicaTracer(name, tracer)
-        ladder.reset(0)
+        ladder.restore()
         self.ladder = ladder if faults is None else faults.wrap(ladder)
         # the shared telemetry sees this replica's series under a
         # replica=<name> label, the cluster analogue of ReplicaTracer

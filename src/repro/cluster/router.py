@@ -147,14 +147,14 @@ class Router:
             self._autoscale(now)
             if self.telemetry is not None:
                 self.telemetry.maybe_sample(now)
-            self.metrics.record_arrival()
+            self.metrics.counters["arrived"].increment()
             target = self.policy.choose(self.routable(now), req, now)
             if target is None:
                 # drop-not-crash: nothing can take the request
                 cluster_rejects[req.rid] = Response(
                     req.rid, REJECTED, req.arrival_ms, req.abs_deadline_ms,
                     reject_reason="no-replica", tenant=req.tenant)
-                self.metrics.record_no_replica()
+                self.metrics.counters["no_replica"].increment()
                 if self.tracer is not None:
                     self.tracer.instant("drop", "cluster", now, rid=req.rid,
                                         reason="no-replica")

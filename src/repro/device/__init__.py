@@ -5,7 +5,8 @@ measurements) and Tesla K20m (training-time accounting). See DESIGN.md for
 the calibration rationale.
 """
 
-from .fusion import KernelGroup, fuse_kernels
+from repro.nn.compile import KernelGroup, fuse_kernels
+
 from .k20m import TrainingCostModel, k20m
 from .latency import KernelCost, LatencyBreakdown, kernel_latency_ms, network_latency
 from .profiles import DEVICE_PROFILES, agx_boosted, nano

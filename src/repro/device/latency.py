@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn.compile import KernelGroup, fuse_kernels
 from repro.nn.graph import Network
 from repro.nn.layers import Input
 
-from .fusion import KernelGroup, fuse_kernels
 from .spec import DeviceSpec
 
 __all__ = ["KernelCost", "LatencyBreakdown", "kernel_latency_ms",

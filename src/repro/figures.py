@@ -92,7 +92,7 @@ EXPERIMENTS: list[Experiment] = [
         "deploy", "Section III-B4",
         "Deployment optimizations: layer fusion and INT8 post-training "
         "quantization.",
-        ("repro.device.fusion", "repro.device.quantize"),
+        ("repro.nn.compile", "repro.device.quantize"),
         "benchmarks/test_deploy_optimizations.py",
         ("deploy_fusion.txt", "deploy_int8.txt",
          "deploy_quantization_drift.txt",

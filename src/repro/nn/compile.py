@@ -2,8 +2,8 @@
 
 This module is the single source of truth for *layer fusion*: the grouping
 of graph nodes into the kernels a runtime launches. The device latency
-model (:mod:`repro.device.fusion` re-exports :func:`fuse_kernels` from
-here) and the compiled executor below both consume the same
+model (:mod:`repro.device.latency`) and the compiled executor below both
+consume the same
 :class:`KernelGroup` partition, so what the latency model *prices* as one
 fused kernel is exactly what the compute path *runs* as one fused kernel.
 

@@ -17,14 +17,17 @@ instrumentation first-class:
 - :class:`DriftMonitor` — an online comparator of predicted vs. observed
   service times that raises structured :class:`DriftEvent`\\ s when the
   rolling relative error crosses a threshold.
-- :class:`MetricsRegistry` — one ``snapshot()``/``report()`` namespace
-  over serve metrics, trace statistics, drift state and custom gauges.
-- :class:`Telemetry` — labeled metric families (:class:`Counter` /
-  :class:`Gauge` / :class:`LatencyHistogram` children keyed by
-  ``tenant``/``rung``/``replica``/``kernel`` labels) backed by a
+- :class:`MetricsRegistry` — mounts every ``snapshot()``/``report()``
+  surface (serve metrics, trace statistics, drift state, a telemetry)
+  under one namespace; it stores no metrics of its own.
+- :class:`Telemetry` — the one metrics store: labeled metric families
+  (:class:`Counter` / :class:`Gauge` / :class:`LatencyHistogram` children
+  keyed by ``tenant``/``rung``/``replica``/``kernel`` labels) backed by a
   ring-buffer :class:`TimeSeriesStore` sampled on the virtual clock, with
   OpenMetrics text exposition (:func:`to_openmetrics`) and JSON export
-  (:func:`to_json`).
+  (:func:`to_json`). :class:`repro.serve.ServerMetrics` and
+  :class:`repro.cluster.ClusterMetrics` are views over their own children
+  of these families (:class:`FamilyView`), not separate counters.
 - :class:`AlertEngine` — multi-window SLO burn-rate alerting
   (:class:`BurnRateRule`, :func:`default_slo_rules`) over the store,
   firing/resolving deterministically in virtual time.
@@ -63,6 +66,7 @@ from .registry import MetricsRegistry
 from .store import RunStore
 from .telemetry import (
     Counter,
+    FamilyView,
     Gauge,
     LatencyHistogram,
     MetricFamily,
@@ -86,6 +90,7 @@ __all__ = [
     "DriftEvent",
     "DriftMonitor",
     "Counter",
+    "FamilyView",
     "Gauge",
     "LatencyHistogram",
     "MetricFamily",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.device.fusion import fuse_kernels
+from repro.nn.compile import fuse_kernels
 from repro.device.latency import network_latency
 from repro.device.profiler import LatencyTable, LayerRecord
 from repro.device.spec import DeviceSpec, stable_seed

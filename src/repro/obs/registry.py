@@ -1,61 +1,30 @@
-"""A small metrics registry: one namespace over every metrics surface.
+"""A metrics registry: one namespace over every metrics surface.
 
-The serving stack (:class:`repro.serve.ServerMetrics`), the tracer, the
-drift monitor and the layer profiler each expose ``snapshot() -> dict``
-(and most a human-readable ``report() -> str``). The registry mounts any
-number of such components under dotted names, adds free-standing counters
-and gauges of its own, and renders everything through a single
-``snapshot()``/``report()`` pair — the one monitoring surface the CLI's
-``trace``/``profile`` subcommands print.
-
-Snapshots are deep copies: mutating what a caller got back never corrupts
-live metrics.
+The registry stores no metrics of its own. It mounts components that
+expose ``snapshot() -> dict`` (and optionally ``report() -> str``) — the
+serving metrics, the tracer, the drift monitor, a telemetry — under
+dotted names and renders them as one surface; snapshots are deep copies.
 """
 
 from __future__ import annotations
 
 import copy
 
-from .telemetry import Counter, Gauge, LatencyHistogram
-
-__all__ = ["Gauge", "MetricsRegistry"]
+__all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """Named counters, gauges, histograms and mounted components.
-
-    ::
+    """Mounted components, rendered as one surface::
 
         reg = MetricsRegistry()
-        reg.counter("serve.restarts").increment()
-        reg.gauge("serve.rung").set(2)
         reg.mount("serve", result.metrics)     # anything with snapshot()
         reg.mount("trace", tracer)
-        reg.mount("drift", drift_monitor)
         print(reg.report())
         data = reg.snapshot()                  # one nested, JSON-able dict
     """
 
     def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, LatencyHistogram] = {}
         self._mounted: dict[str, object] = {}
-
-    # -- creation ------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        """Get or create a counter (idempotent by name)."""
-        return self._counters.setdefault(name, Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create a gauge."""
-        return self._gauges.setdefault(name, Gauge(name))
-
-    def histogram(self, name: str, **kwargs) -> LatencyHistogram:
-        """Get or create a streaming latency histogram."""
-        if name not in self._histograms:
-            self._histograms[name] = LatencyHistogram(**kwargs)
-        return self._histograms[name]
 
     def mount(self, name: str, component) -> None:
         """Mount any object exposing ``snapshot() -> dict`` under ``name``."""
@@ -64,36 +33,14 @@ class MetricsRegistry:
                 f"component {name!r} has no snapshot() method")
         self._mounted[name] = component
 
-    # -- read-out ------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Everything, deep-copied, under one nested dict."""
-        out: dict = {}
-        if self._counters:
-            out["counters"] = {n: c.value for n, c in self._counters.items()}
-        if self._gauges:
-            out["gauges"] = {n: g.value for n, g in self._gauges.items()}
-        if self._histograms:
-            out["histograms"] = {n: h.snapshot()
-                                 for n, h in self._histograms.items()}
-        for name, component in self._mounted.items():
-            out[name] = component.snapshot()
-        return copy.deepcopy(out)
+        return copy.deepcopy({name: component.snapshot()
+                              for name, component in self._mounted.items()})
 
     def report(self) -> str:
-        """A sectioned text block: own metrics first, then each mount."""
         lines: list[str] = []
-        for name, c in sorted(self._counters.items()):
-            lines.append(f"{name}: {c.value}")
-        for name, g in sorted(self._gauges.items()):
-            lines.append(f"{name}: {g.value:g}")
-        for name, h in sorted(self._histograms.items()):
-            s = h.snapshot()
-            lines.append(f"{name}: n={s['count']} p50 {s['p50_ms']:.3f} "
-                         f"p95 {s['p95_ms']:.3f} p99 {s['p99_ms']:.3f} ms")
         for name, component in self._mounted.items():
             lines.append(f"-- {name} --")
-            if hasattr(component, "report"):
-                lines.append(component.report())
-            else:
-                lines.append(str(component.snapshot()))
+            lines.append(component.report() if hasattr(component, "report")
+                         else str(component.snapshot()))
         return "\n".join(lines)

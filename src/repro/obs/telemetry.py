@@ -1,14 +1,17 @@
 """Labeled time-series telemetry over the serving stack's virtual clock.
 
-This module is the canonical home of the metric primitives the rest of
-the repo consumes (:class:`Counter`, :class:`Gauge`,
-:class:`LatencyHistogram` — re-exported by :mod:`repro.serve.metrics`
-and :mod:`repro.obs.registry` for compatibility), plus the label model
-and time dimension PR-2's snapshot-only registry lacked:
+This module is the one store of the serving stack's metrics: the
+primitives (:class:`Counter`, :class:`Gauge`, :class:`LatencyHistogram`
+— re-exported by :mod:`repro.serve.metrics`), the label model and the
+time dimension:
 
 - :class:`MetricFamily` — one named metric with a fixed label schema
   (``serve_requests_total{event=...,tenant=...}``); children are created
   lazily per label combination, Prometheus-style.
+- :class:`FamilyView` — the children one component binds and writes;
+  :class:`repro.serve.ServerMetrics` and
+  :class:`repro.cluster.ClusterMetrics` are views of this kind, and
+  folding views drops their extra labels (the fleet roll-up).
 - :class:`TimeSeriesStore` — bounded ring buffers of ``(t_ms, value)``
   points per (metric, labels) key, sampled on the *virtual* clock so a
   run's evolution is deterministic and replayable; counters get windowed
@@ -30,11 +33,15 @@ imports telemetry, never the reverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from collections import deque
+from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
+    "ChildSum",
     "Counter",
+    "FamilyView",
     "Gauge",
     "LatencyHistogram",
     "MetricFamily",
@@ -89,6 +96,7 @@ class LatencyHistogram:
         decades = math.log10(hi_ms / lo_ms)
         self.n_bins = int(round(decades * bins_per_decade))
         self._ratio = (hi_ms / lo_ms) ** (1.0 / self.n_bins)
+        self._log_ratio = math.log(self._ratio)
         # two extra bins catch under/overflow
         self.counts = [0] * (self.n_bins + 2)
         self.count = 0
@@ -101,15 +109,17 @@ class LatencyHistogram:
             return 0
         if ms >= self.hi_ms:
             return self.n_bins + 1
-        return 1 + int(math.log(ms / self.lo_ms) / math.log(self._ratio))
+        return 1 + int(math.log(ms / self.lo_ms) / self._log_ratio)
 
     def observe(self, ms: float) -> None:
         """Record one latency sample (milliseconds)."""
         self.counts[self._bin(ms)] += 1
         self.count += 1
         self.total_ms += ms
-        self.min_ms = min(self.min_ms, ms)
-        self.max_ms = max(self.max_ms, ms)
+        if ms < self.min_ms:
+            self.min_ms = ms
+        if ms > self.max_ms:
+            self.max_ms = ms
 
     @property
     def mean_ms(self) -> float:
@@ -145,19 +155,15 @@ class LatencyHistogram:
             raise ValueError(f"quantile {q} outside [0, 1]")
         if self.count == 0:
             return float("nan")
-        rank = q * (self.count - 1)
-        cum = 0
-        for i, c in enumerate(self.counts):
-            cum += c
-            if cum > rank:
-                if i == 0:                      # underflow: all < lo_ms
-                    return min(self.lo_ms, self.max_ms)
-                if i == self.n_bins + 1:        # overflow: clamp to max
-                    return self.max_ms
-                lo = self.lo_ms * self._ratio ** (i - 1)
-                return min(max(lo * math.sqrt(self._ratio), self.min_ms),
-                           self.max_ms)
-        return self.max_ms
+        # the first bin whose cumulative count passes the rank
+        i = bisect_right(list(accumulate(self.counts)), q * (self.count - 1))
+        if i == 0:                              # underflow: all < lo_ms
+            return min(self.lo_ms, self.max_ms)
+        if i > self.n_bins:                     # overflow: clamp to max
+            return self.max_ms
+        lo = self.lo_ms * self._ratio ** (i - 1)
+        return min(max(lo * math.sqrt(self._ratio), self.min_ms),
+                   self.max_ms)
 
     def snapshot(self) -> dict:
         """Summary statistics as a plain dict."""
@@ -256,6 +262,84 @@ class MetricFamily:
                 else child.value
             out["children"].append({"labels": dict(key), "value": value})
         return out
+
+
+class FamilyView:
+    """One component's own children of a set of telemetry families.
+
+    A serving component (one server, one replica, one router) declares
+    its families once (``spec`` rows of ``(name, kind, help,
+    labelnames)``) and writes through the children it binds; whatever it
+    reads back (counts, breakdowns, roll-ups) iterates those children in
+    the order it bound them. ``labels`` are fixed extra labels appended
+    to every family's schema (a cluster replica passes
+    ``{"replica": name}``); every component sharing one telemetry must
+    use the same extra label *keys*, or family schemas would disagree.
+
+    Binding installs a fresh child: a component built on a telemetry
+    that already holds its label set (the next run of one server)
+    restarts those series, as a restarted process would, rather than
+    reading an earlier run's counts.
+    """
+
+    def __init__(self, telemetry: "Telemetry", spec,
+                 labels: dict | None = None):
+        labels = {str(k): str(v) for k, v in (labels or {}).items()}
+        names = tuple(sorted(labels))
+        self.extra = tuple(labels[n] for n in names)
+        self.suffix = ",".join(f"{n}={labels[n]}" for n in names)
+        self.families = {
+            name: getattr(telemetry, kind)(name, help, labelnames + names)
+            for name, kind, help, labelnames in spec}
+        self.children: dict[str, dict] = {name: {} for name in self.families}
+
+    def child(self, name: str, *values: str):
+        """The bound child of family ``name`` at label ``values`` (extra
+        labels excluded), created on first use."""
+        own = self.children[name]
+        child = own.get(values)
+        if child is None:
+            family = self.families[name]
+            child = own[values] = family._children[values + self.extra] = \
+                family._make()
+        return child
+
+    def fold(self, other: "FamilyView") -> None:
+        """Add another view's counters and histograms into this one.
+
+        Children match on their label values without the extra labels,
+        so folding replicas' views into one drops the ``replica`` label.
+        Gauges are instantaneous readings and do not fold.
+        """
+        for name, children in other.children.items():
+            kind = other.families[name].kind
+            if kind == "gauge":
+                continue
+            for values, child in children.items():
+                mine = self.child(name, *values)
+                if kind == "histogram":
+                    mine.merge(child)
+                else:
+                    mine.increment(child.value)
+
+
+class ChildSum:
+    """A read-only counter over a view's children of one family.
+
+    Its value sums the children whose last label value is ``last`` (a
+    breaker state, a scaling action), including children bound later.
+    """
+
+    __slots__ = ("_children", "_last")
+
+    def __init__(self, children: dict, last: str):
+        self._children = children
+        self._last = last
+
+    @property
+    def value(self) -> int:
+        return sum(c.value for key, c in self._children.items()
+                   if key[-1] == self._last)
 
 
 # -- the time dimension ------------------------------------------------------

@@ -25,9 +25,8 @@ from .queue import EDFQueue
 from .request import COMPLETED, REJECTED, Request, Response
 from .server import Server, ServingResult
 
-# the trace makers live in repro.workload now; re-exported here for
-# compatibility (imported from the source, not the deprecated
-# repro.serve.trace shim, so `import repro.serve` stays warning-free)
+# the trace makers live in repro.workload; re-exported here for
+# compatibility
 from repro.workload.generators import (
     offered_load,
     poisson_trace,

@@ -24,9 +24,8 @@ class MicroBatcher:
     ``tracer`` (e.g. :class:`repro.obs.Tracer`) receives one ``batch``
     span per formed batch carrying the batch size; the engine's matching
     ``forward`` span carries the member rids and executed rung.
-    ``on_form`` (a callable ``(size, stop)``, e.g.
-    :meth:`repro.serve.metrics.ServeTelemetry.batch_stop`) is invoked once
-    per formed batch with the stop reason, feeding the labeled
+    ``on_form`` (a callable ``(size, stop)``) is invoked once per formed
+    batch with the stop reason; the engine feeds it into the labeled
     stop-reason counters.
     """
 

@@ -128,19 +128,19 @@ class Engine:
                     cooldown_ms=config.breaker_cooldown_ms,
                     listener=self._on_breaker_event)
                 for rung in ladder.rungs}
-        # telemetry rides on the metrics object: ServerMetrics owns the
-        # ServeTelemetry handle bundle (per-run labels included) and the
-        # engine wires its own components against the same bound children
-        self._tele = metrics.tele
-        self._telemetry = None if self._tele is None \
-            else self._tele.telemetry
+        # the metrics' families live in a telemetry either way; only a
+        # caller-supplied one is sampled, so only then does the engine
+        # feed the gauges, batch-stop counts and recent-latency window
+        # that nothing else reads
+        self._telemetry = telemetry = metrics.telemetry
+        self._recent = None if telemetry is None else deque(maxlen=256)
         self.queue = EDFQueue(
             config.queue_capacity, tracer=tracer,
-            depth_gauge=None if self._tele is None
-            else self._tele.queue_depth)
+            depth_gauge=None if telemetry is None
+            else metrics.child("serve_queue_depth"))
         self.batcher = MicroBatcher(
             config.max_batch, config.batch_slack_ms, tracer=tracer,
-            on_form=None if self._tele is None else self._tele.batch_stop)
+            on_form=None if telemetry is None else self._count_batch_stop)
         self.controller = (HysteresisController(
             config.deadline_ms, window=config.window,
             min_observations=config.min_observations,
@@ -156,23 +156,12 @@ class Engine:
             # runs (and across a cluster's replicas), but each engine's
             # admissions must start from a clean slate
             self.admission_policy.reset()
-        # online re-estimation rewrites rung latency beliefs in place and
-        # ladders are reused across runs, so every fresh engine restores
-        # the deployment artifact's tables (and their ordering) first —
-        # one (ladder, config, trace) tuple always replays identically,
-        # whether or not a previous run recalibrated
-        recalibrated = False
-        for rung in ladder.rungs:
-            if getattr(rung, "estimate_scale", 1.0) != 1.0:
-                rung.recalibrate(1.0)
-                recalibrated = True
-        if recalibrated and hasattr(ladder, "resort"):
-            ladder.resort()
         # record the rung inventory (names, builder tags, deployment-time
-        # estimates) on the metrics surface after the belief restore above,
-        # so every run's snapshot reports the same deployment ladder
+        # estimates) on the metrics surface; Server and Replica restore
+        # the ladder's beliefs before building the engine, so every run's
+        # snapshot reports the same deployment ladder
         if hasattr(ladder, "snapshot"):
-            metrics.set_ladder(ladder.snapshot())
+            metrics.ladder = ladder.snapshot()
         self.reestimator = None
         if config.online_reestimation:
             # lazy import: the engine must not pull the netcut package
@@ -203,12 +192,12 @@ class Engine:
                 if compiled is not None:
                     compiled.enable_timing()
                     self._kernel_timing = True
-        if self._tele is not None:
+        if telemetry is not None:
             # keyed registration: a fresh engine on the same telemetry
             # (next run, or this replica rebuilt) replaces its
             # predecessor's collector instead of piling up stale ones
-            self._telemetry.collector(
-                "engine:" + self._tele.suffix, self._collect_telemetry)
+            telemetry.collector("engine:" + metrics.suffix,
+                                self._collect_telemetry)
 
     # -- admission -----------------------------------------------------------
     def _admission_estimate_ms(self) -> float:
@@ -268,20 +257,39 @@ class Engine:
         p99, offered rate, tenant shares — is computed here, once per
         sample instead of once per request.
         """
-        tele = self._tele
-        tele.rung_index.set(float(self.ladder.current_index))
-        tele.recent_p99.set(tele.recent_quantile(0.99))
+        gauge = self.metrics.child
+        gauge("serve_rung_index").set(float(self.ladder.current_index))
+        gauge("serve_recent_p99_ms").set(self._recent_p99())
         rate = self._recent_rate_per_ms()
-        tele.arrival_rate.set(0.0 if rate is None else rate * 1e3)
+        gauge("serve_arrival_rate_rps").set(
+            0.0 if rate is None else rate * 1e3)
         policy = self.admission_policy
         if policy is not None and hasattr(policy, "share_of"):
             for tenant in sorted(policy.weights):
-                share, fair = tele.share_gauges(tenant)
-                share.set(policy.share_of(tenant))
-                fair.set(policy.fair_share_of(tenant))
+                gauge("serve_admission_share", tenant).set(
+                    policy.share_of(tenant))
+                gauge("serve_fair_share", tenant).set(
+                    policy.fair_share_of(tenant))
         if self.reestimator is not None:
             for rung in self.ladder.rungs:
-                tele.scale_gauge(rung.name).set(rung.estimate_scale)
+                gauge("netcut_estimate_scale", rung.name).set(
+                    rung.estimate_scale)
+
+    def _recent_p99(self) -> float:
+        """p99 of the recent-latency window (at most 256 responses).
+
+        Exact over the window, unlike the run-cumulative histogram —
+        which is the point: the gauge tracks *current* tail latency, so
+        burn-rate windows see storms begin and end.
+        """
+        if not self._recent:
+            return 0.0
+        ordered = sorted(self._recent)
+        return ordered[int(0.99 * (len(ordered) - 1))]
+
+    def _count_batch_stop(self, size: int, stop: str) -> None:
+        """Batcher hook: count why micro-batch growth stopped."""
+        self.metrics.child("serve_batch_stops_total", stop).increment()
 
     def _record_kernel_times(self, rung) -> None:
         """Drain one executed batch's per-kernel wall-clock times.
@@ -297,7 +305,8 @@ class Engine:
         if compiled is None or not compiled.timing_enabled:
             return
         for name, (calls, total_ms) in compiled.drain_kernel_times().items():
-            self._tele.observe_kernel(name, rung.name, total_ms / calls)
+            self.metrics.child("kernel_latency_ms", name,
+                               rung.name).observe(total_ms / calls)
 
     # -- ladder control ------------------------------------------------------
     def _recent_rate_per_ms(self) -> float | None:
@@ -389,7 +398,7 @@ class Engine:
     def _tick_faults(self, now_ms: float) -> None:
         """Advance the injector clock; trace fault windows opening/closing."""
         for event in self.faults.tick(now_ms):
-            self.metrics.record_fault_event()
+            self.metrics.counters["fault_events"].increment()
             if self.tracer is not None:
                 self.tracer.instant("fault", "faults", now_ms,
                                     fault=event.fault, phase=event.phase)
@@ -448,7 +457,7 @@ class Engine:
                 nxt = self._retry_rung(rung, t)
                 if nxt is None:
                     return rung, None, t     # nothing can run this batch
-                self.metrics.record_retry()
+                self.metrics.counters["retries"].increment()
                 rung = nxt
                 attempts += 1
                 continue
@@ -463,8 +472,8 @@ class Engine:
                 # many-x straggler in expectation.
                 nxt = self._retry_rung(rung, t) or rung
                 breaker.record_failure(t, "timeout")
-                self.metrics.record_timeout()
-                self.metrics.record_retry()
+                self.metrics.counters["timeouts"].increment()
+                self.metrics.counters["retries"].increment()
                 if self._emit is not None:
                     self._emit("timeout", "faults", t, timeout_ms, None,
                                {"rung": rung.name, "size": len(batch),
@@ -555,7 +564,7 @@ class Engine:
         outputs = None
         if self.config.execute and all(r.x is not None for r in batch):
             outputs = rung.forward([r.x for r in batch])
-            if self._kernel_timing and self._tele is not None:
+            if self._kernel_timing and self._telemetry is not None:
                 self._record_kernel_times(rung)
         self.metrics.record_batch(len(batch))
         if self._emit is not None:
@@ -590,6 +599,8 @@ class Engine:
                 tenant=req.tenant)
             responses[req.rid] = resp
             self.metrics.record_response(resp)
+            if self._recent is not None:
+                self._recent.append(resp.latency_ms)
             if self._emit is not None:
                 args = {"latency_ms": resp.latency_ms,
                         "met": bool(resp.deadline_met)}
@@ -687,14 +698,15 @@ class Engine:
         fit = self.reestimator.maybe_reestimate(self.ladder, event, now_ms)
         if fit is None:
             return
-        self.metrics.record_reestimate()
+        self.metrics.counters["reestimates"].increment()
         self.drift.reset_window()
         if self.tracer is not None:
             self.tracer.instant("reestimate", "netcut", now_ms,
                                 method=fit.method, samples=fit.samples,
                                 max_scale=max(fit.scales.values()))
         if fit.rebuilt:
-            self.metrics.record_rebuild(now_ms, fit.from_rung, fit.to_rung)
+            self.metrics.record_transition(now_ms, "rebuild", fit.from_rung,
+                                           fit.to_rung)
             if self.controller is not None:
                 self.controller.notify_transition()
             if self.tracer is not None:

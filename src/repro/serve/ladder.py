@@ -233,6 +233,20 @@ class TRNLadder:
         self.rungs.sort(key=lambda r: -r.estimate_ms(1))
         self.select(serving)
 
+    def restore(self) -> None:
+        """Trust the deployment tables again, in order, from the top rung.
+
+        Online re-estimation rewrites rung beliefs in place and re-sorts
+        the ladder, and ladders are reused across runs. Resetting every
+        estimate scale, the ordering and the cursor together, before
+        anything wraps or reads the ladder, makes one (ladder, config,
+        trace) tuple replay identically whatever an earlier run learned.
+        """
+        for rung in self.rungs:
+            rung.recalibrate(1.0)
+        self.rungs.sort(key=lambda r: -r.estimate_ms(1))
+        self._current = 0
+
     def reseed(self, seed: int) -> None:
         """Give every rung a fresh deterministic sampler."""
         for i, rung in enumerate(self.rungs):

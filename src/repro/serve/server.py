@@ -9,7 +9,8 @@ This is the user-facing entry point of :mod:`repro.serve`::
     print(result.metrics.report())
 
 Each :meth:`Server.run_trace` call is an independent, fully deterministic
-run: the ladder cursor is parked back on the most accurate rung, every
+run: the ladder's latency beliefs, rung order and cursor are restored to
+the deployment tables (see :meth:`TRNLadder.restore`), every
 rung's measurement RNG is reseeded from the config seed, and fresh metrics
 are collected — so the same (ladder, config, trace) triple always yields
 identical schedules, transitions and numbers.
@@ -65,10 +66,11 @@ class Server:
     :meth:`run_trace` calls — clear them between runs if per-run traces
     are wanted.
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) mirrors every metrics
-    recording into labeled time-series families sampled on the virtual
-    clock (see :mod:`repro.obs.telemetry`); like the tracer it is shared
-    across runs — each run's series continue in the same store.
+    ``telemetry`` (a :class:`repro.obs.Telemetry`) is where each run's
+    metrics live: labeled families sampled on the virtual clock (see
+    :mod:`repro.obs.telemetry`). Like the tracer it is shared across
+    runs; each run restarts its own series' counts, and the points
+    already sampled stay in the store.
 
     ``faults`` (a :class:`repro.faults.FaultInjector`) subjects every run
     to its chaos scenario: the ladder is served through fault-perturbed
@@ -101,7 +103,9 @@ class Server:
         """
         config = replace(self.config, **overrides) if overrides \
             else self.config
-        self.ladder.reset(0)
+        # restore before wrapping: the fault proxies' ladder is sorted by
+        # the estimates it sees at construction
+        self.ladder.restore()
         ladder = self.ladder if self.faults is None \
             else self.faults.wrap(self.ladder)
         metrics = ServerMetrics(config.deadline_ms,

@@ -6,7 +6,7 @@ Four parts, one subsystem:
   (diurnal cycles, flash crowds, Markov-modulated bursts and their
   superposition) sampled into :class:`repro.serve.Request` traces with
   Lewis–Shedler thinning; also the canonical home of ``poisson_trace``
-  and ``uniform_trace`` (still re-exported by ``repro.serve.trace``);
+  and ``uniform_trace`` (re-exported by :mod:`repro.serve`);
 - :mod:`~repro.workload.tenancy` — per-tenant request classes with
   distinct deadlines, priorities and traffic shares, plus the
   weighted-fair admission policy the engine enforces under contention;

@@ -23,9 +23,8 @@ Four intensities cover the production shapes the single-rate traces of
   how per-tenant streams compose into one offered load.
 
 :func:`poisson_trace`, :func:`uniform_trace` and :func:`offered_load`
-moved here from ``repro.serve.trace`` (which still re-exports them);
-they are unchanged, byte-for-byte, so existing seeded experiments
-reproduce exactly.
+are re-exported by :mod:`repro.serve`; their seeded draw order is
+fixed, so existing seeded experiments reproduce exactly.
 """
 
 from __future__ import annotations

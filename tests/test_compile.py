@@ -60,15 +60,7 @@ class TestFusionDuality:
             kernel = build_kernel(0, conv.layer, [tail], in_shape, out_shape)
             assert kernel.fused, (
                 f"Conv2D+{tail_type.__name__} fell back to the interpreter "
-                "but repro.device.fusion prices it as one fused kernel")
-
-    def test_device_fusion_is_the_same_object(self):
-        # single source of truth: the latency model re-exports these
-        from repro.device import fusion as device_fusion
-
-        assert device_fusion.fuse_kernels is fuse_kernels
-        assert device_fusion.ANCHOR_TYPES is ANCHOR_TYPES
-        assert device_fusion.FUSABLE_TYPES is FUSABLE_TYPES
+                "but the latency model prices it as one fused kernel")
 
     def test_compiled_steps_match_fusion_groups(self, tiny_net):
         plan = ExecutionPlan(tiny_net)

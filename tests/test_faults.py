@@ -550,3 +550,54 @@ class TestSpanRegressions:
             assert s.args["stop"] in ("deadline-fit", "max-batch",
                                       "queue-empty")
             assert s.args["size"] >= 1
+
+# ---------------------------------------------------------------------------
+# reused ladders under faults and online re-estimation
+# ---------------------------------------------------------------------------
+class TestReusedLadderReplay:
+    def test_faulted_online_replays_are_identical(self, device):
+        """Regression: wrapping a reused ladder in fault proxies sorted its
+        rungs by the previous run's re-estimated beliefs, and the engine's
+        later restore kept that stale serving rung, so each replay of the
+        same trace started somewhere else."""
+        from repro.workload import (TenantClass, TenantMix,
+                                    WeightedFairAdmission, generate_trace)
+        from repro.workload.generators import (DiurnalCycle, FlashCrowd,
+                                               Superposition)
+
+        ladder = TRNLadder.from_base(make_tiny_net(blocks=4), device,
+                                     num_classes=5)
+        full = ladder.rungs[0].estimate_ms(1)
+        mix = TenantMix([
+            TenantClass("interactive", deadline_ms=2 * full, weight=3.0,
+                        share=0.1, priority=1),
+            TenantClass("batch", deadline_ms=8 * full, weight=1.0,
+                        share=0.9)])
+        config = ServerConfig(
+            deadline_ms=2 * full, queue_capacity=64, window=16,
+            min_observations=8, cooldown=8, execute=False,
+            admission_policy=WeightedFairAdmission(mix, watermark=0.25),
+            resilience=True, online_reestimation=True,
+            reestimate_method="svr", reestimate_cooldown_ms=10 * full,
+            reestimate_min_samples=8, reestimate_max_samples=16)
+        rate = 0.5e3 / full
+        horizon = 1500 * full
+        process = Superposition(
+            DiurnalCycle(rate, amplitude=0.5, period_ms=horizon),
+            FlashCrowd(rate / 3, peak_multiplier=8.0,
+                       start_ms=0.35 * horizon, ramp_ms=0.05 * horizon,
+                       hold_ms=0.2 * horizon, decay_ms=0.1 * horizon))
+        trace = generate_trace(process, horizon, tenants=mix, rng=2)
+        span = trace[-1].arrival_ms
+        faults = FaultInjector([ThermalThrottle(
+            start_ms=0.25 * span, duration_ms=0.5 * span, factor=2.5,
+            ramp_ms=0.03 * span)], seed=0)
+        server = Server(ladder, config, faults=faults)
+
+        def digest(result):
+            return [(r.rid, r.status, r.rung, r.finish_ms, r.batch_size)
+                    for r in sorted(result.responses, key=lambda r: r.rid)]
+
+        first, second, third = (digest(server.run_trace(trace))
+                                for _ in range(3))
+        assert first == second == third

@@ -491,15 +491,19 @@ class TestDriftMonitor:
 # ---------------------------------------------------------------------------
 class TestMetricsRegistry:
     def test_get_or_create_is_idempotent(self):
+        from repro.obs import Telemetry
+
+        tele = Telemetry()
+        tele.counter("a").child(()).increment(2)
+        tele.counter("a").child(()).increment()
+        tele.gauge("g").child(()).set(4.5)
+        tele.histogram("h").child(()).observe(1.0)
         reg = MetricsRegistry()
-        reg.counter("a").increment(2)
-        reg.counter("a").increment()
-        reg.gauge("g").set(4.5)
-        reg.histogram("h").observe(1.0)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"a": 3}
-        assert snap["gauges"] == {"g": 4.5}
-        assert snap["histograms"]["h"]["count"] == 1
+        reg.mount("telemetry", tele)
+        families = reg.snapshot()["telemetry"]["families"]
+        assert families["a"]["children"] == [{"labels": {}, "value": 3}]
+        assert families["g"]["children"][0]["value"] == 4.5
+        assert families["h"]["children"][0]["value"]["count"] == 1
 
     def test_mount_requires_snapshot(self):
         reg = MetricsRegistry()
@@ -981,6 +985,24 @@ class TestServeTelemetry:
         assert m2.counters["breaker_opens"].value == 1
         m.record_breaker("open")
         assert m.counters["breaker_opens"].value == 1
+
+    def test_rerun_on_shared_telemetry_restarts_its_series(self, ladder):
+        # the families are the metrics store, so a second run on the same
+        # telemetry binds fresh children: each run's snapshot stays its
+        # own, and the exposed counters restart instead of accumulating
+        from repro.obs import Telemetry
+
+        full = ladder.rungs[0].estimate_ms(1)
+        trace = poisson_trace(200, 1.3e3 / full, 1.0, rng=0)
+        config = ServerConfig(deadline_ms=1.0, execute=False, seed=0)
+        telemetry = Telemetry(sample_interval_ms=1.0)
+        server = Server(ladder, config, telemetry=telemetry)
+        first = server.run_trace(trace)
+        before = first.metrics.snapshot()
+        second = server.run_trace(trace)
+        assert first.metrics.snapshot() == before == second.metrics.snapshot()
+        requests = telemetry.families["serve_requests_total"]
+        assert requests.labels(event="arrived").value == 200
 
 
 class TestClusterTelemetry:

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.device.fusion import fuse_kernels
 from repro.device.latency import kernel_latency_ms, network_latency
 from repro.device.spec import DeviceSpec
 from repro.estimators import SVR
 from repro.metrics import angular_distance
 from repro.nn import BatchNorm, Conv2D, Dense, DepthwiseConv2D, GlobalAvgPool, Network, ReLU
+from repro.nn.compile import fuse_kernels
 from repro.trim import build_trn, enumerate_blockwise, removed_node_set
 
 # -- strategies -------------------------------------------------------------

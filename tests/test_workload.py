@@ -300,13 +300,13 @@ class TestEngineTenantIntegration:
         report = result.metrics.report()
         assert "interactive" in report and "batch" in report
 
-    def test_merge_tenants_folds_buckets(self, served):
+    def test_merge_folds_tenant_buckets(self, served):
         from repro.serve.metrics import ServerMetrics
 
         _, result = served
         total = ServerMetrics(4.0)
-        total.merge_tenants(result.metrics.tenants)
-        total.merge_tenants(result.metrics.tenants)
+        total.merge(result.metrics)
+        total.merge(result.metrics)
         one = result.metrics.snapshot()["tenants"]
         two = total.snapshot()["tenants"]
         for name in one:
@@ -415,34 +415,6 @@ class TestRecordReplay:
 
 
 class TestSharedTraceHelpersMoved:
-    def test_serve_reexports_are_the_same_objects(self):
-        import importlib
-
-        import repro.workload.generators as new
-
-        sys.modules.pop("repro.serve.trace", None)
-        with pytest.warns(DeprecationWarning,
-                          match="repro.workload.generators"):
-            old = importlib.import_module("repro.serve.trace")
-
-        assert old.poisson_trace is new.poisson_trace
-        assert old.uniform_trace is new.uniform_trace
-        assert old.offered_load is new.offered_load
-        # the serve package facade still exports them too
-        from repro.serve import poisson_trace
-        assert poisson_trace is new.poisson_trace
-
-    def test_serve_facade_import_does_not_warn(self):
-        # importing the supported re-export location must stay silent: the
-        # facade pulls the makers from repro.workload, not from the shim
-        code = ("from repro.serve import poisson_trace, uniform_trace, "
-                "offered_load\n"
-                "import sys; assert 'repro.serve.trace' not in sys.modules\n")
-        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-        subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
-            env=env, check=True, capture_output=True)
-
     def test_moved_helpers_still_work(self):
         from repro.serve import offered_load, poisson_trace, uniform_trace
 
