@@ -12,11 +12,11 @@ This benchmark replays the PR-1 serve-throughput scenario
   "observability is cheap enough to leave on" claim lives, and the traced
   run must stay within 10% of the untraced wall-clock.
 - **Simulator-only** (``execute=False``): the PR-1 timing regime, where a
-  request costs ~75µs of pure bookkeeping. Tracing's few spans per
-  request are measurable against a denominator that small (~5-10% here,
-  by design of the simulator, not of the tracer), so the ratio is
-  reported for transparency and guarded only against gross regressions
-  in per-span cost.
+  request costs only bookkeeping, so any ratio over it moves whenever the
+  serve loop itself gets faster or slower. This regime is guarded only
+  against gross regressions in per-span and per-sample cost, as the wall
+  time observability *adds per request*, scaled to a reference host by a
+  fixed interpreter calibration loop timed in the same schedule.
 
 Both regimes take the *minimum* over several runs per variant in
 seeded-random order: minima converge to the noise-free cost on a shared
@@ -26,6 +26,8 @@ region so each timing sees only the serving work itself.
 """
 
 import gc
+import heapq
+import math
 import random
 import time
 
@@ -41,17 +43,23 @@ from conftest import emit
 REQUESTS = 400
 DEADLINE_MS = 0.9
 OVERHEAD_BUDGET = 0.10      # traced inference serving: at most 10% more
-SIM_OVERHEAD_CEILING = 0.40  # simulator-only regime: gross-regression guard
-SIM_TELEMETRY_CEILING = 0.80  # telemetry maintains the whole labeled
-                              # surface (family mirrors + per-virtual-ms
-                              # store samples), so against the simulator's
-                              # ~75µs/request denominator it reads ~50%;
-                              # the ceiling only catches gross regressions
+# Simulator-only gross-regression guards: µs added per request, scaled to
+# a host that runs _calibration_loop() in CALIBRATION_REF_S. Each admits
+# the absolute overhead a ratio ceiling (40% tracing, 80% telemetry) over
+# the plain simulator-only request admitted while that request still made
+# per-response NumPy calls: 157 µs at the reference speed (8.45 µs per
+# calibration-ms, median of nine runs on a shared 2-vCPU Xeon VM). A
+# ratio ceiling would tighten whenever the serve loop itself got faster.
+CALIBRATION_REF_S = 0.0186
+SIM_TRACING_CEILING_US = 63.0     # 0.40 x 157 µs
+SIM_TELEMETRY_CEILING_US = 126.0  # 0.80 x 157 µs: telemetry maintains the
+                                  # whole labeled surface (family mirrors
+                                  # + per-virtual-ms store samples)
 EXEC_RUNS = 8               # runs per variant, execute=True (~0.4 s each)
 MEASURE_ATTEMPTS = 3        # re-measure on a budget violation: a machine
                             # load spike flakes one attempt, a genuine
                             # per-span cost regression fails all of them
-SIM_RUNS = 16               # runs per variant, simulator-only (~40 ms each)
+SIM_RUNS = 16               # runs per variant, simulator-only (10-60 ms)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +75,27 @@ def trace(ladder):
                          render=True)
 
 
-def _min_ratio(plain_run, traced_run, tracer, runs):
+def _calibration_loop() -> None:
+    """A fixed mix of heap, dict and float work, the serve loop's kind.
+
+    Timed beside the simulator-only runs, its minimum tracks the host's
+    interpreter speed, so added time per request can be compared against
+    a bound set on another host. The collector is off while it runs.
+    """
+    gc.disable()
+    try:
+        heap, counts, acc = [], {}, 0.0
+        for i in range(10_000):
+            heapq.heappush(heap, (i * 7919 % 1009, i))
+            counts[i % 512] = counts.get(i % 512, 0) + 1
+            acc += math.sqrt(i)
+        while heap:
+            heapq.heappop(heap)
+    finally:
+        gc.enable()
+
+
+def _min_times(tracer, runs, *variants):
     """Min wall-clock per variant over a seeded-random run order."""
 
     def timed(fn):
@@ -77,22 +105,42 @@ def _min_ratio(plain_run, traced_run, tracer, runs):
         fn()
         return time.perf_counter() - t0
 
-    plain_run(), traced_run()           # warm both paths
-    schedule = [plain_run] * runs + [traced_run] * runs
+    for fn in variants:                 # warm every path
+        fn()
+    schedule = [fn for fn in variants for _ in range(runs)]
     random.Random(0).shuffle(schedule)
-    times = {plain_run: [], traced_run: []}
+    times = {fn: [] for fn in variants}
     for fn in schedule:
         times[fn].append(timed(fn))
-    return min(times[plain_run]), min(times[traced_run])
+    return [min(times[fn]) for fn in variants]
 
 
 def _measured_overhead(plain_run, traced_run, tracer, runs, budget):
     for _ in range(MEASURE_ATTEMPTS):
-        base_s, obs_s = _min_ratio(plain_run, traced_run, tracer, runs)
+        base_s, obs_s = _min_times(tracer, runs, plain_run, traced_run)
         overhead = obs_s / base_s - 1.0
         if overhead < budget:
             break
     return base_s, obs_s, overhead
+
+
+def _sim_added_us(plain_run, observed_run, tracer, ceiling_us):
+    """Simulator-only µs observability adds per request, host-scaled,
+    and the report lines that show it."""
+    for _ in range(MEASURE_ATTEMPTS):
+        base_s, obs_s, calib_s = _min_times(
+            tracer, SIM_RUNS, plain_run, observed_run, _calibration_loop)
+        added_us = ((obs_s - base_s) / REQUESTS * 1e6
+                    * CALIBRATION_REF_S / calib_s)
+        if added_us < ceiling_us:
+            break
+    return added_us, [
+        f"{'simulator-only':16s} {base_s:>11.4f} {obs_s:>9.4f} "
+        f"{added_us:>+8.1f} µs/request at reference host speed "
+        f"(ceiling {ceiling_us:.0f})",
+        f"{'':16s} plain {1e6 * base_s / REQUESTS:.1f} µs/request, "
+        f"calibration {1e3 * calib_s:.2f} ms "
+        f"(reference {1e3 * CALIBRATION_REF_S:.1f})"]
 
 
 def _servers(ladder, execute):
@@ -117,12 +165,12 @@ def test_bench_tracing_overhead(ladder, trace, benchmark):
     base_s, obs_s, overhead = _measured_overhead(
         plain_run, traced_run, tracer, EXEC_RUNS, OVERHEAD_BUDGET)
 
-    # the simulator-only regime: tiny denominator, reported + sanity-bound
+    # the simulator-only regime: reported + bounded per request
     sim_plain, sim_obs, sim_tracer, _ = _servers(ladder, execute=False)
-    sim_base_s, sim_obs_s, sim_overhead = _measured_overhead(
+    sim_added_us, sim_lines = _sim_added_us(
         lambda: sim_plain.run_trace(trace),
-        lambda: sim_obs.run_trace(trace), sim_tracer, SIM_RUNS,
-        SIM_OVERHEAD_CEILING)
+        lambda: sim_obs.run_trace(trace), sim_tracer,
+        SIM_TRACING_CEILING_US)
 
     result = benchmark(traced_run)
     spans = len(tracer.spans()) + tracer.buffer.dropped
@@ -131,9 +179,7 @@ def test_bench_tracing_overhead(ladder, trace, benchmark):
              f"{'inference':16s} {base_s:>11.4f} {obs_s:>9.4f} "
              f"{100 * overhead:>+8.2f}% (budget "
              f"{100 * OVERHEAD_BUDGET:.0f}%)",
-             f"{'simulator-only':16s} {sim_base_s:>11.4f} {sim_obs_s:>9.4f} "
-             f"{100 * sim_overhead:>+8.2f}% (ceiling "
-             f"{100 * SIM_OVERHEAD_CEILING:.0f}%)",
+             *sim_lines,
              f"{spans} spans/run, {drift.observations} drift observations",
              f"{REQUESTS} Poisson requests, deadline {DEADLINE_MS} ms, "
              f"min over {EXEC_RUNS}/{SIM_RUNS} runs per variant in "
@@ -144,7 +190,7 @@ def test_bench_tracing_overhead(ladder, trace, benchmark):
     untraced = plain.run_trace(trace)
     assert result.metrics.snapshot() == untraced.metrics.snapshot()
     assert overhead < OVERHEAD_BUDGET
-    assert sim_overhead < SIM_OVERHEAD_CEILING
+    assert sim_added_us < SIM_TRACING_CEILING_US
 
 
 @pytest.mark.obs
@@ -177,10 +223,10 @@ def test_bench_telemetry_overhead(ladder, trace):
     sim_plain = Server(ladder, sim_config)
     sim_metered = Server(ladder, sim_config,
                          telemetry=Telemetry(sample_interval_ms=1.0))
-    sim_base_s, sim_tel_s, sim_overhead = _measured_overhead(
+    sim_added_us, sim_lines = _sim_added_us(
         lambda: sim_plain.run_trace(trace),
-        lambda: sim_metered.run_trace(trace), Tracer(), SIM_RUNS,
-        SIM_TELEMETRY_CEILING)
+        lambda: sim_metered.run_trace(trace), Tracer(),
+        SIM_TELEMETRY_CEILING_US)
 
     samples = telemetry.samples_taken
     lines = [f"{'regime':16s} {'plain s':>11} {'metered s':>9} "
@@ -188,9 +234,7 @@ def test_bench_telemetry_overhead(ladder, trace):
              f"{'inference':16s} {base_s:>11.4f} {tel_s:>9.4f} "
              f"{100 * overhead:>+8.2f}% (budget "
              f"{100 * OVERHEAD_BUDGET:.0f}%)",
-             f"{'simulator-only':16s} {sim_base_s:>11.4f} {sim_tel_s:>9.4f} "
-             f"{100 * sim_overhead:>+8.2f}% (ceiling "
-             f"{100 * SIM_TELEMETRY_CEILING:.0f}%)",
+             *sim_lines,
              f"{len(telemetry.families)} metric families, "
              f"{samples} store samples",
              f"{REQUESTS} Poisson requests, deadline {DEADLINE_MS} ms, "
@@ -201,7 +245,7 @@ def test_bench_telemetry_overhead(ladder, trace):
     # telemetry must not change the serving outcome, only observe it
     assert metered_run().metrics.snapshot() == plain_run().metrics.snapshot()
     assert overhead < OVERHEAD_BUDGET
-    assert sim_overhead < SIM_TELEMETRY_CEILING
+    assert sim_added_us < SIM_TELEMETRY_CEILING_US
 
 
 @pytest.mark.obs

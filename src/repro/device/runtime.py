@@ -104,10 +104,19 @@ class ServiceTimeSampler:
         self.spec = spec
         self.fused = fused
         self.precision = precision
+        self._base_ms: dict[int, float] = {}
+        self.reseed(rng)
+
+    def reseed(self, rng: np.random.Generator | int) -> None:
+        """Restart from a cold device on a new RNG, keeping the latency table.
+
+        The run counter goes back to 0, so the draws that follow equal a
+        fresh sampler's seeded ``rng``. The per-batch baselines depend only
+        on the network and the device, so they survive.
+        """
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
         self._rng = rng
-        self._base_ms: dict[int, float] = {}
         self._runs = 0
 
     @property
@@ -124,11 +133,24 @@ class ServiceTimeSampler:
         return self._base_ms[batch_size]
 
     def sample_ms(self, batch_size: int = 1) -> float:
-        """Draw the measured latency of the next batched inference."""
-        sample = sample_runs(self.base_ms(batch_size), 1, self.spec,
-                             self._rng, start_run=self._runs)
+        """Draw the measured latency of the next batched inference.
+
+        Bit for bit one run of :func:`sample_runs` at the current run
+        index, drawn as scalars because a size-1 array per request costs
+        more than the draw: the same RNG calls in the same order (the
+        spike is drawn even without a straggler), and the warm-up factor
+        from ``np.exp``, whose last bit ``math.exp`` does not always match.
+        """
+        spec, rng = self.spec, self._rng
+        base = float(self.base_ms(batch_size))
+        noise = rng.normal(1.0, spec.noise_std)
+        straggles = rng.random() < spec.straggler_prob
+        spike = rng.random()
+        warm = 1.0 + spec.warmup_factor * float(
+            np.exp(-self._runs / spec.warmup_decay_runs))
         self._runs += 1
-        return float(sample[0])
+        straggler = 1.0 + spec.straggler_scale * spike if straggles else 1.0
+        return base * warm * max(noise, 0.5) * straggler
 
     def warm_up(self, runs: int = 50) -> None:
         """Advance past the cold-start ramp without recording samples."""

@@ -18,6 +18,7 @@ ladder does not flap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -66,8 +67,12 @@ class TRNRung:
             rng=stable_seed(self.name, self.spec.name))
 
     def reseed(self, rng: np.random.Generator | int) -> None:
-        """Replace the sampler RNG (determinism across server runs)."""
-        self.sampler = ServiceTimeSampler(self.network, self.spec, rng=rng)
+        """Restart the sampler on ``rng`` (determinism across server runs).
+
+        The sampler is reseeded in place, so its per-batch latency table
+        survives every run that reuses this rung.
+        """
+        self.sampler.reseed(rng)
 
     def estimate_ms(self, batch_size: int = 1) -> float:
         """Noise-free batched latency estimate (admission/batch planning)."""
@@ -88,7 +93,11 @@ class TRNRung:
         return previous
 
     def estimate_table(self) -> dict[int, float]:
-        """The calibrated latency table at every batch size seen so far."""
+        """The calibrated latency table at every batch size seen so far.
+
+        "So far" spans runs: reseeding keeps the sampler's table, so it
+        holds every batch size any run on this rung has asked about.
+        """
         return {b: ms * self.estimate_scale
                 for b, ms in sorted(self.sampler._base_ms.items())}
 
@@ -248,7 +257,7 @@ class TRNLadder:
         self._current = 0
 
     def reseed(self, seed: int) -> None:
-        """Give every rung a fresh deterministic sampler."""
+        """Restart every rung's sampler on a deterministic seed."""
         for i, rung in enumerate(self.rungs):
             rung.reseed(seed + i)
 
@@ -304,6 +313,11 @@ class HysteresisController:
         if upgrade_ratio >= degrade_ratio:
             raise ValueError("upgrade_ratio must be < degrade_ratio "
                              "(the hysteresis band)")
+        # checked here, not at the first decision mid-trace (NaN fails too)
+        if not 0.0 <= quantile <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {quantile}")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.deadline_ms = deadline_ms
         self.window = window
         self.min_observations = min(min_observations, window)
@@ -314,6 +328,9 @@ class HysteresisController:
         self.degrade_ratio = degrade_ratio
         self.upgrade_ratio = upgrade_ratio
         self._latencies: deque[float] = deque(maxlen=window)
+        # the same window kept sorted, so a quantile is two list reads
+        # instead of a NumPy call on every completed request
+        self._sorted: list[float] = []
         self._since_decision = 0
 
     def observe(self, latency_ms: float) -> str | None:
@@ -323,12 +340,16 @@ class HysteresisController:
         transition (it knows whether the ladder has a rung left in that
         direction) and then calls :meth:`notify_transition`.
         """
+        if len(self._latencies) == self._latencies.maxlen:
+            # the append below evicts the oldest value: drop it here too
+            del self._sorted[bisect_left(self._sorted, self._latencies[0])]
         self._latencies.append(latency_ms)
+        insort(self._sorted, latency_ms)
         self._since_decision += 1
         if (len(self._latencies) < self.min_observations
                 or self._since_decision < self.cooldown):
             return None
-        q = float(np.quantile(np.asarray(self._latencies), self.quantile))
+        q = self._window_quantile()
         if q > self.degrade_ratio * self.deadline_ms:
             return "degrade"
         if (q < self.upgrade_ratio * self.deadline_ms
@@ -339,4 +360,24 @@ class HysteresisController:
     def notify_transition(self) -> None:
         """Reset the window after an applied transition (fresh evidence)."""
         self._latencies.clear()
+        self._sorted.clear()
         self._since_decision = 0
+
+    def _window_quantile(self) -> float:
+        """NumPy's quantile of the window, float for float.
+
+        NumPy's default ``linear`` method: virtual index ``(n-1)*q``, the
+        top value from the last index on, else the two-sided lerp of
+        NumPy's ``_lerp``, which interpolates down from the upper
+        neighbour once the weight reaches 0.5.
+        """
+        s = self._sorted
+        vi = (len(s) - 1) * self.quantile
+        if vi >= len(s) - 1:
+            return s[-1]
+        i = math.floor(vi)
+        g = vi - i
+        a, b = s[i], s[i + 1]
+        if g >= 0.5:
+            return b - (b - a) * (1 - g)
+        return a + (b - a) * g

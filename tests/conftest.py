@@ -75,6 +75,23 @@ def tiny_device():
 
 
 @pytest.fixture
+def latency_table_builds(monkeypatch):
+    """Records every ``network_latency`` call the service-time samplers make
+    (one per latency-table entry they compute)."""
+    from repro.device import runtime
+
+    calls = []
+    real = runtime.network_latency
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "network_latency", counted)
+    return calls
+
+
+@pytest.fixture
 def small_images(rng):
     return rng.normal(size=(6, 8, 8, 3)).astype(np.float32)
 

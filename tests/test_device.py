@@ -1,13 +1,16 @@
 """Tests for the device substrate: fusion, latency model, runtime, profiler."""
 
+import numpy as np
 import pytest
 
 from repro.device import (
     DeviceSpec,
+    ServiceTimeSampler,
     fuse_kernels,
     k20m,
     kernel_latency_ms,
     measure_latency,
+    nano,
     network_latency,
     profile_network,
     sample_runs,
@@ -152,6 +155,36 @@ class TestRuntimeMeasurement:
         a = measure_latency(tiny_net, clean, rng=1)
         b = measure_latency(tiny_net, spiky, rng=1)
         assert b.mean_ms > a.mean_ms
+
+
+class TestServiceTimeSampler:
+    @pytest.mark.parametrize("spec", [xavier(), nano()],
+                             ids=lambda s: s.name)
+    def test_sample_ms_is_one_sample_runs_run(self, tiny_net, spec):
+        """Bit for bit, through runs 5 and 132 (where math.exp would
+        differ), the stragglers, and run 1461 (warm-up factor reaches 1)."""
+        sampler = ServiceTimeSampler(tiny_net, spec, rng=3)
+        reference = np.random.default_rng(3)
+        for k in range(1501):
+            batch = 1 + k % 3
+            want = float(sample_runs(sampler.base_ms(batch), 1, spec,
+                                     reference, start_run=k)[0])
+            assert sampler.sample_ms(batch) == want, k
+
+    def test_reseed_draws_like_a_fresh_sampler(self, tiny_net,
+                                               latency_table_builds):
+        spec = xavier()
+        sampler = ServiceTimeSampler(tiny_net, spec, rng=0)
+        for k in range(300):
+            sampler.sample_ms(1 + k % 4)
+        assert len(latency_table_builds) == 4
+        sampler.reseed(5)
+        assert sampler.runs == 0
+        got = [sampler.sample_ms(1 + k % 4) for k in range(300)]
+        # the cached batch sizes cost the reseeded sampler nothing
+        assert len(latency_table_builds) == 4
+        fresh = ServiceTimeSampler(tiny_net, spec, rng=5)
+        assert got == [fresh.sample_ms(1 + k % 4) for k in range(300)]
 
 
 class TestProfiler:

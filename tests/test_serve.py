@@ -291,6 +291,57 @@ class TestHysteresisController:
         with pytest.raises(ValueError, match="hysteresis"):
             HysteresisController(1.0, upgrade_ratio=1.0, degrade_ratio=1.0)
 
+    @pytest.mark.parametrize("q", [-0.01, 1.5, float("nan")])
+    def test_quantile_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match="quantile"):
+            HysteresisController(1.0, quantile=q)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_empty_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            HysteresisController(1.0, window=window)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.99, 1.0])
+    def test_window_quantile_is_numpys(self, q):
+        """Exactly np.quantile of the window, through eviction and refill."""
+        rng = np.random.default_rng(0)
+        # few distinct values, so windows hold many duplicates; lognormal,
+        # so the interpolation rounds as it would on real latencies
+        pool = rng.lognormal(size=6).tolist()
+        for window in range(1, 65):
+            ctl = HysteresisController(1.0, window=window, quantile=q)
+            for step in range(3 * window + 5):
+                ctl.observe(pool[rng.integers(len(pool))])
+                if step == 2 * window:
+                    ctl.notify_transition()
+                    ctl.observe(0.5)
+                assert ctl._window_quantile() == float(
+                    np.quantile(list(ctl._latencies), q)), (window, step)
+
+    def test_decisions_match_numpy_reference(self):
+        class NumpyQuantile(HysteresisController):
+            def _window_quantile(self):
+                return float(np.quantile(np.asarray(self._latencies),
+                                         self.quantile))
+
+        def decisions(ctl):
+            # a load level drifting across both thresholds, lognormal noise
+            rng = np.random.default_rng(7)
+            level = 1.0
+            out = []
+            for _ in range(20_000):
+                level = min(max(level * rng.lognormal(0.0, 0.05), 0.1), 3.0)
+                decision = ctl.observe(level * rng.lognormal(0.0, 0.3))
+                if decision is not None:
+                    ctl.notify_transition()
+                out.append(decision)
+            return out
+
+        kwargs = dict(window=16, min_observations=8, cooldown=8)
+        got = decisions(HysteresisController(1.0, **kwargs))
+        assert got == decisions(NumpyQuantile(1.0, **kwargs))
+        assert {"degrade", "upgrade"} <= set(got)
+
 
 class TestAdmissionControl:
     def test_unmeetable_deadline_rejected(self, ladder):
@@ -372,6 +423,18 @@ class TestServingEndToEnd:
         a = server.run_trace(trace).metrics.snapshot()
         b = server.run_trace(trace).metrics.snapshot()
         assert a == b
+
+    def test_new_server_reuses_latency_tables(self, ladder, scenario,
+                                              latency_table_builds):
+        """Each Server reseeds the rungs' samplers but keeps their
+        per-batch latency tables: a rerun recomputes none of them."""
+        trace, deadline = scenario
+        config = ServerConfig(deadline_ms=deadline, execute=False, seed=1)
+        first = Server(ladder, config).run_trace(trace).metrics.snapshot()
+        latency_table_builds.clear()
+        again = Server(ladder, config).run_trace(trace).metrics.snapshot()
+        assert latency_table_builds == []
+        assert again == first
 
     def test_burst_degrades_then_upgrades(self, ladder):
         """A load spike pushes the ladder down; the quiet tail lets it
