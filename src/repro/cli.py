@@ -27,8 +27,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
+
+from repro.cluster import POLICIES
+from repro.device import DEVICE_PROFILES, network_latency, xavier
+from repro.faults import SCENARIOS, build_scenario
+from repro.netcut import BUILDERS
+from repro.serve import Server, ServerConfig, TRNLadder
+from repro.workload import WORKLOAD_KINDS, poisson_trace, uniform_trace
+from repro.zoo import NETWORKS, build_network
 
 
 def _workbench(args):
@@ -52,10 +61,46 @@ def _workbench(args):
                      pretrain_config=pretrain)
 
 
+def _resolve_net(name: str) -> str:
+    """Resolve a zoo network by exact name or unique prefix/substring."""
+    if name in NETWORKS:
+        return name
+    matches = [n for n in NETWORKS if n.startswith(name)] \
+        or [n for n in NETWORKS if name in n]
+    if len(matches) != 1:
+        raise SystemExit(
+            f"--net {name!r} is ambiguous or unknown; zoo networks: "
+            + ", ".join(NETWORKS))
+    return matches[0]
+
+
+def _base(args):
+    """The built zoo network named by ``--net``."""
+    return build_network(_resolve_net(args.net)).build(0)
+
+
+def _ladder(args, spec) -> TRNLadder:
+    """The TRN ladder of ``--net`` on ``spec``, at most ``--max-rungs``."""
+    return TRNLadder.from_base(_base(args), spec, num_classes=5,
+                               max_rungs=args.max_rungs)
+
+
+def _poisson(args, full_ms: float, load: float, maker=poisson_trace,
+             **kwargs):
+    """Offered rate and the ``--requests`` trace of a serving verb.
+
+    The rate is ``--rate`` when given, else ``load / full_ms`` requests/s:
+    ``load = 1.3e3`` offers 1.3x the single-request capacity of a rung
+    that takes ``full_ms`` per request.
+    """
+    rate = args.rate or load / full_ms
+    return rate, maker(args.requests, rate, args.deadline_ms, rng=args.seed,
+                       **kwargs)
+
+
 def cmd_zoo(args) -> int:
     """List the seven networks with their structural statistics."""
     from repro.trim import enumerate_blockwise
-    from repro.zoo import NETWORKS, build_network
 
     print(f"{'network':22s} {'layers':>7} {'blocks':>7} {'params':>10} "
           f"{'MFLOPs':>8}")
@@ -71,7 +116,7 @@ def cmd_zoo(args) -> int:
 def cmd_measure(args) -> int:
     """Measure off-the-shelf transfer models on the simulated Xavier."""
     wb = _workbench(args)
-    names = [args.net] if args.net else list(wb.config.networks)
+    names = [_resolve_net(args.net)] if args.net else list(wb.config.networks)
     latencies = wb.base_latencies()
     print(f"{'network':22s} {'latency_ms':>10}   (deadline "
           f"{args.deadline} ms)")
@@ -98,10 +143,6 @@ def cmd_explore(args) -> int:
 
 def cmd_netcut(args) -> int:
     """Run Algorithm 1 and print the proposed candidates."""
-    if getattr(args, "netcut_cmd", None) == "online":
-        return cmd_netcut_online(args)
-    if getattr(args, "netcut_cmd", None) == "build":
-        return cmd_netcut_build(args)
     wb = _workbench(args)
     result = wb.netcut(args.estimator, deadline_ms=args.deadline)
     print(f"NetCut ({args.estimator}) @ deadline {args.deadline} ms")
@@ -127,19 +168,16 @@ def cmd_netcut_build(args) -> int:
     deployment artifacts (builder tags included) loadable with
     ``TRNLadder.from_artifacts``.
     """
-    from repro.device import DEVICE_PROFILES, network_latency
     from repro.metrics import accuracy_at_deadline
     from repro.netcut import (
-        BUILDERS,
         artifact_points,
         build_rungs,
         frontier_artifacts,
         save_artifact,
     )
-    from repro.zoo import build_network
 
     spec = DEVICE_PROFILES[args.device]()
-    base = build_network(_resolve_net(args.net)).build(0)
+    base = _base(args)
     names = args.strategy or sorted(BUILDERS)
     per_strategy = build_rungs(base, spec,
                                builders=[BUILDERS[n]() for n in names],
@@ -186,24 +224,18 @@ def cmd_netcut_online(args) -> int:
     the drift -> re-fit -> ladder-rebuild loop's effect on the deadline-
     miss rate reads side by side.
     """
-    from repro.device import xavier
     from repro.faults import FaultInjector, ThermalThrottle
     from repro.obs import DriftMonitor
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
 
     device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
+    ladder = _ladder(args, device)
     full = ladder.rungs[0].estimate_ms(1)
-    deadline = args.deadline_ms if args.deadline_ms else round(1.3 * full, 3)
-    rate = args.rate if args.rate else 0.4e3 / full
-    trace = poisson_trace(args.requests, rate, deadline, rng=args.seed)
+    # default to 1.3x the full TRN; _poisson stamps args.deadline_ms
+    deadline = args.deadline_ms = args.deadline_ms or round(1.3 * full, 3)
+    rate, trace = _poisson(args, full, 0.4e3)
     span = trace[-1].arrival_ms
     print(f"device: {device.name}   ladder: {len(ladder)} rungs of "
-          f"{base.name}   deadline: {deadline} ms")
+          f"{_resolve_net(args.net)}   deadline: {deadline} ms")
     print(f"{args.requests} Poisson requests @ {rate:,.0f} req/s; thermal "
           f"throttle to {args.factor}x from t={0.1 * span:,.0f} ms "
           f"(never recovers)")
@@ -302,49 +334,26 @@ def cmd_serve(args) -> int:
     By default the offered load is calibrated to overload the full TRN so
     the ladder degradation is visible; pass ``--rate`` to choose your own.
     """
-    from repro.device import xavier
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace, uniform_trace
-    from repro.zoo import build_network
-
     device = xavier()
-    base = build_network(args.net).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
-    full_est = ladder.rungs[0].estimate_ms(1)
-    rate = args.rate if args.rate else 1.3e3 / full_est
-    maker = poisson_trace if args.trace == "poisson" else uniform_trace
-    trace = maker(args.requests, rate, args.deadline_ms, rng=args.seed,
-                  image_size=base.input_shape[0], render=args.execute)
+    ladder = _ladder(args, device)
+    full = ladder.rungs[0]
+    rate, trace = _poisson(
+        args, full.estimate_ms(1), 1.3e3,
+        poisson_trace if args.trace == "poisson" else uniform_trace,
+        image_size=full.network.input_shape[0], render=args.execute)
     config = ServerConfig(deadline_ms=args.deadline_ms,
                           max_batch=args.max_batch,
                           adaptive=not args.no_ladder,
                           execute=args.execute, seed=args.seed)
-    server = Server(ladder, config)
-    result = server.run_trace(trace)
+    result = Server(ladder, config).run_trace(trace)
 
-    print(f"TRN ladder for {args.net} on {device.name}:")
+    print(f"TRN ladder for {_resolve_net(args.net)} on {device.name}:")
     print(ladder.describe())
     print(f"\n{args.trace} trace: {args.requests} requests @ "
           f"{rate:,.0f} req/s, deadline {args.deadline_ms} ms, "
           f"ladder {'off' if args.no_ladder else 'on'}")
     print("\n" + result.metrics.report())
     return 0
-
-
-def _resolve_net(name: str) -> str:
-    """Resolve a zoo network by exact name or unique prefix/substring."""
-    from repro.zoo import NETWORKS
-
-    if name in NETWORKS:
-        return name
-    matches = [n for n in NETWORKS if n.startswith(name)] \
-        or [n for n in NETWORKS if name in n]
-    if len(matches) != 1:
-        raise SystemExit(
-            f"--net {name!r} is ambiguous or unknown; zoo networks: "
-            + ", ".join(NETWORKS))
-    return matches[0]
 
 
 def cmd_profile(args) -> int:
@@ -356,14 +365,13 @@ def cmd_profile(args) -> int:
     TRN latency estimate from that table, next to the estimate from the
     device's own profiler and the TRN's direct model latency.
     """
-    from repro.device import network_latency, profile_network, xavier
+    from repro.device import profile_network
     from repro.estimators import ProfilerEstimator
     from repro.obs import profile_forward
     from repro.trim import build_trn, enumerate_blockwise, removed_node_set
-    from repro.zoo import build_network
 
     spec = xavier()
-    net = build_network(_resolve_net(args.net)).build(0)
+    net = _base(args)
     table = profile_forward(net, spec, runs=args.runs, warmup=args.warmup,
                             rng=args.seed)
     print(table.describe(top=args.top))
@@ -397,7 +405,6 @@ def cmd_trace(args) -> int:
     trace export), an estimator-drift monitor, and the unified metrics
     registry report.
     """
-    from repro.device import xavier
     from repro.obs import (
         DriftMonitor,
         MetricsRegistry,
@@ -405,18 +412,9 @@ def cmd_trace(args) -> int:
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
 
-    device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
-    full_est = ladder.rungs[0].estimate_ms(1)
-    rate = args.rate if args.rate else 1.3e3 / full_est
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
+    ladder = _ladder(args, xavier())
+    rate, trace = _poisson(args, ladder.rungs[0].estimate_ms(1), 1.3e3)
     tracer = Tracer(capacity=args.buffer)
     drift = DriftMonitor(threshold=args.drift_threshold)
     server = Server(ladder, ServerConfig(deadline_ms=args.deadline_ms,
@@ -452,20 +450,8 @@ def cmd_faults(args) -> int:
     rates can be read side by side; ``--no-resilience`` runs only the
     undefended engine.
     """
-    from repro.device import xavier
-    from repro.faults import build_scenario
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
-
-    device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
-    full_est = ladder.rungs[0].estimate_ms(1)
-    rate = args.rate if args.rate else 1.3e3 / full_est
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
+    ladder = _ladder(args, xavier())
+    rate, trace = _poisson(args, ladder.rungs[0].estimate_ms(1), 1.3e3)
     span_ms = trace[-1].arrival_ms if trace else 0.0
     if args.rung:
         rungs = tuple(args.rung)
@@ -504,90 +490,98 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def _workload_ladder(args):
-    """Ladder + pinned-rung ServerConfig shared by the workload verbs."""
-    from repro.device import xavier
-    from repro.serve import ServerConfig, TRNLadder
-    from repro.zoo import build_network
+def _workload(args):
+    """Ladder, pinned-rung ServerConfig and tenant mix of the workload verbs.
 
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, xavier(), num_classes=5,
-                                 max_rungs=args.max_rungs)
+    ``--tenants`` serves the two-class interactive/batch mix; ``--fair``
+    admits it weighted-fair.
+    """
+    from repro.workload import WeightedFairAdmission, default_tenants
+
+    ladder = _ladder(args, xavier())
     config = ServerConfig(deadline_ms=args.deadline_ms, execute=False,
                           adaptive=not args.no_ladder, seed=args.seed,
                           queue_capacity=args.queue_capacity)
-    return ladder, config
-
-
-def cmd_workload(args) -> int:
-    """Production traffic: generate/record, replay, or fluid-predict.
-
-    ``generate`` samples a named workload shape (diurnal, flash crowd,
-    MMPP, superpositions) into a request trace — multi-tenant when
-    ``--tenants`` is given — serves it, and optionally records the run to
-    a versioned JSONL file. ``replay`` re-serves a recorded trace and
-    verifies the outcomes byte-for-byte against what was recorded.
-    ``fluid`` skips the event loop entirely: the analytical model
-    predicts per-tenant admitted throughput and miss rate per rung, or
-    sweeps fleet sizes / plans the smallest fleet for a miss target.
-    """
-    import repro.workload as wl
-    from dataclasses import replace
-    from repro.serve import Server
-
-    ladder, config = _workload_ladder(args)
-    mix = wl.default_tenants() if args.tenants else None
-    policy = None
+    mix = default_tenants() if args.tenants else None
     if args.fair:
         if mix is None:
             raise SystemExit("--fair needs --tenants (weighted-fair "
                              "admission is per-tenant)")
-        policy = wl.WeightedFairAdmission(mix, watermark=args.watermark)
-        config = replace(config, admission_policy=policy)
+        config = replace(config, admission_policy=WeightedFairAdmission(
+            mix, watermark=args.watermark))
+    return ladder, config, mix
 
-    if args.workload_cmd == "replay":
-        recorded = wl.load_trace(args.path)
-        print(f"loaded {args.path}: {recorded.describe()}")
-        result = Server(ladder, config).run_trace(recorded.requests)
-        print("\n" + result.metrics.report())
-        if recorded.outcomes:
-            problems = wl.verify_replay(recorded, result.responses)
-            if problems:
-                print(f"\nreplay DIVERGED from the recording "
-                      f"({len(problems)} outcomes differ):")
-                for line in problems[:10]:
-                    print(f"  {line}")
-                return 1
-            print(f"\nreplay reproduced all {len(recorded.outcomes)} "
-                  "recorded outcomes exactly")
-        return 0
 
-    process = wl.make_process(args.kind, args.base_rate, args.horizon_ms)
+def _process(args, mix):
+    """The ``--kind`` arrival process over ``--horizon-ms``, described."""
+    from repro.workload import make_process
+
+    process = make_process(args.kind, args.base_rate, args.horizon_ms)
     print(f"workload: {process.describe()} over {args.horizon_ms:.0f} ms")
     if mix is not None:
         print("tenants:\n" + mix.describe())
+    return process
 
-    if args.workload_cmd == "generate":
-        trace = wl.generate_trace(process, args.horizon_ms,
-                                  deadline_ms=args.deadline_ms,
-                                  tenants=mix, rng=args.seed)
-        rate = len(trace) * 1e3 / args.horizon_ms
-        print(f"sampled {len(trace)} requests ({rate:,.0f} rps offered)")
-        result = Server(ladder, config).run_trace(trace)
-        print("\n" + result.metrics.report())
-        if args.out:
-            wl.record_run(args.out, trace, result.responses,
-                          meta={"kind": args.kind, "seed": args.seed,
-                                "horizon_ms": args.horizon_ms,
-                                "net": args.net})
-            print(f"\nrecorded run -> {args.out}")
-        return 0
 
-    # fluid: analytical predictions, no event loop
-    fluid = wl.FluidModel.from_ladder(ladder, config, tenants=mix)
+def cmd_workload_generate(args) -> int:
+    """Sample a named workload shape (diurnal, flash crowd, MMPP,
+    superpositions) into a request trace, serve it, and with ``--out``
+    record the run to a versioned JSONL file."""
+    from repro.workload import generate_trace, record_run
+
+    ladder, config, mix = _workload(args)
+    process = _process(args, mix)
+    trace = generate_trace(process, args.horizon_ms,
+                           deadline_ms=args.deadline_ms,
+                           tenants=mix, rng=args.seed)
+    rate = len(trace) * 1e3 / args.horizon_ms
+    print(f"sampled {len(trace)} requests ({rate:,.0f} rps offered)")
+    result = Server(ladder, config).run_trace(trace)
+    print("\n" + result.metrics.report())
+    if args.out:
+        record_run(args.out, trace, result.responses,
+                   meta={"kind": args.kind, "seed": args.seed,
+                         "horizon_ms": args.horizon_ms, "net": args.net})
+        print(f"\nrecorded run -> {args.out}")
+    return 0
+
+
+def cmd_workload_replay(args) -> int:
+    """Re-serve a recorded trace and verify the outcomes byte for byte
+    against what was recorded (exit status 1 on divergence)."""
+    from repro.workload import load_trace, verify_replay
+
+    ladder, config, _ = _workload(args)
+    recorded = load_trace(args.path)
+    print(f"loaded {args.path}: {recorded.describe()}")
+    result = Server(ladder, config).run_trace(recorded.requests)
+    print("\n" + result.metrics.report())
+    if recorded.outcomes:
+        problems = verify_replay(recorded, result.responses)
+        if problems:
+            print(f"\nreplay DIVERGED from the recording "
+                  f"({len(problems)} outcomes differ):")
+            for line in problems[:10]:
+                print(f"  {line}")
+            return 1
+        print(f"\nreplay reproduced all {len(recorded.outcomes)} "
+              "recorded outcomes exactly")
+    return 0
+
+
+def cmd_workload_fluid(args) -> int:
+    """Skip the event loop: the analytical model predicts per-tenant
+    admitted throughput and miss rate per rung, or sweeps fleet sizes /
+    plans the smallest fleet for a miss target."""
+    from repro.workload import FluidModel
+
+    ladder, config, mix = _workload(args)
+    process = _process(args, mix)
+    fluid = FluidModel.from_ladder(ladder, config, tenants=mix)
     if args.plan_miss is not None:
+        rung = ladder.rungs[args.rung].name
         n = fluid.plan_fleet(process, args.horizon_ms, args.plan_miss,
-                             rung=ladder.rungs[args.rung].name)
+                             rung=rung)
         if n is None:
             print(f"no fleet up to 256 replicas holds miss rate "
                   f"<= {args.plan_miss:.2%}")
@@ -595,7 +589,7 @@ def cmd_workload(args) -> int:
         print(f"smallest fleet with every tenant at miss rate "
               f"<= {args.plan_miss:.2%}: {n} replica(s)")
         print(fluid.solve(process, args.horizon_ms, replicas=n,
-                          rung=ladder.rungs[args.rung].name).report())
+                          rung=rung).report())
     elif args.replicas_sweep:
         counts = [int(x) for x in args.replicas_sweep.split(",")]
         preds = fluid.sweep(process, args.horizon_ms, counts,
@@ -622,56 +616,34 @@ def cmd_cluster(args) -> int:
     routes around it); ``--autoscale`` starts from one replica and lets
     the autoscaler grow the fleet.
     """
-    from dataclasses import replace
-
     from repro.cluster import (
         Autoscaler,
         AutoscalerConfig,
         Replica,
         Router,
-        homogeneous_replicas,
         make_policy,
     )
-    from repro.device import DEVICE_PROFILES, xavier
-    from repro.faults import build_scenario
-    from repro.serve import ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
 
-    base = build_network(_resolve_net(args.net)).build(0)
     config = ServerConfig(deadline_ms=args.deadline_ms,
                           max_batch=args.max_batch, execute=False,
                           seed=args.seed, queue_capacity=64, window=16,
                           min_observations=8, cooldown=8,
                           resilience=args.kill_replica is not None)
-    probe = TRNLadder.from_base(base, xavier(), num_classes=5,
-                                max_rungs=args.max_rungs)
-    rate = args.rate if args.rate else \
-        0.8e3 * args.replicas / probe.fastest.estimate_ms(1)
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
+    fastest = _ladder(args, xavier()).fastest.estimate_ms(1)
+    rate, trace = _poisson(args, fastest, 0.8e3 * args.replicas)
     span_ms = trace[-1].arrival_ms if trace else 0.0
 
     def build_replica(i: int, spec=None) -> Replica:
-        spec = spec or xavier()
-        ladder = TRNLadder.from_base(base, spec, num_classes=5,
-                                     max_rungs=args.max_rungs)
         faults = None
         if args.kill_replica == i:
             faults = build_scenario("rung-failure", span_ms,
                                     seed=args.seed).injector()
-        return Replica(f"r{i}", ladder,
+        return Replica(f"r{i}", _ladder(args, spec or xavier()),
                        replace(config, seed=config.seed + i), faults=faults)
 
-    if args.device:
-        specs = [DEVICE_PROFILES[name]() for name in args.device]
-        replicas = [build_replica(i, spec) for i, spec in enumerate(specs)]
-    elif args.kill_replica is not None:
-        replicas = [build_replica(i) for i in range(args.replicas)]
-    else:
-        replicas = homogeneous_replicas(base, xavier(), args.replicas,
-                                        config, max_rungs=args.max_rungs)
-
+    devices = args.device or ["xavier"] * args.replicas
+    replicas = [build_replica(i, DEVICE_PROFILES[name]())
+                for i, name in enumerate(devices)]
     autoscaler = None
     if args.autoscale:
         replicas = replicas[:1]
@@ -694,127 +666,47 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _default_store() -> str:
+def _store_path(args) -> str:
     import os
 
-    return os.environ.get("REPRO_RUNSTORE", "RUNSTORE.sqlite")
+    return args.store or os.environ.get("REPRO_RUNSTORE", "RUNSTORE.sqlite")
 
 
-def cmd_obs(args) -> int:
-    """Telemetry workflows: exposition, burn-rate alerts, the run store.
+def cmd_obs_expose(args) -> int:
+    """Replay a serve trace with labeled telemetry attached and print the
+    OpenMetrics text exposition (pipe it to a scraper or a file)."""
+    from repro.obs import Telemetry, to_json, to_openmetrics
 
-    ``expose`` replays a serve trace with labeled telemetry attached and
-    prints the OpenMetrics text exposition (pipe it to a scraper or a
-    file). ``alerts`` replays a chaos scenario against an *undefended*
-    pinned-rung engine with the canonical SLO burn-rate rules attached
-    and prints the firing/resolved timeline — exit status 1 if any alert
-    is still firing when the trace drains. ``runs`` lists the archived
-    runs of a SQLite run store and ``compare`` diffs two of them, biggest
-    relative movers first. ``gate`` applies the bench-regression
-    tolerances (the same ones CI enforces) to fresh ``BENCH_*.json``
-    files against the committed baselines — exit status 1 on any
-    violation.
-    """
-    if args.obs_cmd == "gate":
-        from repro.obs import run_gate
-
-        return run_gate(args.baselines, args.current, top=args.top)
-
-    from repro.obs import (
-        AlertEngine,
-        RunStore,
-        Telemetry,
-        default_slo_rules,
-        to_json,
-        to_openmetrics,
-    )
-
-    if args.obs_cmd == "runs":
-        import os
-        import time as _time
-
-        path = args.store or _default_store()
-        if not os.path.exists(path):
-            raise SystemExit(
-                f"run store {path!r} does not exist; record one with "
-                "scripts/bench_serve.py --store or repro obs alerts --store")
-        with RunStore(path) as store:
-            rows = store.runs(kind=args.kind)
-            if not rows:
-                what = f" of kind {args.kind!r}" if args.kind else ""
-                print(f"{path}: no runs{what}")
-                return 0
-            print(f"{path}: {len(rows)} run(s)")
-            for row in rows:
-                stamp = _time.strftime("%Y-%m-%d %H:%M:%S",
-                                       _time.gmtime(row["created"]))
-                meta = " ".join(f"{k}={v}"
-                                for k, v in sorted(row["meta"].items()))
-                print(f"  #{row['id']:<4d} {row['kind']:18s} {stamp}  {meta}")
-        return 0
-
-    if args.obs_cmd == "compare":
-        path = args.store or _default_store()
-        with RunStore(path) as store:
-            try:
-                rows = store.compare(args.run_a, args.run_b)
-            except KeyError as exc:
-                raise SystemExit(str(exc.args[0]))
-        movers = [r for r in rows if r["rel"]]
-        print(f"run #{args.run_a} vs run #{args.run_b}: "
-              f"{len(rows)} keys, {len(movers)} moved "
-              f"(top {min(args.top, len(rows))} by |relative change|)")
-        print(f"{'key':52s} {'a':>12} {'b':>12} {'rel':>9}")
-
-        def cell(v) -> str:
-            return "-" if v is None else f"{v:12.4g}"
-
-        for row in rows[:args.top]:
-            rel = row["rel"]
-            rel_s = "-" if rel is None else f"{100 * rel:+8.1f}%"
-            print(f"{row['key'][:52]:52s} {cell(row['a']):>12} "
-                  f"{cell(row['b']):>12} {rel_s:>9}")
-        return 0
-
-    # expose / alerts: one telemetered serving replay
-    from repro.device import xavier
-    from repro.serve import Server, ServerConfig, TRNLadder
-    from repro.workload import poisson_trace
-    from repro.zoo import build_network
-
-    device = xavier()
-    base = build_network(_resolve_net(args.net)).build(0)
-    ladder = TRNLadder.from_base(base, device, num_classes=5,
-                                 max_rungs=args.max_rungs)
-    full_est = ladder.rungs[0].estimate_ms(1)
+    ladder = _ladder(args, xavier())
     telemetry = Telemetry(sample_interval_ms=args.sample_ms)
+    _, trace = _poisson(args, ladder.rungs[0].estimate_ms(1), 1.3e3)
+    config = ServerConfig(deadline_ms=args.deadline_ms, execute=False,
+                          seed=args.seed)
+    Server(ladder, config, telemetry=telemetry).run_trace(trace)
+    if args.json:
+        import json
 
-    if args.obs_cmd == "expose":
-        rate = args.rate if args.rate else 1.3e3 / full_est
-        trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                              rng=args.seed)
-        config = ServerConfig(deadline_ms=args.deadline_ms, execute=False,
-                              seed=args.seed)
-        Server(ladder, config, telemetry=telemetry).run_trace(trace)
-        if args.json:
-            import json
+        with open(args.json, "w") as fh:
+            json.dump(to_json(telemetry), fh, sort_keys=True)
+        print(f"wrote JSON export to {args.json}", file=sys.stderr)
+    # exposition only on stdout: scrape-able / pipe-able
+    sys.stdout.write(to_openmetrics(telemetry))
+    return 0
 
-            with open(args.json, "w") as fh:
-                json.dump(to_json(telemetry), fh, sort_keys=True)
-            print(f"wrote JSON export to {args.json}", file=sys.stderr)
-        # exposition only on stdout: scrape-able / pipe-able
-        sys.stdout.write(to_openmetrics(telemetry))
-        return 0
 
-    # alerts: chaos replay with the SLO burn-rate rules attached.  The
-    # engine is pinned to the full rung and undefended so the storm's
+def cmd_obs_alerts(args) -> int:
+    """Replay a chaos scenario against an *undefended* pinned-rung engine
+    with the canonical SLO burn-rate rules attached and print the
+    firing/resolved timeline — exit status 1 if any alert is still firing
+    when the trace drains."""
+    from repro.obs import AlertEngine, RunStore, Telemetry, default_slo_rules
+
+    ladder = _ladder(args, xavier())
+    telemetry = Telemetry(sample_interval_ms=args.sample_ms)
+    # the engine is pinned to the full rung and undefended so the storm's
     # misses actually reach the series (the calibrated defaults fire
-    # both rules mid-storm and resolve them in the quiet tail).
-    from repro.faults import build_scenario
-
-    rate = args.rate if args.rate else 0.65e3 / full_est
-    trace = poisson_trace(args.requests, rate, args.deadline_ms,
-                          rng=args.seed)
+    # both rules mid-storm and resolve them in the quiet tail)
+    rate, trace = _poisson(args, ladder.rungs[0].estimate_ms(1), 0.65e3)
     span_ms = trace[-1].arrival_ms if trace else 0.0
     scenario = build_scenario(args.scenario, span_ms * 0.5,
                               seed=args.fault_seed)
@@ -846,6 +738,69 @@ def cmd_obs(args) -> int:
     return 1 if engine.active else 0
 
 
+def cmd_obs_gate(args) -> int:
+    """Apply the bench-regression tolerances (the ones CI enforces) to
+    fresh ``BENCH_*.json`` files against the committed baselines — exit
+    status 1 on any violation."""
+    from repro.obs import run_gate
+
+    return run_gate(args.baselines, args.current, top=args.top)
+
+
+def cmd_obs_runs(args) -> int:
+    """List the archived runs of a SQLite run store."""
+    import os
+    import time
+
+    from repro.obs import RunStore
+
+    path = _store_path(args)
+    if not os.path.exists(path):
+        raise SystemExit(
+            f"run store {path!r} does not exist; record one with "
+            "scripts/bench_serve.py --store or repro obs alerts --store")
+    with RunStore(path) as store:
+        rows = store.runs(kind=args.kind)
+        if not rows:
+            what = f" of kind {args.kind!r}" if args.kind else ""
+            print(f"{path}: no runs{what}")
+            return 0
+        print(f"{path}: {len(rows)} run(s)")
+        for row in rows:
+            stamp = time.strftime("%Y-%m-%d %H:%M:%S",
+                                  time.gmtime(row["created"]))
+            meta = " ".join(f"{k}={v}"
+                            for k, v in sorted(row["meta"].items()))
+            print(f"  #{row['id']:<4d} {row['kind']:18s} {stamp}  {meta}")
+    return 0
+
+
+def cmd_obs_compare(args) -> int:
+    """Diff two archived runs, biggest relative movers first."""
+    from repro.obs import RunStore
+
+    with RunStore(_store_path(args)) as store:
+        try:
+            rows = store.compare(args.run_a, args.run_b)
+        except KeyError as exc:
+            raise SystemExit(str(exc.args[0]))
+    movers = [r for r in rows if r["rel"]]
+    print(f"run #{args.run_a} vs run #{args.run_b}: "
+          f"{len(rows)} keys, {len(movers)} moved "
+          f"(top {min(args.top, len(rows))} by |relative change|)")
+    print(f"{'key':52s} {'a':>12} {'b':>12} {'rel':>9}")
+
+    def cell(v) -> str:
+        return "-" if v is None else f"{v:12.4g}"
+
+    for row in rows[:args.top]:
+        rel = row["rel"]
+        rel_s = "-" if rel is None else f"{100 * rel:+8.1f}%"
+        print(f"{row['key'][:52]:52s} {cell(row['a']):>12} "
+              f"{cell(row['b']):>12} {rel_s:>9}")
+    return 0
+
+
 def cmd_figures(args) -> int:
     """List every reproduced figure/claim and its benchmark."""
     from repro.figures import EXPERIMENTS
@@ -856,6 +811,68 @@ def cmd_figures(args) -> int:
     return 0
 
 
+#: Flags several verbs share, by dest: ``--max-rungs`` is ``max_rungs``.
+#: A verb names the ones it takes in :func:`_verb`; a keyword there takes
+#: the flag with that default instead of the one below.
+_FLAGS = {
+    "net": dict(default="mobilenet_v1_0.5",
+                help="zoo network (exact name, prefix or substring)"),
+    "deadline": dict(type=float, default=0.9, help="deadline (ms)"),
+    "deadline_ms": dict(type=float, default=0.9,
+                        help="serving deadline (ms)"),
+    "requests": dict(type=int, default=400,
+                     help="requests in the Poisson trace"),
+    "rate": dict(type=float, default=None,
+                 help="offered load in requests/s (default: scaled to the "
+                      "ladder's capacity)"),
+    "max_rungs": dict(type=int, default=6, help="rung budget of a ladder"),
+    "max_batch": dict(type=int, default=8, help="largest micro-batch"),
+    "seed": dict(type=int, default=0),
+    "no_ladder": dict(action="store_true",
+                      help="pin the full TRN (disable degradation)"),
+    "verbose": dict(action="store_true",
+                    help="also print the drift or fault event log"),
+    "scenario": dict(default="straggler-storm", choices=sorted(SCENARIOS),
+                     help="built-in chaos scenario to replay"),
+    "replicas": dict(type=int, default=1, help="fleet size"),
+    "store": dict(default=None, metavar="PATH",
+                  help="SQLite run store (runs/compare default: "
+                       "$REPRO_RUNSTORE or RUNSTORE.sqlite)"),
+    "top": dict(type=int, default=20, help="rows to print"),
+    "sample_ms": dict(type=float, default=1.0,
+                      help="telemetry sampling interval (virtual ms)"),
+    "queue_capacity": dict(type=int, default=64),
+    "tenants": dict(action="store_true",
+                    help="two-class interactive/batch tenant mix"),
+    "fair": dict(action="store_true",
+                 help="weighted-fair admission (needs --tenants)"),
+    "watermark": dict(type=float, default=0.25,
+                      help="queue fill fraction where fair shares bind"),
+    "kind": dict(default="diurnal-flash", choices=list(WORKLOAD_KINDS),
+                 help="workload shape"),
+    "base_rate": dict(type=float, default=4000.0,
+                      help="base arrival rate in requests/s"),
+    "horizon_ms": dict(type=float, default=300.0),
+}
+
+#: the shared flags of the three ``workload`` verbs
+_WORKLOAD = ("net", "max_rungs", "queue_capacity", "no_ladder", "tenants",
+             "fair", "watermark", "seed")
+
+
+def _verb(sub, name: str, func, help: str, *flags, **defaults):
+    """Add the sub-parser ``name``, bound to the handler ``func``, with the
+    shared ``flags`` and, at the given defaults, the shared ``defaults``."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
+    for key in (*flags, *defaults):
+        spec = dict(_FLAGS[key])
+        if key in defaults:
+            spec["default"] = defaults[key]
+        parser.add_argument("--" + key.replace("_", "-"), **spec)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -864,308 +881,159 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--networks", action="append", default=None,
                         metavar="NAME",
                         help="restrict to this zoo network (repeatable)")
-    parser.add_argument("--hands-images", type=int, default=1100,
-                        dest="hands_images")
-    parser.add_argument("--head-epochs", type=int, default=50,
-                        dest="head_epochs")
-    parser.add_argument("--cache-dir", default=None, dest="cache_dir")
+    parser.add_argument("--hands-images", type=int, default=1100)
+    parser.add_argument("--head-epochs", type=int, default=50)
+    parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--quick", action="store_true",
                         help="tiny budgets for a fast smoke run "
                              "(minutes, not paper-quality numbers)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("zoo", help="list the seven networks")
-
-    p = sub.add_parser("measure", help="measure off-the-shelf latencies")
-    p.add_argument("--net", default=None, help="measure only this network")
-    p.add_argument("--deadline", type=float, default=0.9)
-
-    p = sub.add_parser("explore", help="run the 148-TRN blockwise sweep")
+    _verb(sub, "zoo", cmd_zoo, "list the seven networks")
+    _verb(sub, "measure", cmd_measure, "measure off-the-shelf latencies",
+          "deadline", net=None)
+    p = _verb(sub, "explore", cmd_explore, "run the 148-TRN blockwise sweep")
     p.add_argument("--force", action="store_true",
                    help="ignore the on-disk cache")
 
-    p = sub.add_parser("netcut", help="run Algorithm 1")
-    p.add_argument("--deadline", type=float, default=0.9)
+    p = _verb(sub, "netcut", cmd_netcut, "run Algorithm 1", "deadline")
     p.add_argument("--estimator", default="profiler",
                    choices=["profiler", "analytical", "linear"])
     # nested verbs: `netcut` alone keeps running Algorithm 1 (required
     # stays False), `netcut online` closes the serving-time loop,
     # `netcut build` bakes off the pluggable ladder builders
     nsub = p.add_subparsers(dest="netcut_cmd", required=False)
-    pb = nsub.add_parser(
-        "build",
-        help="bake off the ladder builders, print the mixed frontier")
-    pb.add_argument("--net", default="mobilenet_v1_0.5",
-                    help="zoo network (exact name, prefix or substring)")
-    pb.add_argument("--device", default="xavier",
-                    choices=["xavier", "nano", "agx_boosted"])
-    pb.add_argument("--strategy", action="append", default=None,
-                    choices=["greedy", "filter-prune", "halp", "dp-depth"],
-                    help="builder to run (repeatable; default: all)")
-    pb.add_argument("--max-rungs", type=int, default=4, dest="max_rungs",
-                    help="rung budget per strategy")
-    pb.add_argument("--deadline-ms", type=float, default=None,
-                    dest="deadline_ms",
-                    help="deadline for acc@deadline (overrides the "
-                         "fraction)")
-    pb.add_argument("--deadline-frac", type=float, default=0.6,
-                    dest="deadline_frac",
-                    help="deadline as a fraction of the full model "
-                         "latency")
-    pb.add_argument("--save", default=None, metavar="DIR",
-                    help="write the mixed frontier as .npz artifacts")
-    po = nsub.add_parser(
-        "online",
-        help="drift-triggered re-estimation + live ladder rebuild")
-    po.add_argument("--net", default="mobilenet_v1_0.5",
-                    help="zoo network (exact name, prefix or substring)")
-    po.add_argument("--deadline-ms", type=float, default=None,
-                    dest="deadline_ms",
-                    help="serving deadline (default: 1.3x the full TRN)")
-    po.add_argument("--requests", type=int, default=1000)
-    po.add_argument("--rate", type=float, default=None,
-                    help="offered load in requests/s (default: 0.4x the "
-                         "full TRN's single-request capacity)")
-    po.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
-    po.add_argument("--factor", type=float, default=2.5,
-                    help="thermal-throttle slowdown factor")
-    po.add_argument("--method", default="ratio", choices=["ratio", "svr"],
-                    help="re-estimation fit (per-rung median or pooled SVR)")
-    po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--verbose", action="store_true",
-                    help="also print the drift monitor's event report")
+    p = _verb(nsub, "build", cmd_netcut_build,
+              "bake off the ladder builders, print the mixed frontier",
+              "net", max_rungs=4, deadline_ms=None)
+    p.add_argument("--device", default="xavier",
+                   choices=list(DEVICE_PROFILES))
+    p.add_argument("--strategy", action="append", default=None,
+                   choices=list(BUILDERS),
+                   help="builder to run (repeatable; default: all)")
+    p.add_argument("--deadline-frac", type=float, default=0.6,
+                   help="deadline as a fraction of the full model latency "
+                        "(when --deadline-ms is not given)")
+    p.add_argument("--save", default=None, metavar="DIR",
+                   help="write the mixed frontier as .npz artifacts")
+    p = _verb(nsub, "online", cmd_netcut_online,
+              "drift-triggered re-estimation + live ladder rebuild",
+              "net", "rate", "max_rungs", "seed", "verbose",
+              deadline_ms=None, requests=1000)
+    p.add_argument("--factor", type=float, default=2.5,
+                   help="thermal-throttle slowdown factor")
+    p.add_argument("--method", default="ratio", choices=["ratio", "svr"],
+                   help="re-estimation fit (per-rung median or pooled SVR)")
 
-    sub.add_parser("estimators", help="estimator error table (Fig. 9)")
+    _verb(sub, "estimators", cmd_estimators, "estimator error table (Fig. 9)")
+    _verb(sub, "figures", cmd_figures, "list the reproduced figures/claims")
+    _verb(sub, "pareto", cmd_pareto, "TRN Pareto frontier + scatter",
+          "deadline")
 
-    sub.add_parser("figures", help="list the reproduced figures/claims")
-
-    p = sub.add_parser("pareto", help="TRN Pareto frontier + scatter")
-    p.add_argument("--deadline", type=float, default=0.9)
-
-    p = sub.add_parser("serve",
-                       help="deadline-aware serving on a TRN ladder")
-    p.add_argument("--deadline-ms", type=float, default=0.9,
-                   dest="deadline_ms")
+    p = _verb(sub, "serve", cmd_serve,
+              "deadline-aware serving on a TRN ladder",
+              "deadline_ms", "net", "requests", "rate", "max_batch",
+              "max_rungs", "no_ladder", "seed")
     p.add_argument("--trace", choices=["poisson", "uniform"],
                    default="poisson")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network whose TRN ladder serves the traffic")
-    p.add_argument("--requests", type=int, default=400)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: 1.3x the "
-                        "full TRN's single-request capacity)")
-    p.add_argument("--max-batch", type=int, default=8, dest="max_batch")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
-    p.add_argument("--no-ladder", action="store_true", dest="no_ladder",
-                   help="pin the full TRN (disable degradation)")
     p.add_argument("--execute", action="store_true",
                    help="run real forward passes on rendered images "
                         "(slower; default is timing-only simulation)")
-    p.add_argument("--seed", type=int, default=0)
 
-    from repro.faults import SCENARIOS
-
-    p = sub.add_parser("faults",
-                       help="chaos replay against the resilient engine")
-    p.add_argument("--scenario", default="straggler-storm",
-                   choices=sorted(SCENARIOS),
-                   help="built-in chaos scenario to replay")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network (exact name, prefix or substring)")
-    p.add_argument("--deadline-ms", type=float, default=0.9,
-                   dest="deadline_ms")
-    p.add_argument("--requests", type=int, default=400)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: 1.3x the "
-                        "full TRN's single-request capacity)")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
+    p = _verb(sub, "faults", cmd_faults,
+              "chaos replay against the resilient engine",
+              "scenario", "net", "deadline_ms", "requests", "rate",
+              "max_rungs", "verbose", "seed")
     p.add_argument("--rung", action="append", default=None,
                    help="rung name targeted by rung-specific faults "
                         "(repeatable; default: the most accurate rung)")
     p.add_argument("--compare", action="store_true",
                    help="also replay with resilience off, side by side")
     p.add_argument("--no-resilience", action="store_true",
-                   dest="no_resilience",
                    help="replay only the undefended engine")
-    p.add_argument("--verbose", action="store_true",
-                   help="print the injector's fault event log")
-    p.add_argument("--seed", type=int, default=0)
 
-    from repro.cluster import POLICIES
-    from repro.device import DEVICE_PROFILES
-
-    p = sub.add_parser("cluster",
-                       help="multi-replica scale-out serving")
-    p.add_argument("--replicas", type=int, default=3,
-                   help="fleet size (with --autoscale: the cap)")
+    p = _verb(sub, "cluster", cmd_cluster, "multi-replica scale-out serving",
+              "net", "rate", "max_rungs", "max_batch", "seed",
+              replicas=3, deadline_ms=3.0, requests=2000)
     p.add_argument("--policy", default="p2c-deadline",
-                   choices=sorted(POLICIES),
-                   help="routing policy")
+                   choices=sorted(POLICIES), help="routing policy")
     p.add_argument("--device", action="append", default=None,
                    choices=sorted(DEVICE_PROFILES),
                    help="device profile per replica (repeatable; builds "
                         "a heterogeneous fleet and overrides --replicas)")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network (exact name, prefix or substring)")
-    p.add_argument("--deadline-ms", type=float, default=3.0,
-                   dest="deadline_ms")
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: ~1.4x one "
-                        "replica's batched capacity per fleet replica)")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
-    p.add_argument("--max-batch", type=int, default=8, dest="max_batch")
     p.add_argument("--autoscale", action="store_true",
                    help="start from one replica and let the autoscaler "
                         "grow the fleet up to --replicas")
     p.add_argument("--kill-replica", type=int, default=None,
-                   dest="kill_replica", metavar="INDEX",
+                   metavar="INDEX",
                    help="hard-fail this replica's rungs mid-trace "
                         "(rung-failure scenario; enables resilience)")
-    p.add_argument("--seed", type=int, default=0)
-
-    from repro.workload import WORKLOAD_KINDS
 
     p = sub.add_parser("workload",
                        help="production traffic: generate, replay, fluid")
     wsub = p.add_subparsers(dest="workload_cmd", required=True)
+    p = _verb(wsub, "generate", cmd_workload_generate,
+              "sample a workload, serve it, record the run", *_WORKLOAD,
+              "kind", "base_rate", "horizon_ms", deadline_ms=3.0)
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="record requests + outcomes as versioned JSONL")
+    p = _verb(wsub, "replay", cmd_workload_replay,
+              "re-serve a recorded trace and verify it", *_WORKLOAD,
+              deadline_ms=3.0)
+    p.add_argument("path", help="JSONL trace written by generate")
+    p = _verb(wsub, "fluid", cmd_workload_fluid,
+              "analytical throughput/miss predictions", *_WORKLOAD,
+              "kind", "base_rate", "horizon_ms", "replicas", deadline_ms=3.0)
+    p.add_argument("--rung", type=int, default=0,
+                   help="rung index for --sweep/--plan-miss (0 = most "
+                        "accurate)")
+    p.add_argument("--sweep", default=None, dest="replicas_sweep",
+                   metavar="N,N,...",
+                   help="comma-separated fleet sizes to sweep")
+    p.add_argument("--plan-miss", type=float, default=None, metavar="RATE",
+                   help="plan the smallest fleet with every tenant at or "
+                        "under this miss rate")
 
-    def _workload_common(wp, with_process=True):
-        wp.add_argument("--net", default="mobilenet_v1_0.5",
-                        help="zoo network (exact name, prefix, substring)")
-        wp.add_argument("--deadline-ms", type=float, default=3.0,
-                        dest="deadline_ms",
-                        help="deadline for untagged (single-class) traffic")
-        wp.add_argument("--max-rungs", type=int, default=6,
-                        dest="max_rungs")
-        wp.add_argument("--queue-capacity", type=int, default=64,
-                        dest="queue_capacity")
-        wp.add_argument("--no-ladder", action="store_true",
-                        dest="no_ladder",
-                        help="pin the full TRN (disable degradation)")
-        wp.add_argument("--tenants", action="store_true",
-                        help="two-class interactive/batch tenant mix")
-        wp.add_argument("--fair", action="store_true",
-                        help="weighted-fair admission (needs --tenants)")
-        wp.add_argument("--watermark", type=float, default=0.25,
-                        help="queue fill fraction where fair shares bind")
-        wp.add_argument("--seed", type=int, default=0)
-        if with_process:
-            wp.add_argument("--kind", default="diurnal-flash",
-                            choices=list(WORKLOAD_KINDS),
-                            help="workload shape")
-            wp.add_argument("--base-rate", type=float, default=4000.0,
-                            dest="base_rate",
-                            help="base arrival rate in requests/s")
-            wp.add_argument("--horizon-ms", type=float, default=300.0,
-                            dest="horizon_ms")
-
-    wp = wsub.add_parser("generate",
-                         help="sample a workload, serve it, record the run")
-    _workload_common(wp)
-    wp.add_argument("--out", default=None, metavar="PATH",
-                    help="record requests + outcomes as versioned JSONL")
-
-    wp = wsub.add_parser("replay",
-                         help="re-serve a recorded trace and verify it")
-    _workload_common(wp, with_process=False)
-    wp.add_argument("path", help="JSONL trace written by generate")
-
-    wp = wsub.add_parser("fluid",
-                         help="analytical throughput/miss predictions")
-    _workload_common(wp)
-    wp.add_argument("--replicas", type=int, default=1,
-                    help="fleet size for the per-rung predictions")
-    wp.add_argument("--rung", type=int, default=0,
-                    help="rung index for --sweep/--plan-miss (0 = most "
-                         "accurate)")
-    wp.add_argument("--sweep", default=None, dest="replicas_sweep",
-                    metavar="N,N,...",
-                    help="comma-separated fleet sizes to sweep")
-    wp.add_argument("--plan-miss", type=float, default=None,
-                    dest="plan_miss", metavar="RATE",
-                    help="plan the smallest fleet with every tenant at "
-                         "or under this miss rate")
-
-    p = sub.add_parser("obs",
-                       help="telemetry: exposition, alerts, run store")
+    p = sub.add_parser("obs", help="telemetry: exposition, alerts, run store")
     osub = p.add_subparsers(dest="obs_cmd", required=True)
+    p = _verb(osub, "expose", cmd_obs_expose,
+              "serve with telemetry, print OpenMetrics text",
+              "net", "requests", "rate", "max_rungs", "sample_ms",
+              "deadline_ms", "seed")
+    p.add_argument("--json", default=None, metavar="PATH",
+                   help="also write the JSON export (metrics + series)")
+    p = _verb(osub, "alerts", cmd_obs_alerts,
+              "burn-rate alert timeline on a chaos replay (exit 1 if still "
+              "firing at drain)",
+              "net", "rate", "max_rungs", "sample_ms", "scenario", "store",
+              requests=800, deadline_ms=2.5, seed=2)
+    p.add_argument("--miss-budget", type=float, default=0.05,
+                   help="SLO deadline-miss budget (fraction of completions)")
+    p.add_argument("--fast-ms", type=float, default=8.0,
+                   help="fast burn-rate window (virtual ms)")
+    p.add_argument("--slow-ms", type=float, default=24.0,
+                   help="slow burn-rate window (virtual ms)")
+    p.add_argument("--fault-seed", type=int, default=0)
+    p = _verb(osub, "gate", cmd_obs_gate,
+              "bench-regression gate: fresh BENCH_*.json vs committed "
+              "baselines (exit 1 on regression)", "top")
+    p.add_argument("--baselines", default="benchmarks/baselines",
+                   metavar="DIR",
+                   help="directory of committed BENCH_*.json baselines")
+    p.add_argument("--current", default=".", metavar="DIR",
+                   help="directory with the just-produced BENCH_*.json")
+    p = _verb(osub, "runs", cmd_obs_runs, "list runs archived in a run store",
+              "store")
+    p.add_argument("--kind", default=None,
+                   help="only runs of this kind (e.g. bench.serve)")
+    p = _verb(osub, "compare", cmd_obs_compare, "diff two archived runs",
+              "store", "top")
+    p.add_argument("run_a", type=int, help="baseline run id")
+    p.add_argument("run_b", type=int, help="candidate run id")
 
-    def _obs_serve_common(op):
-        op.add_argument("--net", default="mobilenet_v1_0.5",
-                        help="zoo network (exact name, prefix, substring)")
-        op.add_argument("--requests", type=int, default=400)
-        op.add_argument("--rate", type=float, default=None,
-                        help="offered load in requests/s")
-        op.add_argument("--max-rungs", type=int, default=6,
-                        dest="max_rungs")
-        op.add_argument("--sample-ms", type=float, default=1.0,
-                        dest="sample_ms",
-                        help="telemetry sampling interval (virtual ms)")
-
-    op = osub.add_parser("expose",
-                         help="serve with telemetry, print OpenMetrics text")
-    _obs_serve_common(op)
-    op.add_argument("--deadline-ms", type=float, default=0.9,
-                    dest="deadline_ms")
-    op.add_argument("--json", default=None, metavar="PATH",
-                    help="also write the JSON export (metrics + series)")
-    op.add_argument("--seed", type=int, default=0)
-
-    op = osub.add_parser("alerts",
-                         help="burn-rate alert timeline on a chaos replay "
-                              "(exit 1 if still firing at drain)")
-    _obs_serve_common(op)
-    op.set_defaults(requests=800)
-    op.add_argument("--deadline-ms", type=float, default=2.5,
-                    dest="deadline_ms")
-    op.add_argument("--scenario", default="straggler-storm",
-                    choices=sorted(SCENARIOS),
-                    help="chaos scenario over the first half of the trace")
-    op.add_argument("--miss-budget", type=float, default=0.05,
-                    dest="miss_budget",
-                    help="SLO deadline-miss budget (fraction of completions)")
-    op.add_argument("--fast-ms", type=float, default=8.0, dest="fast_ms",
-                    help="fast burn-rate window (virtual ms)")
-    op.add_argument("--slow-ms", type=float, default=24.0, dest="slow_ms",
-                    help="slow burn-rate window (virtual ms)")
-    op.add_argument("--store", default=None, metavar="PATH",
-                    help="archive the run in this SQLite run store")
-    op.add_argument("--seed", type=int, default=2)
-    op.add_argument("--fault-seed", type=int, default=0, dest="fault_seed")
-
-    op = osub.add_parser("gate",
-                         help="bench-regression gate: fresh BENCH_*.json "
-                              "vs committed baselines (exit 1 on "
-                              "regression)")
-    op.add_argument("--baselines", default="benchmarks/baselines",
-                    metavar="DIR",
-                    help="directory of committed BENCH_*.json baselines")
-    op.add_argument("--current", default=".", metavar="DIR",
-                    help="directory with the just-produced BENCH_*.json")
-    op.add_argument("--top", type=int, default=20,
-                    help="movers-table rows (violations always shown)")
-
-    op = osub.add_parser("runs", help="list runs archived in a run store")
-    op.add_argument("--store", default=None, metavar="PATH",
-                    help="SQLite path (default: $REPRO_RUNSTORE or "
-                         "RUNSTORE.sqlite)")
-    op.add_argument("--kind", default=None,
-                    help="only runs of this kind (e.g. bench.serve)")
-
-    op = osub.add_parser("compare", help="diff two archived runs")
-    op.add_argument("run_a", type=int, help="baseline run id")
-    op.add_argument("run_b", type=int, help="candidate run id")
-    op.add_argument("--store", default=None, metavar="PATH",
-                    help="SQLite path (default: $REPRO_RUNSTORE or "
-                         "RUNSTORE.sqlite)")
-    op.add_argument("--top", type=int, default=20,
-                    help="rows to print (biggest relative movers first)")
-
-    p = sub.add_parser("profile",
-                       help="per-layer latency table via forward hooks")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network (exact name, prefix or substring)")
+    p = _verb(sub, "profile", cmd_profile,
+              "per-layer latency table via forward hooks", "net", "seed",
+              top=None)
     p.add_argument("--cutpoint", type=int, default=None,
                    help="blockwise cutpoint index: also print the "
                         "ratio-form TRN estimate from the table")
@@ -1173,56 +1041,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recorded forward passes")
     p.add_argument("--warmup", type=int, default=200,
                    help="discarded warm-up runs (paper protocol: 200)")
-    p.add_argument("--top", type=int, default=None,
-                   help="show only the N slowest kernels")
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("trace",
-                       help="traced serving replay with drift monitoring")
-    p.add_argument("--net", default="mobilenet_v1_0.5",
-                   help="zoo network (exact name, prefix or substring)")
-    p.add_argument("--deadline-ms", type=float, default=0.9,
-                   dest="deadline_ms")
-    p.add_argument("--requests", type=int, default=400)
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in requests/s (default: 1.3x the "
-                        "full TRN's single-request capacity)")
-    p.add_argument("--max-rungs", type=int, default=6, dest="max_rungs")
+    p = _verb(sub, "trace", cmd_trace,
+              "traced serving replay with drift monitoring",
+              "net", "deadline_ms", "requests", "rate", "max_rungs", "seed")
     p.add_argument("--buffer", type=int, default=65536,
                    help="trace buffer capacity (spans)")
     p.add_argument("--drift-threshold", type=float, default=0.25,
-                   dest="drift_threshold",
                    help="rolling |relative error| that raises a drift event")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write spans as JSON lines")
     p.add_argument("--chrome", default=None, metavar="PATH",
                    help="write a chrome://tracing JSON file")
-    p.add_argument("--seed", type=int, default=0)
     return parser
-
-
-_COMMANDS = {
-    "zoo": cmd_zoo,
-    "measure": cmd_measure,
-    "explore": cmd_explore,
-    "netcut": cmd_netcut,
-    "estimators": cmd_estimators,
-    "figures": cmd_figures,
-    "pareto": cmd_pareto,
-    "serve": cmd_serve,
-    "profile": cmd_profile,
-    "trace": cmd_trace,
-    "faults": cmd_faults,
-    "cluster": cmd_cluster,
-    "workload": cmd_workload,
-    "obs": cmd_obs,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

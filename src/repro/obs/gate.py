@@ -17,8 +17,8 @@ gated on its *speedup* columns (compiled over interpreted on the same
 machine), which is the stable signal. Everything else in the BENCH files
 is virtual-time or analytic and deterministic.
 
-Used by ``scripts/bench_gate.py`` (the CI step) and ``repro obs gate``
-(the same thresholds from the CLI).
+Run it as ``python -m repro obs gate``, which is also CI's
+bench-regression step.
 """
 
 from __future__ import annotations

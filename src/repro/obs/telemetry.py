@@ -546,9 +546,6 @@ class Telemetry:
         """
         self._collectors[key] = fn
 
-    def remove_collector(self, key: str) -> None:
-        self._collectors.pop(key, None)
-
     # -- alerting ------------------------------------------------------------
     def attach_alerts(self, engine) -> None:
         """Evaluate this :class:`~repro.obs.alerts.AlertEngine` per sample."""

@@ -38,8 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.faults.resilience import CircuitBreaker, HealthProbe, \
-    RungFailureError
+from repro.faults.resilience import CircuitBreaker, RungFailureError
 
 from .batcher import MicroBatcher
 from .ladder import HysteresisController, TRNLadder
@@ -516,15 +515,6 @@ class Engine:
                            {"reason": "drained"})
             dropped.append(resp)
         return dropped
-
-    def probe_health(self, slow_factor: float = 3.0) -> list:
-        """Actively probe every rung (see :class:`repro.faults.HealthProbe`).
-
-        Off the serving path, but it consumes measurement-RNG draws —
-        probe before or after a run, not in the middle of one, if the run
-        must stay bit-for-bit reproducible.
-        """
-        return HealthProbe(slow_factor).probe_ladder(self.ladder)
 
     # -- the event loop ------------------------------------------------------
     def available_rung(self, now_ms: float):

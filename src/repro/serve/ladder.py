@@ -126,16 +126,6 @@ class TRNLadder:
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def from_networks(cls, networks: list[Network], spec: DeviceSpec,
-                      accuracies: list[float] | None = None) -> "TRNLadder":
-        """Build a ladder from already-constructed (built) networks."""
-        accs = accuracies or [float("nan")] * len(networks)
-        if len(accs) != len(networks):
-            raise ValueError("need one accuracy per network")
-        return cls([TRNRung(net.name, net, spec, acc)
-                    for net, acc in zip(networks, accs)])
-
-    @classmethod
     def from_artifacts(cls, artifacts, spec: DeviceSpec) -> "TRNLadder":
         """Build a ladder from :class:`repro.netcut.deploy.DeploymentArtifact`s
         (e.g. round-tripped through ``save_artifact``/``load_artifact``).

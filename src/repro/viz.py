@@ -7,15 +7,9 @@ easily testable.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["scatter", "curve"]
 
 _MARKERS = "ox+*#@%&"
-
-
-def _axis_ticks(lo: float, hi: float, n: int) -> list[float]:
-    return list(np.linspace(lo, hi, n))
 
 
 def scatter(series: dict[str, list[tuple[float, float]]],

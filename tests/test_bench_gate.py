@@ -1,4 +1,4 @@
-"""Tests for the bench-regression gate (repro.obs.gate + scripts/bench_gate.py)."""
+"""Tests for the bench-regression gate (repro.obs.gate + repro obs gate)."""
 
 import copy
 import json
@@ -148,7 +148,7 @@ class TestBenchGateScript:
     def _run(self, baselines, current):
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
         return subprocess.run(
-            [sys.executable, os.path.join(REPO, "scripts", "bench_gate.py"),
+            [sys.executable, "-m", "repro", "obs", "gate",
              "--baselines", baselines, "--current", current],
             env=env, capture_output=True, text=True)
 

@@ -1,5 +1,7 @@
 """Tests for the terminal visualiser and the CLI."""
 
+import re
+
 import pytest
 
 from repro.viz import curve, scatter
@@ -57,6 +59,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "densenet121" in out
         assert "mobilenet_v1_0.25" in out
+
+    def test_serve_resolves_net_prefix(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--net", "resnet", "--requests", "50"]) == 0
+        ladder = capsys.readouterr().out.split("\n\n")[0]
+        assert re.search(r"resnet50-cut\d+", ladder)
 
     def test_requires_subcommand(self):
         from repro.cli import main
