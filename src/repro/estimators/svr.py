@@ -12,9 +12,16 @@ Formulation: with β_i = α_i − α_i* ∈ [−C, C], the dual problem is
 where ``K̃ = K + 1`` absorbs the bias into the kernel (the standard
 penalised-intercept trick, which removes the equality constraint Σβ = 0 and
 makes exact coordinate descent applicable; the recovered intercept is
-``b = Σ_i β_i``). Each coordinate update is a closed-form soft-threshold
-followed by clipping to the box, so the solver converges quickly for the
-problem sizes that occur here (≤ a few hundred TRNs).
+``b = Σ_i β_i``). The solver is cyclic dual coordinate descent: one
+coordinate at a time, in index order, each update a closed-form
+soft-threshold clipped to the box. It stops after ``max_iter`` sweeps or
+when a sweep's largest step falls below ``tol`` (relative to the targets);
+online re-estimation's small, duplicate-heavy fits usually run every sweep.
+
+The sweep runs on Python floats, with only the rank-one update of ``K̃ β``
+vectorised, but performs exactly the IEEE operations of the plain NumPy
+loop, in the same order: β, and so every prediction, is bit-identical to
+that loop's (``tests/test_estimators.py`` keeps it as the reference).
 
 Inputs are standardised internally (zero mean, unit variance per feature,
 and centred targets) because the RBF kernel is scale-sensitive and the
@@ -51,8 +58,12 @@ class SVR:
     kernel:
         ``"rbf"`` or ``"linear"`` (the paper's weak baseline).
     max_iter / tol:
-        Solver limits: full passes over the coordinates and the KKT
-        violation threshold for early stopping.
+        Solver limits: full passes over the coordinates, and the early
+        stop on a pass whose largest step is below ``tol`` times
+        ``max(1, max |y − ȳ|)``.
+
+    Out-of-range parameters raise ``ValueError`` here; ``fit`` rejects
+    empty or non-finite input and ``predict`` a feature-count mismatch.
     """
 
     def __init__(self, c: float = 1e6, gamma: float = 0.1,
@@ -60,6 +71,17 @@ class SVR:
                  max_iter: int = 400, tol: float = 1e-6):
         if kernel not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel {kernel!r}")
+        # negated comparisons also reject NaN
+        if not c > 0:
+            raise ValueError(f"c must be positive, got {c}")
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not epsilon >= 0:
+            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+        if not max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        if not tol >= 0:
+            raise ValueError(f"tol must be non-negative, got {tol}")
         self.c = float(c)
         self.gamma = float(gamma)
         self.epsilon = float(epsilon)
@@ -88,48 +110,64 @@ class SVR:
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ValueError("x must be (n, d) and y must be (n,)")
+        if x.shape[0] == 0:
+            raise ValueError("cannot fit on zero samples")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y must be finite")
         self._x_mean = x.mean(axis=0)
-        self._x_std = np.where(x.std(axis=0) > 1e-12, x.std(axis=0), 1.0)
+        std = x.std(axis=0)
+        self._x_std = np.where(std > 1e-12, std, 1.0)
         xs = self._standardise(x)
         self._y_mean = float(y.mean())
         yc = y - self._y_mean
+        stop = self.tol * max(1.0, float(np.abs(yc).max()))
 
         n = xs.shape[0]
         k = self._gram(xs, xs)
-        diag = np.maximum(np.diag(k), 1e-12)
-        beta = np.zeros(n)
+        cols = list(np.ascontiguousarray(k.T))   # cols[i] is K̃[:, i]
+        diag = np.maximum(np.diag(k), 1e-12).tolist()
+        targets = yc.tolist()
+        eps, c = self.epsilon, self.c
+        beta = [0.0] * n
         kbeta = np.zeros(n)  # K̃ @ beta, maintained incrementally
+        step = np.empty(n)   # delta * K̃[:, i]
         for _ in range(self.max_iter):
             max_delta = 0.0
             for i in range(n):
-                g = kbeta[i] - yc[i]              # gradient sans |.| term
-                b_aff = g - diag[i] * beta[i]     # affine coefficient
+                a = diag[i]
+                # affine coefficient (K̃β)_i − y_i − a β_i, grouped left
+                # to right as written: a regrouping changes β's last bits
+                b_aff = kbeta.item(i) - targets[i] - a * beta[i]
                 # closed-form minimiser of ½a t² + b t + ε|t| on [-C, C]:
                 # soft-threshold of -b/a at ε/a
-                if b_aff > self.epsilon:
-                    cand = -(b_aff - self.epsilon) / diag[i]
-                elif b_aff < -self.epsilon:
-                    cand = -(b_aff + self.epsilon) / diag[i]
+                if b_aff > eps:
+                    cand = -(b_aff - eps) / a
+                elif b_aff < -eps:
+                    cand = -(b_aff + eps) / a
                 else:
                     cand = 0.0
-                new = float(np.clip(cand, -self.c, self.c))
+                new = min(max(cand, -c), c)
                 delta = new - beta[i]
                 if delta != 0.0:
                     beta[i] = new
-                    kbeta += delta * k[:, i]
+                    np.multiply(cols[i], delta, out=step)
+                    kbeta += step
                     max_delta = max(max_delta, abs(delta))
-            if max_delta < self.tol * max(1.0, float(np.abs(yc).max())):
+            if max_delta < stop:
                 break
         self._x = xs
-        self._beta = beta
+        self._beta = np.array(beta)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predict targets for feature rows ``x``."""
         if self._beta is None:
             raise RuntimeError("SVR is not fitted")
-        xs = self._standardise(np.asarray(x, dtype=np.float64))
-        k = self._gram(xs, self._x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1:] != self._x.shape[1:]:
+            raise ValueError(f"x has shape {x.shape}; the model was "
+                             f"fitted on {self._x.shape[1]} features")
+        k = self._gram(self._standardise(x), self._x)
         return k @ self._beta + self._y_mean
 
     @property

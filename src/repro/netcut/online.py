@@ -201,6 +201,18 @@ class ReestimationController:
             raise ValueError("deadline_ms must be positive")
         if method not in ("ratio", "svr"):
             raise ValueError(f"unknown re-estimation method {method!r}")
+        # a zero-length sample buffer would drop every observation while
+        # the fresh count still grows: every fit would see no data
+        if max_samples_per_rung < 1:
+            raise ValueError("max_samples_per_rung must be at least 1")
+        if min_samples < 1:
+            raise ValueError("min_samples must be at least 1")
+        if not cooldown_ms >= 0:
+            raise ValueError("cooldown_ms must be non-negative")
+        if not min_rel_change >= 0:
+            raise ValueError("min_rel_change must be non-negative")
+        if not margin > 0:
+            raise ValueError("margin must be positive")
         self.deadline_ms = float(deadline_ms)
         self.cooldown_ms = float(cooldown_ms)
         self.min_samples = int(min_samples)

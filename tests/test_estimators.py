@@ -79,6 +79,36 @@ class TestSVR:
         with pytest.raises(ValueError):
             SVR(kernel="poly")
 
+    @pytest.mark.parametrize("kw", [
+        {"c": 0.0}, {"c": -1.0}, {"c": float("nan")}, {"gamma": 0.0},
+        {"gamma": -1.0}, {"epsilon": -1e-3}, {"max_iter": 0},
+        {"tol": -1e-6}],
+        ids=["c=0", "c<0", "c=nan", "gamma=0", "gamma<0", "epsilon<0",
+             "max_iter=0", "tol<0"])
+    def test_rejects_bad_hyperparameters(self, kw):
+        with pytest.raises(ValueError):
+            SVR(**kw)
+
+    def test_fit_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="zero samples"):
+            SVR().fit(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_fit_rejects_non_finite_input(self, where, bad):
+        x = np.linspace(0, 1, 6)[:, None]
+        y = 1.0 + x[:, 0]
+        (x[:, 0] if where == "x" else y)[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SVR().fit(x, y)
+
+    def test_predict_rejects_feature_count_mismatch(self, rng):
+        model = SVR(c=10.0, gamma=0.5).fit(rng.normal(size=(8, 2)),
+                                           rng.normal(size=8))
+        with pytest.raises(ValueError, match="features"):
+            model.predict(np.zeros((3, 1)))
+        assert model.predict(np.zeros((3, 2))).shape == (3,)
+
     def test_linear_kernel_fits_affine(self, rng):
         x = rng.normal(size=(30, 2))
         y = 5.0 + 2 * x[:, 0] - x[:, 1]
@@ -93,6 +123,126 @@ class TestSVR:
         y = np.full(15, 4.2)
         model = SVR(c=100, gamma=0.5, epsilon=1e-3).fit(x, y)
         np.testing.assert_allclose(model.predict(x), 4.2, rtol=0.05)
+
+
+class ReferenceSVR(SVR):
+    """``SVR`` fitted by the solver's plain NumPy sweep, kept verbatim.
+
+    ``SVR.fit`` runs the same sweep on Python floats and must reproduce
+    this loop's β bit for bit. ``sweeps`` counts the passes it made.
+    """
+
+    def fit(self, x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        self._x_mean = x.mean(axis=0)
+        self._x_std = np.where(x.std(axis=0) > 1e-12, x.std(axis=0), 1.0)
+        xs = self._standardise(x)
+        self._y_mean = float(y.mean())
+        yc = y - self._y_mean
+
+        n = xs.shape[0]
+        k = self._gram(xs, xs)
+        diag = np.maximum(np.diag(k), 1e-12)
+        beta = np.zeros(n)
+        kbeta = np.zeros(n)  # K̃ @ beta, maintained incrementally
+        self.sweeps = 0
+        for _ in range(self.max_iter):
+            self.sweeps += 1
+            max_delta = 0.0
+            for i in range(n):
+                g = kbeta[i] - yc[i]              # gradient sans |.| term
+                b_aff = g - diag[i] * beta[i]     # affine coefficient
+                # closed-form minimiser of ½a t² + b t + ε|t| on [-C, C]:
+                # soft-threshold of -b/a at ε/a
+                if b_aff > self.epsilon:
+                    cand = -(b_aff - self.epsilon) / diag[i]
+                elif b_aff < -self.epsilon:
+                    cand = -(b_aff + self.epsilon) / diag[i]
+                else:
+                    cand = 0.0
+                new = float(np.clip(cand, -self.c, self.c))
+                delta = new - beta[i]
+                if delta != 0.0:
+                    beta[i] = new
+                    kbeta += delta * k[:, i]
+                    max_delta = max(max_delta, abs(delta))
+            if max_delta < self.tol * max(1.0, float(np.abs(yc).max())):
+                break
+        self._x = xs
+        self._beta = beta
+        return self
+
+
+def online_problem():
+    """Online re-estimation's shape: 1-D log latencies, few distinct values,
+    noisy log slowdowns (``fit_scales``' own hyper-parameters)."""
+    r = np.random.default_rng(3)
+    levels = np.log([0.06, 0.3, 0.45, 1.2, 2.4])
+    x = r.choice(levels, size=20)[:, None]
+    y = 0.9 + 0.05 * x[:, 0] + r.normal(0.0, 0.03, size=20)
+    return dict(c=10.0, gamma=0.5, epsilon=1e-3, max_iter=200), x, y
+
+
+def paper_problem():
+    """Fig. 9's shape: 148 networks, six features, the paper's C and γ."""
+    r = np.random.default_rng(4)
+    x = r.normal(size=(148, 6))
+    y = 2.0 + x[:, 0] ** 2 + np.sin(2 * x[:, 1]) + 0.5 * x[:, 2]
+    return dict(c=1e6, gamma=0.1, epsilon=1e-3, max_iter=400), x, y
+
+
+def linear_problem():
+    r = np.random.default_rng(5)
+    x = r.normal(size=(30, 2))
+    return (dict(c=1e4, kernel="linear", epsilon=1e-4), x,
+            5.0 + 2 * x[:, 0] - x[:, 1])
+
+
+def box_problem():
+    """C small against the targets: the clip to [−C, C] binds."""
+    x = np.linspace(0, 1, 25)[:, None]
+    return dict(c=0.05, gamma=2.0, epsilon=1e-3), x, 10.0 * np.cos(4 * x[:, 0])
+
+
+def converging_problem():
+    """Stops on ``tol`` long before ``max_iter``."""
+    x = np.linspace(0, 3, 10)[:, None]
+    return (dict(c=0.1, gamma=0.5, epsilon=1e-3, max_iter=400), x,
+            np.sin(x[:, 0]))
+
+
+def tiny_problem(n):
+    def make():
+        x = np.arange(n, dtype=float)[:, None]
+        return dict(c=10.0, gamma=0.5, epsilon=1e-3), x, 1.0 + x[:, 0]
+    return make
+
+
+class TestSVRBitIdentity:
+    """The Python-float sweep matches the NumPy loop exactly."""
+
+    @pytest.mark.parametrize("problem", [
+        online_problem, paper_problem, linear_problem, box_problem,
+        converging_problem, tiny_problem(1), tiny_problem(2)],
+        ids=["online", "paper", "linear", "box", "converging", "n1", "n2"])
+    def test_beta_and_predictions_are_identical(self, problem):
+        kw, x, y = problem()
+        model = SVR(**kw).fit(x, y)
+        ref = ReferenceSVR(**kw).fit(x, y)
+        assert np.array_equal(model._beta, ref._beta)
+        lo, hi = x.min(axis=0) - 1.0, x.max(axis=0) + 1.0
+        query = np.vstack([x, np.linspace(lo, hi, 9)])
+        assert np.array_equal(model.predict(query), ref.predict(query))
+
+    def test_problems_cover_both_stopping_rules_and_the_box(self):
+        kw, x, y = online_problem()
+        assert ReferenceSVR(**kw).fit(x, y).sweeps == kw["max_iter"]
+        kw, x, y = converging_problem()
+        assert ReferenceSVR(**kw).fit(x, y).sweeps < kw["max_iter"]
+        kw, x, y = box_problem()
+        ref = ReferenceSVR(**kw).fit(x, y)
+        assert np.abs(ref._beta).max() == kw["c"]
 
 
 class TestModelSelection:

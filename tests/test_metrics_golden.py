@@ -9,6 +9,12 @@ over its ``snapshot()`` (``json.dumps(..., sort_keys=True)``) and its
 ``report()``; the telemetered fleet also digests the OpenMetrics exposition
 and the sampled series of the families listed in ``FLEET_FAMILIES``.
 
+The chaos scenario runs twice, once per re-estimation method. The ``"svr"``
+run refits :class:`repro.estimators.SVR` inside the serving loop, so its
+digest also covers the re-estimation controller's snapshot: every fitted
+scale at full precision. A change to the solver's floating-point operations
+shows up there.
+
 The digests were recorded from the implementation that kept plain counters
 beside the telemetry families. A refactor of the metrics store must leave
 every one of them unchanged: histogram sums depend on summation order, so a
@@ -73,6 +79,8 @@ GOLDEN = {
         "136f587755609cfb51b0f775e372c2c6204ea66698dd5fc8dcfe6327cfa3287f",
     "chaos_online":
         "04ada1de122eba75376776ca4b1100583bad86193153fb30bf3cbdd76992326a",
+    "chaos_online_svr":
+        "87404a1b6bd3fba9949c3e12cd8a204c5d7f8808be7c8058707da1c2c96ef3a9",
 }
 
 
@@ -125,7 +133,7 @@ def fleet(device) -> tuple[str, str]:
             sha(to_openmetrics(pinned), json.dumps(stored, sort_keys=True)))
 
 
-def chaos_online(device) -> str:
+def chaos_online(device, method: str = "ratio") -> tuple:
     ladder = TRNLadder.from_base(make_tiny_net(blocks=4), device,
                                  num_classes=5)
     full = ladder.rungs[0].estimate_ms(1)
@@ -140,9 +148,10 @@ def chaos_online(device) -> str:
         admission_policy=WeightedFairAdmission(mix, watermark=0.25),
         resilience=True, online_reestimation=True,
         reestimate_cooldown_ms=2.0 * full, reestimate_min_samples=6,
-        reestimate_max_samples=12)
+        reestimate_max_samples=12, reestimate_method=method)
     server = Server(ladder, config, faults=scenario.injector())
-    return sha(*surface(server.run_trace(trace).metrics))
+    metrics = server.run_trace(trace).metrics
+    return surface(metrics), server.engine.reestimator
 
 
 def test_tenant_server_surface_is_pinned(tiny_device):
@@ -156,4 +165,15 @@ def test_fleet_surface_and_telemetry_are_pinned(tiny_device):
 
 
 def test_chaos_online_surface_is_pinned(tiny_device):
-    assert chaos_online(tiny_device) == GOLDEN["chaos_online"]
+    parts, _ = chaos_online(tiny_device)
+    assert sha(*parts) == GOLDEN["chaos_online"]
+
+
+def test_chaos_online_svr_fits_are_pinned(tiny_device):
+    parts, controller = chaos_online(tiny_device, "svr")
+    # at least one applied fit took the SVR branch (it needs >= 4 samples;
+    # every applied fit consumed at least reestimate_min_samples of them)
+    assert any(f.method == "svr" and f.samples >= 4
+               for f in controller.fits)
+    fits = json.dumps(controller.snapshot(), sort_keys=True)
+    assert sha(*parts, fits) == GOLDEN["chaos_online_svr"]

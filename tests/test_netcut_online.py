@@ -177,6 +177,11 @@ class TestReestimationController:
             ReestimationController(0.0)
         with pytest.raises(ValueError):
             ReestimationController(1.0, method="magic")
+        for bad in ({"max_samples_per_rung": 0}, {"min_samples": 0},
+                    {"cooldown_ms": -1.0}, {"min_rel_change": -0.01},
+                    {"margin": 0.0}, {"margin": -1.0}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ReestimationController(1.0, **bad)
 
     def test_applied_fit_rewrites_rebuilds_and_clears(self):
         ladder = make_stub_ladder()
@@ -334,6 +339,13 @@ class TestEngineIntegration:
         assert proxy.estimate_ms(1) == pytest.approx(real.estimate_ms(1))
         assert proxy.estimate_table() == real.estimate_table()
         real.recalibrate(1.0)
+
+    def test_zero_sample_buffer_raises_before_serving(self, ladder):
+        # a zero-length fit buffer would make every re-estimation inert
+        server, trace, _ = make_closed_loop(ladder)
+        with pytest.raises(ValueError, match="max_samples_per_rung"):
+            server.run_trace(trace, reestimate_max_samples=0)
+        assert server.engine is None
 
     def test_loop_needs_no_explicit_drift_monitor(self, ladder):
         # the engine provisions a default DriftMonitor when the loop is
