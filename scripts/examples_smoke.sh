@@ -30,7 +30,6 @@ examples/deployment_optimizations.py
 examples/estimator_comparison.py
 examples/generate_report.py
 examples/online_netcut.py
-examples/profile_layers.py
 examples/prosthetic_hand.py
 examples/related_work.py
 examples/serve_trace.py

@@ -357,23 +357,21 @@ def cmd_serve(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    """Profile one zoo network layer-by-layer through the obs hooks.
+    """Profile one zoo network layer by layer on the device model.
 
-    Prints the per-layer latency table accumulated by
-    :class:`repro.obs.LayerProfiler` over real (hooked) forward passes,
-    and — when ``--cutpoint`` is given — reproduces the paper's ratio-form
-    TRN latency estimate from that table, next to the estimate from the
-    device's own profiler and the TRN's direct model latency.
+    Prints the per-layer latency table of
+    :func:`repro.device.profile_network` (``--runs`` noisy runs averaged
+    per kernel, each record carrying the CUDA-event overhead), and — when
+    ``--cutpoint`` is given — the paper's ratio-form TRN latency estimate
+    from that table next to the TRN's direct model latency.
     """
     from repro.device import profile_network
     from repro.estimators import ProfilerEstimator
-    from repro.obs import profile_forward
     from repro.trim import build_trn, enumerate_blockwise, removed_node_set
 
     spec = xavier()
     net = _base(args)
-    table = profile_forward(net, spec, runs=args.runs, warmup=args.warmup,
-                            rng=args.seed)
+    table = profile_network(net, spec, rng=args.seed, profile_runs=args.runs)
     print(table.describe(top=args.top))
     if args.cutpoint is None:
         return 0
@@ -382,19 +380,16 @@ def cmd_profile(args) -> int:
         raise SystemExit(f"--cutpoint {args.cutpoint} out of range; "
                          f"{net.name} has {len(cuts)} blockwise cutpoints")
     cut = cuts[args.cutpoint]
-    removed = removed_node_set(net, cut.cut_node)
-    est_obs = ProfilerEstimator(net, table).estimate(removed)
-    est_dev = ProfilerEstimator(net, profile_network(net, spec)) \
-        .estimate(removed)
+    est = ProfilerEstimator(net, table).estimate(
+        removed_node_set(net, cut.cut_node))
     trn = build_trn(net, cut.cut_node, num_classes=5)
     direct = network_latency(trn, spec).total_ms
     print(f"\ncutpoint {args.cutpoint} ({cut.cut_node}, "
           f"{cut.blocks_removed} blocks removed) -> {trn.name}")
-    print(f"ratio estimate from obs table:    {est_obs:.4f} ms")
-    print(f"ratio estimate from device table: {est_dev:.4f} ms "
-          f"({100 * abs(est_obs - est_dev) / est_dev:.2f}% apart)")
-    print(f"TRN direct model latency:         {direct:.4f} ms "
-          "(feature part estimated, fresh head replaces the old one)")
+    print(f"ratio estimate from the table: {est:.4f} ms")
+    print(f"TRN direct model latency:      {direct:.4f} ms "
+          f"({100 * abs(est - direct) / direct:.2f}% apart; the feature "
+          "part is estimated, a fresh head replaces the old one)")
     return 0
 
 
@@ -402,16 +397,10 @@ def cmd_trace(args) -> int:
     """Replay a serve trace with full observability attached.
 
     Same scenario as ``serve``, plus a request tracer (JSONL and Chrome
-    trace export), an estimator-drift monitor, and the unified metrics
-    registry report.
+    trace export) and an estimator-drift monitor; prints the serving,
+    trace and drift reports one after another.
     """
-    from repro.obs import (
-        DriftMonitor,
-        MetricsRegistry,
-        Tracer,
-        write_chrome_trace,
-        write_jsonl,
-    )
+    from repro.obs import DriftMonitor, Tracer, write_chrome_trace, write_jsonl
 
     ladder = _ladder(args, xavier())
     rate, trace = _poisson(args, ladder.rungs[0].estimate_ms(1), 1.3e3)
@@ -422,14 +411,13 @@ def cmd_trace(args) -> int:
                     tracer=tracer, drift=drift)
     result = server.run_trace(trace)
 
-    registry = MetricsRegistry()
-    registry.mount("serve", result.metrics)
-    registry.mount("trace", tracer)
-    registry.mount("drift", drift)
     print(f"{args.requests} Poisson requests @ {rate:,.0f} req/s, "
           f"deadline {args.deadline_ms} ms, seed {args.seed}\n")
     print(f"serve.final_rung: {ladder.current_index}")
-    print(registry.report())
+    for name, part in (("serve", result.metrics), ("trace", tracer),
+                       ("drift", drift)):
+        print(f"-- {name} --")
+        print(part.report())
     if args.out:
         n = write_jsonl(tracer, args.out)
         print(f"\nwrote {n} spans to {args.out}")
@@ -1032,15 +1020,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_b", type=int, help="candidate run id")
 
     p = _verb(sub, "profile", cmd_profile,
-              "per-layer latency table via forward hooks", "net", "seed",
+              "per-layer latency table on the device model", "net", "seed",
               top=None)
     p.add_argument("--cutpoint", type=int, default=None,
                    help="blockwise cutpoint index: also print the "
                         "ratio-form TRN estimate from the table")
     p.add_argument("--runs", type=int, default=100,
-                   help="recorded forward passes")
-    p.add_argument("--warmup", type=int, default=200,
-                   help="discarded warm-up runs (paper protocol: 200)")
+                   help="profiled runs averaged per kernel")
 
     p = _verb(sub, "trace", cmd_trace,
               "traced serving replay with drift monitoring",

@@ -10,13 +10,16 @@ implementation reproduces and accounts for in simulated GPU-hours, so the
 comparison benchmark can quantify it against NetCut's one-TRN-per-network
 cost on the same task.
 
-The pruning surgery supports chain topologies (MobileNetV1: stem plus
-depthwise-separable blocks — the very network NetAdapt targeted). Removing
-output channels of a pointwise convolution propagates through the following
-batch-norm, activation, depthwise convolution and into the next pointwise
-convolution's (or the head's) input dimension. The short fine-tune is
-approximated by retraining the transfer head on the pruned features — the
-same fast frozen-feature protocol the rest of this repository uses.
+Every non-head convolution, the stem included, is a candidate layer, and
+candidates are built by :func:`repro.trim.prune_channels`, the surgery the
+filter-prune and HALP ladder builders share. So NetAdapt runs on any network
+whose convolutions that surgery accepts: chains such as MobileNetV1 (the
+network NetAdapt targeted) and concatenating DAGs, but not a network with a
+conv that feeds a residual ``Add``. Pruning propagates through batch norm,
+activations and depthwise convolutions into the next full convolution's (or
+the head's) input dimension. The short fine-tune is approximated by
+retraining the transfer head on the pruned features — the same fast
+frozen-feature protocol the rest of this repository uses.
 """
 
 from __future__ import annotations
@@ -30,83 +33,12 @@ from repro.device.latency import network_latency
 from repro.device.spec import DeviceSpec
 from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
-from repro.nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    DepthwiseConv2D,
-)
+from repro.nn.layers import Conv2D
 from repro.train.features import record_gap_features
 from repro.train.trainer import train_head_on_features
+from repro.trim import prune_channels
 
-__all__ = ["prune_output_channels", "NetAdaptConfig", "NetAdaptResult",
-           "run_netadapt"]
-
-
-def _consumers(net: Network) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {name: [] for name in net.nodes}
-    for node in net.nodes.values():
-        for dep in node.inputs:
-            out[dep].append(node.name)
-    return out
-
-
-def _reindex(param, idx: np.ndarray, axis: int) -> None:
-    param.value = np.take(param.value, idx, axis=axis)
-    param.grad = np.zeros_like(param.value)
-
-
-def prune_output_channels(net: Network, conv_name: str,
-                          keep: np.ndarray) -> None:
-    """Remove output channels of a convolution, propagating downstream.
-
-    ``keep`` is the sorted index array of channels to retain. The selection
-    propagates through channel-wise layers (batch norm, activations,
-    pooling, depthwise convolutions) until it is absorbed by the input
-    dimension of the next full convolution or dense layer. Branching
-    topologies are rejected — chain networks only (MobileNetV1 family).
-
-    The network's cached shapes are refreshed afterwards.
-    """
-    node = net.nodes[conv_name]
-    if not isinstance(node.layer, Conv2D):
-        raise ValueError(f"{conv_name!r} is not a Conv2D")
-    keep = np.asarray(keep, dtype=int)
-    if keep.size < 1:
-        raise ValueError("must keep at least one channel")
-    conv = node.layer
-    _reindex(conv.params["w"], keep, axis=3)
-    if conv.use_bias:
-        _reindex(conv.params["b"], keep, axis=0)
-    conv.filters = int(keep.size)
-
-    consumers = _consumers(net)
-    current = conv_name
-    while True:
-        nexts = consumers[current]
-        if len(nexts) != 1:
-            raise ValueError(
-                f"pruning requires a chain topology; {current!r} has "
-                f"{len(nexts)} consumers")
-        current = nexts[0]
-        layer = net.nodes[current].layer
-        if isinstance(layer, BatchNorm):
-            for pname in ("gamma", "beta"):
-                _reindex(layer.params[pname], keep, axis=0)
-            layer.running_mean = layer.running_mean[keep].copy()
-            layer.running_var = layer.running_var[keep].copy()
-        elif isinstance(layer, DepthwiseConv2D):
-            _reindex(layer.params["w"], keep, axis=2)
-            if layer.use_bias:
-                _reindex(layer.params["b"], keep, axis=0)
-        elif isinstance(layer, Conv2D):
-            _reindex(layer.params["w"], keep, axis=2)
-            break
-        elif isinstance(layer, Dense):
-            _reindex(layer.params["w"], keep, axis=0)
-            break
-        # activations / pooling / GAP: channel count passes through
-    net.build(0)  # refresh cached shapes; built layers are not re-initialised
+__all__ = ["NetAdaptConfig", "NetAdaptResult", "run_netadapt"]
 
 
 def _channel_saliency(conv: Conv2D) -> np.ndarray:
@@ -150,6 +82,16 @@ class NetAdaptResult:
     train_hours: float = 0.0
 
 
+def _prune_smallest(net: Network, conv: str, order: np.ndarray,
+                    n_remove: int,
+                    device: DeviceSpec) -> tuple[Network, float]:
+    """``net`` without the first ``n_remove`` channels of ``order`` in
+    ``conv``, and its model latency on ``device``."""
+    trial = prune_channels(net, {conv: np.sort(order[n_remove:])},
+                           name=net.name)
+    return trial, network_latency(trial, device).total_ms
+
+
 def _head_input_node(net: Network) -> str:
     if "head_gap" in net.nodes:
         return net.nodes["head_gap"].inputs[0]
@@ -173,7 +115,7 @@ def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
                  config: NetAdaptConfig = NetAdaptConfig(),
                  cost_model: TrainingCostModel | None = None,
                  max_iterations: int = 60) -> NetAdaptResult:
-    """Adapt ``net`` (a chain-topology transfer model) to ``budget_ms``.
+    """Adapt ``net`` (a built transfer model) to ``budget_ms``.
 
     The network is modified on a working copy; the input network is left
     untouched. Raises ``RuntimeError`` if the budget cannot be reached
@@ -197,27 +139,26 @@ def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
         evaluated = 0
         for lname in prunable:
             conv = work.nodes[lname].layer
-            if conv.filters <= config.min_channels:
+            deepest = conv.filters - config.min_channels
+            if deepest < 1:
                 continue
-            saliency = _channel_saliency(conv)
-            order = np.argsort(saliency)  # prune smallest-norm first
-            # smallest number of removals reaching the target, else the
-            # deepest allowed prune of this layer (partial progress)
-            candidate = None
-            reached = False
-            for n_remove in range(1, conv.filters - config.min_channels + 1):
-                keep = np.sort(order[n_remove:])
-                trial = work.copy()
-                trial.build(config.seed)
-                prune_output_channels(trial, lname, keep)
-                ms = network_latency(trial, device).total_ms
-                candidate = trial
-                if ms <= target:
-                    reached = True
-                    break
-            if candidate is None:
-                continue
-            ms = network_latency(candidate, device).total_ms
+            order = np.argsort(_channel_saliency(conv))  # smallest norm first
+            # the smallest number of removals reaching the target, else the
+            # deepest allowed prune of this layer (partial progress). The
+            # device model's latency falls strictly with every removed
+            # channel, so bisection finds what a linear scan would.
+            candidate, ms = _prune_smallest(work, lname, order, deepest,
+                                            device)
+            reached = ms <= target
+            lo, hi = 1, deepest
+            while reached and lo < hi:
+                mid = (lo + hi) // 2
+                trial, trial_ms = _prune_smallest(work, lname, order, mid,
+                                                  device)
+                if trial_ms <= target:
+                    hi, candidate, ms = mid, trial, trial_ms
+                else:
+                    lo = mid + 1
             if ms >= result.latency_ms - 1e-9:
                 continue  # pruning this layer saves nothing
             evaluated += 1

@@ -11,7 +11,7 @@ both halves of surviving that:
   deterministically, from a seed — so chaos experiments replay
   bit-for-bit. :func:`build_scenario` instantiates the named built-in
   :data:`SCENARIOS`.
-- **Resilience** (:class:`CircuitBreaker`, :class:`HealthProbe`, plus the
+- **Resilience** (:class:`CircuitBreaker`, plus the
   engine wiring in :mod:`repro.serve.engine` behind
   ``ServerConfig(resilience=True)``): per-batch execution timeouts with
   retry on a faster rung, per-rung breakers that take a sick rung out of
@@ -44,8 +44,6 @@ from .models import (
 from .resilience import (
     BreakerEvent,
     CircuitBreaker,
-    HealthProbe,
-    ProbeResult,
     RungFailureError,
 )
 from .scenario import SCENARIOS, ChaosScenario, build_scenario
@@ -63,8 +61,6 @@ __all__ = [
     "RungFailureError",
     "BreakerEvent",
     "CircuitBreaker",
-    "ProbeResult",
-    "HealthProbe",
     "ChaosScenario",
     "SCENARIOS",
     "build_scenario",

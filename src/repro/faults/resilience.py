@@ -1,4 +1,4 @@
-"""Serving resilience primitives: circuit breakers and health probes.
+"""Serving resilience primitives: circuit breakers.
 
 The serving engine keeps one :class:`CircuitBreaker` per TRN rung. A rung
 that keeps timing out or hard-failing is taken out of rotation (*open*)
@@ -9,9 +9,8 @@ structured :class:`BreakerEvent` (the resilience counterpart of
 :class:`repro.obs.DriftEvent`) and, when a tracer is attached to the
 engine, a ``breaker`` trace span.
 
-Nothing here imports :mod:`repro.serve`; the engine imports *us*, and the
-classes work on anything rung-shaped (``estimate_ms`` /
-``sample_service_ms``), so they are unit-testable in isolation.
+Nothing here imports :mod:`repro.serve`; the engine imports *us*, and a
+breaker knows its rung only by name, so it is unit-testable in isolation.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["RungFailureError", "BreakerEvent", "CircuitBreaker",
-           "ProbeResult", "HealthProbe"]
+__all__ = ["RungFailureError", "BreakerEvent", "CircuitBreaker"]
 
 #: Circuit breaker states.
 CLOSED = "closed"
@@ -146,52 +144,3 @@ class CircuitBreaker:
         return {"rung": self.rung, "state": self.state,
                 "consecutive_failures": self.consecutive_failures,
                 "transitions": [e.as_dict() for e in self.events]}
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of one health probe against a rung."""
-
-    rung: str
-    ok: bool
-    latency_ms: float           # NaN when the rung hard-failed
-    estimate_ms: float
-    error: str | None = None
-
-    def __str__(self) -> str:
-        if self.error is not None:
-            return f"{self.rung}: FAIL ({self.error})"
-        verdict = "ok" if self.ok else "slow"
-        return (f"{self.rung}: {verdict} "
-                f"({self.latency_ms:.4f} ms vs est {self.estimate_ms:.4f})")
-
-
-class HealthProbe:
-    """Active health checks: one synthetic batch-1 inference per rung.
-
-    A probe samples the rung's measured latency off the serving path and
-    compares it against the noise-free estimate: more than ``slow_factor``
-    over is unhealthy, a :class:`RungFailureError` is dead. Probing
-    consumes one draw from the rung's measurement RNG, so health-check
-    traffic is visible in (and perturbs) the deterministic sample stream —
-    exactly like real probe requests would perturb a real device.
-    """
-
-    def __init__(self, slow_factor: float = 3.0):
-        if slow_factor <= 1.0:
-            raise ValueError("slow_factor must be > 1")
-        self.slow_factor = slow_factor
-
-    def probe(self, rung) -> ProbeResult:
-        estimate = rung.estimate_ms(1)
-        try:
-            latency = rung.sample_service_ms(1)
-        except RungFailureError:
-            return ProbeResult(rung.name, False, float("nan"), estimate,
-                               error="rung-failure")
-        return ProbeResult(rung.name, latency <= self.slow_factor * estimate,
-                           float(latency), estimate)
-
-    def probe_ladder(self, ladder) -> list[ProbeResult]:
-        """Probe every rung of a :class:`repro.serve.TRNLadder`."""
-        return [self.probe(rung) for rung in ladder.rungs]

@@ -24,9 +24,9 @@ The plan is validated against a cheap state signature (structure version +
 parameter/batch-norm-statistic version counters) on every use; weight
 mutation through ``Parameter.value`` or ``load_state_dict`` triggers a
 transparent recompile, and ``copy()``/``subgraph()`` clones start
-uncompiled. Forward passes with hooks attached, ``training=True`` or
-``capture=`` fall back to the interpreted node walk, which observers
-(:mod:`repro.obs`) and gradient checks rely on.
+uncompiled. Forward passes with ``training=True`` or ``capture=`` fall
+back to the interpreted node walk, which feature recording and gradient
+checks rely on.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ class CompiledNetwork:
 
         One :class:`~repro.device.profiler.LayerRecord` per timed step
         (mean ms per launch, anchored at the step's first node), in plan
-        order — the same shape the :class:`repro.obs.LayerProfiler`
+        order — the same shape :func:`repro.device.profile_network`
         produces, so drift monitoring and ladder rebuilds can consume
         measurements from the *compiled* path too. ``end_to_end_ms`` is
         the per-kernel mean total (launch gaps are not observable here).

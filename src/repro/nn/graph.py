@@ -12,18 +12,12 @@ Nodes carry metadata used throughout the repository:
 - ``role`` is one of ``"stem"``, ``"feature"`` or ``"head"``; layer removal
   only ever removes ``"feature"`` blocks and replaces the ``"head"``.
 
-Networks also support *forward hooks* — callables fired around every node
-during :meth:`Network.forward` (and therefore :meth:`Network.forward_batch`).
-They are the substrate :mod:`repro.obs` builds its per-layer profiler on:
-observers see execution without the network knowing who is watching.
-
 Execution has two paths. The default is the interpreted node-by-node walk
 below; :meth:`Network.compile` freezes the graph into a fused static
 schedule (:mod:`repro.nn.compile`) that ``forward``/``forward_batch``
-route through transparently whenever no hooks are attached and neither
-``training`` nor ``capture`` is requested. The plan invalidates itself on
-structural edits and weight mutation, and ``copy()``/``subgraph()``
-clones always start uncompiled.
+route through transparently whenever neither ``training`` nor ``capture``
+is requested. The plan invalidates itself on structural edits and weight
+mutation, and ``copy()``/``subgraph()`` clones always start uncompiled.
 """
 
 from __future__ import annotations
@@ -65,9 +59,6 @@ class Network:
         self.nodes: dict[str, Node] = {}
         self.output_name: str | None = None
         self._shapes: dict[str, Shape] = {}
-        self._pre_hooks: dict[int, object] = {}
-        self._post_hooks: dict[int, object] = {}
-        self._next_hook_id = 0
         self._mutation_version = 0
         self._compiled = None
         self.add("input", Input(self.input_shape), inputs=[], role="stem")
@@ -124,49 +115,14 @@ class Network:
             raise RuntimeError("network is not built; call build() first")
         return self._shapes[name]
 
-    # -- hooks -------------------------------------------------------------
-    def register_forward_pre_hook(self, fn) -> int:
-        """Register ``fn(network, node, inputs)`` to fire before each node.
-
-        ``inputs`` is the list of input activations about to be consumed.
-        Returns an integer handle for :meth:`remove_hook`. Hooks fire in
-        registration order, for every node of every :meth:`forward` /
-        :meth:`forward_batch` call, and must not mutate the activations.
-        """
-        handle = self._next_hook_id
-        self._next_hook_id += 1
-        self._pre_hooks[handle] = fn
-        return handle
-
-    def register_forward_hook(self, fn) -> int:
-        """Register ``fn(network, node, inputs, output)`` after each node.
-
-        Same contract as :meth:`register_forward_pre_hook`, fired once the
-        node's output activation exists.
-        """
-        handle = self._next_hook_id
-        self._next_hook_id += 1
-        self._post_hooks[handle] = fn
-        return handle
-
-    def remove_hook(self, handle: int) -> None:
-        """Detach a hook by the handle its registration returned."""
-        self._pre_hooks.pop(handle, None)
-        self._post_hooks.pop(handle, None)
-
-    @property
-    def has_hooks(self) -> bool:
-        """Whether any forward hook is currently attached."""
-        return bool(self._pre_hooks or self._post_hooks)
-
     # -- compilation -------------------------------------------------------
     def compile(self, force: bool = False):
         """Freeze the graph into a fused static schedule; returns the plan.
 
         The returned :class:`~repro.nn.compile.CompiledNetwork` is cached;
         :meth:`forward` and :meth:`forward_batch` route through it
-        automatically whenever no hooks are attached and neither
-        ``training`` nor ``capture`` is requested. A stale plan (weights
+        automatically whenever neither ``training`` nor ``capture`` is
+        requested. A stale plan (weights
         reassigned, structure edited) is rebuilt transparently. Raw
         in-place writes into a parameter's array bypass version tracking —
         call ``compile(force=True)`` (or :meth:`uncompile`) after those.
@@ -187,8 +143,7 @@ class Network:
 
     def _active_plan(self, training: bool, capture):
         """The compiled plan to route through, or None for the interpreter."""
-        if (self._compiled is None or training or capture is not None
-                or self._pre_hooks or self._post_hooks):
+        if self._compiled is None or training or capture is not None:
             return None
         if not self._compiled.valid:
             from .compile import compile_network
@@ -230,11 +185,7 @@ class Network:
         wanted = set(capture or [])
         for node in self.nodes.values():
             ins = [acts[d] for d in node.inputs] if node.inputs else [x]
-            for fn in self._pre_hooks.values():
-                fn(self, node, ins)
             acts[node.name] = node.layer.forward(ins, training=training)
-            for fn in self._post_hooks.values():
-                fn(self, node, ins, acts[node.name])
             # free activations no longer needed to bound memory
             for d in node.inputs:
                 consumers[d] -= 1
@@ -443,18 +394,12 @@ class Network:
 
     # -- structural edits & persistence --------------------------------------
     def copy(self) -> "Network":
-        """Deep copy: new layer objects, independent parameters.
-
-        Hooks are observers of one network instance, not part of its
-        structure, so the clone starts with none attached.
-        """
+        """Deep copy: new layer objects, independent parameters."""
         clone = Network.__new__(Network)
         clone.name = self.name
         clone.input_shape = self.input_shape
         clone.output_name = self.output_name
         clone._shapes = dict(self._shapes)
-        clone._pre_hooks, clone._post_hooks = {}, {}
-        clone._next_hook_id = 0
         clone._mutation_version = 0
         clone._compiled = None
         clone.nodes = {}
@@ -482,8 +427,6 @@ class Network:
         clone = Network.__new__(Network)
         clone.name = name or f"{self.name}[:{upto}]"
         clone.input_shape = self.input_shape
-        clone._pre_hooks, clone._post_hooks = {}, {}
-        clone._next_hook_id = 0
         clone._mutation_version = 0
         clone._compiled = None
         clone.nodes = {}

@@ -1,14 +1,11 @@
-"""Observability for the NetCut stack: profile, trace, and watch for drift.
+"""Observability for the NetCut stack: trace, measure, and watch for drift.
 
 NetCut's estimator is itself an observability artifact — a per-layer
 latency table scaled by a removed/total ratio — and the serving stack's
-control decisions all ride on that estimate. This subpackage makes the
-instrumentation first-class:
+control decisions all ride on that estimate. The device model's per-layer
+latency table has one producer, :func:`repro.device.profile_network`; this
+subpackage makes the rest of the instrumentation first-class:
 
-- :class:`LayerProfiler` / :func:`profile_forward` — per-layer latency
-  tables accumulated from live forward passes through graph hooks, with
-  warm-up discard and the paper's event-overhead artefact, exported as the
-  :class:`repro.device.LatencyTable` the ratio-form estimator consumes.
 - :class:`Tracer` / :class:`TraceBuffer` / :class:`Span` — request spans
   (``enqueue → admit → batch → forward → respond``, ``drop``) over the
   serving engine's virtual clock, exportable as JSONL
@@ -17,9 +14,6 @@ instrumentation first-class:
 - :class:`DriftMonitor` — an online comparator of predicted vs. observed
   service times that raises structured :class:`DriftEvent`\\ s when the
   rolling relative error crosses a threshold.
-- :class:`MetricsRegistry` — mounts every ``snapshot()``/``report()``
-  surface (serve metrics, trace statistics, drift state, a telemetry)
-  under one namespace; it stores no metrics of its own.
 - :class:`Telemetry` — the one metrics store: labeled metric families
   (:class:`Counter` / :class:`Gauge` / :class:`LatencyHistogram` children
   keyed by ``tenant``/``rung``/``replica``/``kernel`` labels) backed by a
@@ -61,8 +55,6 @@ from .gate import (
     run_gate,
 )
 from .export import chrome_trace, to_jsonl, write_chrome_trace, write_jsonl
-from .profiler import LayerProfiler, profile_forward
-from .registry import MetricsRegistry
 from .store import RunStore
 from .telemetry import (
     Counter,
@@ -78,8 +70,6 @@ from .telemetry import (
 from .tracing import Span, TraceBuffer, Tracer
 
 __all__ = [
-    "LayerProfiler",
-    "profile_forward",
     "Span",
     "TraceBuffer",
     "Tracer",
@@ -102,7 +92,6 @@ __all__ = [
     "AlertEvent",
     "AlertEngine",
     "default_slo_rules",
-    "MetricsRegistry",
     "RunStore",
     "GateRule",
     "GateFinding",

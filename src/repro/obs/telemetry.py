@@ -490,9 +490,6 @@ class Telemetry:
     :meth:`maybe_sample` on its virtual clock, which snapshots every
     family into the :class:`TimeSeriesStore` and evaluates the attached
     :class:`~repro.obs.alerts.AlertEngine`.
-
-    Mountable on a :class:`repro.obs.MetricsRegistry` (it exposes
-    ``snapshot()``/``report()``).
     """
 
     def __init__(self, sample_interval_ms: float = 1.0,

@@ -171,15 +171,16 @@ def _serving_section(wb) -> str:
 
 
 def _observability_section(wb) -> str:
+    from repro.device import profile_network
     from repro.estimators import ProfilerEstimator
-    from repro.obs import DriftMonitor, Tracer, profile_forward
+    from repro.obs import DriftMonitor, Tracer
     from repro.serve import Server, ServerConfig, TRNLadder
     from repro.workload import poisson_trace
     from repro.trim import enumerate_blockwise, removed_node_set
     from repro.zoo import build_network
 
     base = build_network(wb.config.networks[0]).build(0)
-    table = profile_forward(base, wb.device, runs=60, rng=0)
+    table = profile_network(base, wb.device, rng=0, profile_runs=60)
     slowest = sorted(table.records, key=lambda r: -r.recorded_ms)[:5]
     rows = [[r.anchor, len(r.node_names), f"{r.recorded_ms:.5f}",
              f"{100 * r.recorded_ms / table.recorded_total_ms:.2f}%"]
@@ -203,7 +204,7 @@ def _observability_section(wb) -> str:
     return ("## Observability (beyond the paper)\n\n"
             + _table(["slowest kernel", "fused nodes", "recorded (ms)",
                       "share"], rows)
-            + f"\n\nHook-based profile of {base.name} (60 recorded runs): "
+            + f"\n\nPer-layer profile of {base.name} (60 runs per kernel): "
               f"recorded total {table.recorded_total_ms:.4f} ms > "
               f"end-to-end {table.end_to_end_ms:.4f} ms, reproducing the "
               "paper's event-overhead artefact; the ratio-form estimate at "

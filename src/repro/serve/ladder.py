@@ -58,9 +58,7 @@ class TRNRung:
         if not self.network.built:
             raise ValueError(f"rung {self.name!r} network must be built")
         # compile at load: serving rungs are frozen inference networks, so
-        # every forward goes through the fused static schedule (the
-        # interpreted walk remains reachable by attaching hooks, e.g. for
-        # repro.obs profiling, which falls back transparently)
+        # every forward goes through the fused static schedule
         self.network.compile()
         self.sampler = ServiceTimeSampler(
             self.network, self.spec,

@@ -15,6 +15,8 @@ both need, on the same :class:`~repro.nn.graph.Network` DAG:
 - :func:`prune_channels` — rebuild the network with a keep-list per conv,
   slicing every affected weight (conv kernels, depthwise kernels,
   batch-norm statistics, dense rows through ``Flatten``/``GlobalAvgPool``).
+  It is the only channel-pruning surgery: the filter-prune and HALP
+  builders and NetAdapt (:mod:`repro.extensions.netadapt`) all call it.
 - :func:`skippable_blocks` / :func:`remove_blocks` — identify and delete
   shape-preserving interior feature blocks, rewiring their consumers to the
   block input (depth compression without a cutpoint).
@@ -167,23 +169,30 @@ def prune_channels(net: Network, keep: dict[str, "np.ndarray | list[int]"],
     """Rebuild ``net`` with only the listed output channels of each conv.
 
     ``keep`` maps Conv2D node names to sorted original-channel indices to
-    retain; every key must come from :func:`prunable_channel_convs`.
-    Weights of the pruned convs, of the layers that carry their channel
-    axis (depthwise kernels, batch-norm statistics) and of the absorbing
-    layers' input dimensions are sliced from the original network, so the
-    pruned network computes exactly the original function restricted to
-    the kept channels.
+    retain. Every key must be a non-head Conv2D whose channels reach a
+    Conv2D or Dense before any residual ``Add`` or the network output:
+    every :func:`prunable_channel_convs` entry qualifies, and so does a
+    stem conv. Weights of the pruned convs, of the layers that carry
+    their channel axis (depthwise kernels, batch-norm statistics) and of
+    the absorbing layers' input dimensions are sliced from the original
+    network, so the pruned network computes exactly the original function
+    restricted to the kept channels.
     """
     if not net.built:
         raise RuntimeError("network must be built before pruning")
-    allowed = set(prunable_channel_convs(net))
+    consumers = _consumers(net)
     norm: dict[str, np.ndarray] = {}
     for conv, idx in keep.items():
-        if conv not in allowed:
-            raise ValueError(f"{conv!r} is not a prunable feature conv "
-                             "(see prunable_channel_convs)")
+        node = net.nodes.get(conv)
+        if node is None or node.role == "head" \
+                or type(node.layer).__name__ != "Conv2D" \
+                or not _absorbed(net, conv, consumers):
+            raise ValueError(
+                f"{conv!r} is not a prunable conv: it must be a non-head "
+                "Conv2D whose channels reach a Conv2D or Dense before any "
+                "Add or the network output")
         arr = np.asarray(sorted(int(i) for i in idx), dtype=np.int64)
-        filters = net.nodes[conv].layer.filters
+        filters = node.layer.filters
         if arr.size == 0 or arr[0] < 0 or arr[-1] >= filters or \
                 len(set(arr.tolist())) != arr.size:
             raise ValueError(f"invalid keep list for {conv!r}")
@@ -196,33 +205,24 @@ def prune_channels(net: Network, keep: dict[str, "np.ndarray | list[int]"],
         if spec["name"] in norm:
             spec["config"]["filters"] = int(norm[spec["name"]].size)
 
-    state = net.state_dict()
     new_state: dict[str, np.ndarray] = {}
-    for node in net.nodes.values():
+    for key, value in net.state_dict().items():
+        node_name, pname = key.split(".", 1)
+        node = net.nodes[node_name]
         kind = type(node.layer).__name__
-        if kind == "Input":
-            continue
         in_keep = keeps[node.inputs[0]] if node.inputs else None
-        out_keep = keeps[node.name]
-        for key in (k for k in state if k.startswith(f"{node.name}.")):
-            pname = key.split(".", 1)[1]
-            value = state[key]
-            if kind == "Conv2D":
-                if pname == "w":
-                    value = value[:, :, in_keep, :][:, :, :, norm.get(
-                        node.name, np.arange(value.shape[-1]))]
-                else:  # bias
-                    value = value[norm.get(node.name,
-                                           np.arange(value.size))]
-            elif kind == "DepthwiseConv2D":
-                value = value[:, :, in_keep] if pname == "w" \
-                    else value[in_keep]
-            elif kind == "Dense":
-                if pname == "w":
-                    value = value[in_keep, :]
-            elif kind == "BatchNorm":
-                value = value[out_keep]
-            new_state[key] = np.ascontiguousarray(value)
+        if kind == "Conv2D":
+            out_keep = norm.get(node_name, np.arange(value.shape[-1]))
+            value = value[:, :, in_keep, :][:, :, :, out_keep] \
+                if pname == "w" else value[out_keep]
+        elif kind == "DepthwiseConv2D":
+            value = value[:, :, in_keep] if pname == "w" else value[in_keep]
+        elif kind == "Dense":
+            if pname == "w":
+                value = value[in_keep, :]
+        elif kind == "BatchNorm":
+            value = value[keeps[node_name]]
+        new_state[key] = np.ascontiguousarray(value)
     return network_from_dict(arch, new_state)
 
 

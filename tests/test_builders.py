@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_net
+from repro.device import xavier
+from repro.device.latency import network_latency
+from repro.device.spec import DeviceSpec
 from repro.metrics import (
     CandidatePoint,
     accuracy_at_deadline,
@@ -30,12 +33,15 @@ from repro.netcut import (
 )
 from repro.serve import TRNLadder
 from repro.trim import (
+    block_boundaries,
+    build_trn,
     channel_importance,
     prunable_channel_convs,
     prune_channels,
     remove_blocks,
     skippable_blocks,
 )
+from repro.zoo import build_mobilenet_v1
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,6 +54,26 @@ def tiny():
 @pytest.fixture(scope="module")
 def x():
     return np.random.default_rng(3).normal(size=(4, 8, 8, 3))
+
+
+@pytest.fixture(scope="module")
+def mnv1():
+    return build_mobilenet_v1(0.5, input_shape=(16, 16, 3),
+                              num_classes=5).build(0)
+
+
+@pytest.fixture(scope="module")
+def netadapt_trn():
+    """The transfer model tests/test_extensions.py adapts with NetAdapt."""
+    base = build_mobilenet_v1(0.5, input_shape=(16, 16, 3),
+                              num_classes=20).build(0)
+    return build_trn(base, block_boundaries(base)[-1].output_node, 5)
+
+
+@pytest.fixture(scope="module")
+def mnv1_x():
+    return np.random.default_rng(0).normal(size=(2, 16, 16, 3)).astype(
+        np.float32)
 
 
 class TestPrunePrimitives:
@@ -79,8 +105,84 @@ class TestPrunePrimitives:
         assert tiny.nodes["b3_conv"].layer.filters == 4
 
     def test_prune_rejects_unprunable_conv(self, tiny):
+        # b1_conv feeds the residual add: pruning it would desynchronise
+        # the sum's channel sets
         with pytest.raises(ValueError, match="not .*prunable"):
             prune_channels(tiny, {"b1_conv": np.array([0])})
+
+    def test_rejects_branching_topology(self, tiny):
+        # b1_relu forks into b2_conv and the residual add, where b2_conv's
+        # output joins it again: neither conv's channel axis is free
+        for conv in ("b1_conv", "b2_conv"):
+            with pytest.raises(ValueError, match="not .*prunable"):
+                prune_channels(tiny, {conv: np.arange(2)})
+
+    def test_prune_propagates_through_bn_and_depthwise(self, mnv1, mnv1_x):
+        filters = mnv1.nodes["block3_pw_conv"].layer.filters
+        pruned = prune_channels(mnv1, {"block3_pw_conv":
+                                       np.arange(filters - 4)})
+        assert pruned.shape_of("block3_pw_bn")[-1] == filters - 4
+        assert pruned.shape_of("block4_dwbn")[-1] == filters - 4
+        assert pruned.state_dict()["block4_pw_conv.w"].shape[2] == \
+            filters - 4
+        out = pruned.forward(mnv1_x)
+        assert out.shape == (2, 5)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-4)
+
+    def test_prune_last_block_reaches_dense_head(self, mnv1, mnv1_x):
+        # block13's channels flow through batch norm, ReLU and global
+        # average pooling into the Dense head's input rows
+        keep = np.arange(mnv1.nodes["block13_pw_conv"].layer.filters // 2)
+        pruned = prune_channels(mnv1, {"block13_pw_conv": keep})
+        assert pruned.nodes["logits"].layer.params["w"].value.shape[0] == \
+            len(keep)
+        assert pruned.forward(mnv1_x).shape == (2, 5)
+
+    def test_identity_keep_preserves_mobilenet_outputs(self, mnv1, mnv1_x):
+        keep = np.arange(mnv1.nodes["block5_pw_conv"].layer.filters)
+        pruned = prune_channels(mnv1, {"block5_pw_conv": keep})
+        np.testing.assert_allclose(pruned.forward(mnv1_x),
+                                   mnv1.forward(mnv1_x), rtol=1e-5)
+
+    def test_stem_conv_is_accepted(self, mnv1, mnv1_x):
+        # not a builder candidate (prunable_channel_convs lists feature
+        # convs only), but its channel axis is absorbed like any other
+        assert "stem_conv" not in prunable_channel_convs(mnv1)
+        pruned = prune_channels(mnv1, {"stem_conv": np.array([0, 2])})
+        assert pruned.nodes["stem_conv"].layer.filters == 2
+        assert pruned.shape_of("block1_dwbn")[-1] == 2
+        assert pruned.forward(mnv1_x).shape == (2, 5)
+
+    def test_rejects_non_conv(self, mnv1):
+        with pytest.raises(ValueError, match="not a prunable conv"):
+            prune_channels(mnv1, {"block3_pw_bn": np.arange(2)})
+
+    def test_rejects_head_conv(self, mnv1):
+        headed = mnv1.copy()
+        headed.nodes["block13_pw_conv"].role = "head"
+        with pytest.raises(ValueError, match="not a prunable conv"):
+            prune_channels(headed, {"block13_pw_conv": np.arange(2)})
+
+    def test_rejects_empty_keep(self, mnv1):
+        with pytest.raises(ValueError, match="invalid keep list"):
+            prune_channels(mnv1, {"block3_pw_conv": np.array([])})
+
+    @pytest.mark.parametrize("conv", ["stem_conv", "block1_pw_conv",
+                                      "block12_pw_conv"])
+    def test_latency_falls_with_every_removed_channel(self, netadapt_trn,
+                                                      conv):
+        """NetAdapt bisects on the removal count; that finds what a linear
+        scan finds only if the model latency falls strictly with each
+        channel removed."""
+        trn = netadapt_trn
+        filters = trn.nodes[conv].layer.filters
+        for spec in (DeviceSpec("t", 10, 1, 5, 1e4,
+                                weight_cache_factor=0.1), xavier()):
+            latency = [network_latency(
+                prune_channels(trn, {conv: np.arange(n, filters)}),
+                spec).total_ms for n in range(filters)]
+            assert all(a > b for a, b in zip(latency, latency[1:])), \
+                (spec.name, latency)
 
     def test_skippable_blocks_are_shape_preserving_interiors(self, tiny):
         # b3 holds the stride-2 pool (entry shape != exit shape)
@@ -114,8 +216,6 @@ class TestBuilders:
 
     @pytest.fixture(scope="class")
     def tiny_device_cls(self):
-        from repro.device.spec import DeviceSpec
-
         return DeviceSpec(name="test-device", peak_gflops=10.0,
                           bandwidth_gbps=1.0, launch_overhead_us=5.0,
                           occupancy_flops=1e4, noise_std=0.005,

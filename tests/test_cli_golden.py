@@ -14,7 +14,9 @@ parse level only; ``tests/test_cli_integration.py`` runs them.
 
 The digests were recorded before the parser was rebuilt around one table
 of shared flags. That rebuild must leave every flag's name, dest, type,
-default and choices, and every verb's stdout, unchanged.
+default and choices, and every verb's stdout, unchanged. The ``profile``
+digests were re-recorded when the verb moved onto
+:func:`repro.device.profile_network` and lost its ``--warmup`` flag.
 """
 
 from __future__ import annotations
@@ -66,12 +68,15 @@ CALLS = {
     "serve_execute": (
         "serve --execute --requests 40", 0,
         "93bb8902e7a8c1ec233f9002f9ce9592c7901c3dbd20ca13ad8c09dccefe9f7b"),
+    "profile": (
+        "profile", 0,
+        "b2d28d04ba4e6401e4c033de5831b0c7a314baa3cb94731443fbbbb1f62396c0"),
     "profile_cutpoint": (
         "profile --net resnet --cutpoint 3", 0,
-        "c1b3600d8710ecc4d62fbf31c4d0dc971048c59f992d2007821622edfc66e009"),
+        "47e85e650226b8766532baff425c4a3142783f1a5b09f522d606310c867d2b4c"),
     "profile_top": (
-        "profile --top 5 --runs 20 --warmup 10", 0,
-        "ef57b896f54d794515c703841711fc614ef0b5ca67981d159759e85447599de1"),
+        "profile --top 5 --runs 20", 0,
+        "5ecec9e4c9e280276fa1d4796c9df16e342ffbfe0e6bc835cd85ea91500b3f5b"),
     "trace_export": (
         "trace --out {tmp}/serve.jsonl "
         "--chrome {tmp}/serve.trace.json", 0,
@@ -198,7 +203,7 @@ PARSES = {
         "8829a6148c8db0024cb45ce257bfce125aabaa589c862847df564436388ace1d"),
     "profile": (
         "profile",
-        "7bc9baf924fc6daf3a1283745115f83d48ec48fb3760f070a3a3115ed290aa60"),
+        "414cfb789e1b7a216f5579bd767e625270930418f693db729f3a4cf498919918"),
     "trace": (
         "trace",
         "797fc234a94d02323ac2588564d9654f5d5a48742456544183b4cbc2a2aa53a6"),
@@ -256,9 +261,8 @@ PARSES = {
         "--no-ladder --execute --seed 5",
         "1aea870082c5fb59f991981b84abee85f82d7e9b2cade460f194e8d9a6d9bc2a"),
     "profile_flags": (
-        "profile --net resnet --cutpoint 1 --runs 4 --warmup 2 "
-        "--top 3 --seed 5",
-        "379e49bddb2b0ad5fa1afc8ddb4b81f2c243c2ef9852a5d126eca8942b249561"),
+        "profile --net resnet --cutpoint 1 --runs 4 --top 3 --seed 5",
+        "ab17ff9e862d722fb01bff1b88903190dba309804b608a4af0c7fdf572368df8"),
     "trace_flags": (
         "trace --net resnet --deadline-ms 2 --requests 9 --rate 70 "
         "--max-rungs 3 --buffer 64 --drift-threshold 1 --out a "

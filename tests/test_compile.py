@@ -3,8 +3,8 @@
 Covers the three contracts the compiled forward path makes: numerical
 parity with the interpreter (every zoo network, batched and single
 sample), transparent plan invalidation (weight reassignment, structure
-edits, clones), and the fallback conditions (hooks, training, capture)
-under which forwards must route through the interpreted walk.
+edits, clones), and the fallback conditions (training, capture) under
+which forwards must route through the interpreted walk.
 """
 
 from __future__ import annotations
@@ -189,20 +189,6 @@ class TestPlanInvalidation:
 
 
 class TestInterpreterFallback:
-    def test_hooks_fall_back_to_interpreted_walk(self, tiny_net):
-        tiny_net.compile()
-        seen = []
-        handle = tiny_net.register_forward_hook(
-            lambda net, node, ins, out: seen.append(node.name))
-        x = _batch(tiny_net, 2)
-        hooked = tiny_net.forward(x)
-        assert len(seen) == len(tiny_net.nodes)    # interpreter ran
-        tiny_net.remove_hook(handle)
-        seen.clear()
-        compiled = tiny_net.forward(x)
-        assert not seen                            # compiled path again
-        np.testing.assert_allclose(hooked, compiled, rtol=RTOL, atol=ATOL)
-
     def test_capture_falls_back(self, tiny_net):
         tiny_net.compile()
         out, acts = tiny_net.forward(_batch(tiny_net, 2), capture=["b1_relu"])

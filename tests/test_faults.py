@@ -21,7 +21,6 @@ from repro.faults import (
     CircuitBreaker,
     EstimatorBias,
     FaultInjector,
-    HealthProbe,
     QueueSaturation,
     RungFailure,
     RungFailureError,
@@ -301,26 +300,6 @@ class TestCircuitBreaker:
             CircuitBreaker("r", threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker("r", cooldown_ms=0.0)
-
-
-class TestHealthProbe:
-    def test_healthy_ladder_probes_ok(self, ladder):
-        ladder.reseed(0)
-        results = HealthProbe().probe_ladder(ladder)
-        assert len(results) == len(ladder)
-        assert all(r.ok and r.error is None for r in results)
-
-    def test_failed_rung_reports_error(self, ladder):
-        inj = FaultInjector([RungFailure()], seed=0)
-        wrapped = inj.wrap(ladder)
-        inj.tick(0.0)
-        results = HealthProbe().probe_ladder(wrapped)
-        assert all(not r.ok and r.error == "rung-failure" for r in results)
-        assert "FAIL" in str(results[0])
-
-    def test_slow_factor_validated(self):
-        with pytest.raises(ValueError):
-            HealthProbe(slow_factor=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Tests for the observability stack (repro.obs).
 
-Covers the forward hooks on Network, the hook-driven LayerProfiler and its
-agreement with the device's own profiling chain, request tracing through a
-served trace (JSONL determinism, Chrome-trace schema, span accounting),
-the estimator-drift monitor, the unified metrics registry, and the
-histogram/snapshot regressions in repro.serve.metrics.
+Covers request tracing through a served trace (JSONL determinism,
+Chrome-trace schema, span accounting), the estimator-drift monitor, the
+labeled telemetry families and their exposition, alerting, the run store,
+and the histogram/snapshot regressions in repro.serve.metrics.
 """
 
 import json
@@ -17,17 +16,12 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_net
-from repro.device import profile_network, xavier
-from repro.estimators import ProfilerEstimator
 from repro.obs import (
     DriftMonitor,
-    LayerProfiler,
-    MetricsRegistry,
     Span,
     TraceBuffer,
     Tracer,
     chrome_trace,
-    profile_forward,
     to_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -40,8 +34,6 @@ from repro.serve import (
     TRNLadder,
     poisson_trace,
 )
-from repro.trim import enumerate_blockwise, removed_node_set
-from repro.zoo import build_network
 
 
 @pytest.fixture(scope="module")
@@ -57,154 +49,6 @@ def device():
 @pytest.fixture(scope="module")
 def ladder(device):
     return TRNLadder.from_base(make_tiny_net(), device, num_classes=5)
-
-
-# ---------------------------------------------------------------------------
-# forward hooks on Network
-# ---------------------------------------------------------------------------
-class TestForwardHooks:
-    def test_pre_and_post_fire_per_node_in_execution_order(self, tiny_net):
-        events = []
-        tiny_net.register_forward_pre_hook(
-            lambda net, node, ins: events.append(("pre", node.name)))
-        tiny_net.register_forward_hook(
-            lambda net, node, ins, out: events.append(("post", node.name)))
-        x = np.zeros(tiny_net.input_shape, dtype=np.float32)
-        tiny_net.forward(x)
-        names = [n for _, n in events[::2]]
-        assert names == [n for _, n in events[1::2]]  # pre/post pair up
-        assert all(kind == "pre" for kind, _ in events[::2])
-        assert all(kind == "post" for kind, _ in events[1::2])
-        assert names == list(tiny_net.nodes)          # topological order
-        assert names[-1] == tiny_net.output_name
-
-    def test_post_hook_sees_the_node_output(self, tiny_net):
-        seen = {}
-        tiny_net.register_forward_hook(
-            lambda net, node, ins, out: seen.setdefault(node.name, out))
-        x = np.zeros(tiny_net.input_shape, dtype=np.float32)
-        y = tiny_net.forward(x)
-        # the hook sees the raw node output (with the internal batch axis)
-        np.testing.assert_array_equal(
-            np.squeeze(seen[tiny_net.output_name]), np.squeeze(y))
-
-    def test_remove_hook_detaches(self, tiny_net):
-        calls = []
-        handle = tiny_net.register_forward_hook(
-            lambda net, node, ins, out: calls.append(node.name))
-        x = np.zeros(tiny_net.input_shape, dtype=np.float32)
-        tiny_net.forward(x)
-        n = len(calls)
-        assert n > 0
-        tiny_net.remove_hook(handle)
-        assert not tiny_net.has_hooks
-        tiny_net.forward(x)
-        assert len(calls) == n
-
-    def test_copy_and_subgraph_start_with_fresh_hooks(self, tiny_net):
-        tiny_net.register_forward_hook(lambda *a: None)
-        clone = tiny_net.copy()
-        sub = tiny_net.subgraph("b2_add")
-        assert tiny_net.has_hooks
-        assert not clone.has_hooks
-        assert not sub.has_hooks
-
-
-# ---------------------------------------------------------------------------
-# LayerProfiler
-# ---------------------------------------------------------------------------
-class TestLayerProfiler:
-    def test_requires_built_network(self, device):
-        from repro.nn import Conv2D, Network
-
-        net = Network("unbuilt", (8, 8, 3))
-        net.add("c", Conv2D(4, 3))
-        with pytest.raises(RuntimeError, match="built"):
-            LayerProfiler(net, device)
-
-    def test_table_requires_recorded_runs(self, tiny_net, device):
-        prof = LayerProfiler(tiny_net, device, warmup=5)
-        with pytest.raises(RuntimeError, match="warm-up"):
-            prof.table()
-
-    def test_recorded_total_close_to_end_to_end(self, tiny_net, device):
-        """Table sum ≈ e2e forward time, inflated only by event overhead."""
-        table = profile_forward(tiny_net, device, runs=40, warmup=200,
-                                rng=0)
-        overhead = device.event_overhead_ms() * len(table.records)
-        assert table.recorded_total_ms > table.end_to_end_ms
-        gap = table.recorded_total_ms - table.end_to_end_ms
-        assert gap == pytest.approx(overhead, rel=0.05)
-
-    def test_warmup_runs_are_discarded(self, tiny_net, device):
-        x = np.zeros(tiny_net.input_shape, dtype=np.float32)
-        with LayerProfiler(tiny_net, device, rng=0, warmup=3) as prof:
-            for _ in range(5):
-                tiny_net.forward(x)
-        assert prof.runs == 5
-        assert prof.recorded_runs == 2
-
-    def test_warm_up_jump_matches_real_warmup_runs(self, tiny_net, device):
-        """Skipping the ramp via warm_up() ≡ paying for the forwards."""
-        x = np.zeros(tiny_net.input_shape, dtype=np.float32)
-        with LayerProfiler(tiny_net, device, rng=0, warmup=200) as prof:
-            prof.warm_up()
-            for _ in range(20):
-                tiny_net.forward(x)
-        jumped = profile_forward(tiny_net, device, runs=20, warmup=200,
-                                 rng=0)
-        assert prof.table().end_to_end_ms == \
-            pytest.approx(jumped.end_to_end_ms, rel=0.02)
-
-    def test_detach_stops_accumulation(self, tiny_net, device):
-        x = np.zeros(tiny_net.input_shape, dtype=np.float32)
-        prof = LayerProfiler(tiny_net, device, rng=0, warmup=0).attach()
-        tiny_net.forward(x)
-        prof.detach()
-        tiny_net.forward(x)
-        assert prof.recorded_runs == 1
-        assert not tiny_net.has_hooks
-
-    def test_fixed_seed_is_deterministic(self, tiny_net, device):
-        t1 = profile_forward(tiny_net, device, runs=10, warmup=50, rng=7)
-        t2 = profile_forward(tiny_net, device, runs=10, warmup=50, rng=7)
-        assert t1 == t2
-
-    def test_snapshot_reports_progress(self, tiny_net, device):
-        table = None
-        prof = LayerProfiler(tiny_net, device, rng=0, warmup=0)
-        snap = prof.snapshot()
-        assert snap["recorded_runs"] == 0 and "end_to_end_ms" not in snap
-        x = np.zeros(tiny_net.input_shape, dtype=np.float32)
-        with prof:
-            tiny_net.forward(x)
-        snap = prof.snapshot()
-        assert snap["recorded_runs"] == 1
-        assert snap["recorded_total_ms"] > snap["end_to_end_ms"] > 0
-
-    @pytest.mark.parametrize("name", ["mobilenet_v1_0.25", "resnet50",
-                                      "densenet121"])
-    def test_obs_table_matches_device_estimator_on_zoo(self, name):
-        """Acceptance: ratio-form estimate from the hooked table lands
-        within 5% of the estimate from repro.device's own profiler."""
-        spec = xavier()
-        net = build_network(name).build(0)
-        obs_table = profile_forward(net, spec, runs=40, rng=0)
-        dev_table = profile_network(net, spec)
-        cuts = enumerate_blockwise(net)
-        for cut in (cuts[1], cuts[len(cuts) // 2], cuts[-1]):
-            removed = removed_node_set(net, cut.cut_node)
-            est_obs = ProfilerEstimator(net, obs_table).estimate(removed)
-            est_dev = ProfilerEstimator(net, dev_table).estimate(removed)
-            assert est_obs == pytest.approx(est_dev, rel=0.05), cut.cut_node
-
-    def test_describe_mentions_overhead_artefact(self, tiny_net, device):
-        table = profile_forward(tiny_net, device, runs=10, warmup=50, rng=0)
-        text = table.describe(top=3)
-        assert tiny_net.name in text
-        assert "recorded total" in text and "end-to-end" in text
-        # header + column row + 3 kernels + footer
-        assert len(text.splitlines()) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -487,59 +331,6 @@ class TestDriftMonitor:
 
 
 # ---------------------------------------------------------------------------
-# metrics registry
-# ---------------------------------------------------------------------------
-class TestMetricsRegistry:
-    def test_get_or_create_is_idempotent(self):
-        from repro.obs import Telemetry
-
-        tele = Telemetry()
-        tele.counter("a").child(()).increment(2)
-        tele.counter("a").child(()).increment()
-        tele.gauge("g").child(()).set(4.5)
-        tele.histogram("h").child(()).observe(1.0)
-        reg = MetricsRegistry()
-        reg.mount("telemetry", tele)
-        families = reg.snapshot()["telemetry"]["families"]
-        assert families["a"]["children"] == [{"labels": {}, "value": 3}]
-        assert families["g"]["children"][0]["value"] == 4.5
-        assert families["h"]["children"][0]["value"]["count"] == 1
-
-    def test_mount_requires_snapshot(self):
-        reg = MetricsRegistry()
-        with pytest.raises(TypeError, match="snapshot"):
-            reg.mount("bad", object())
-
-    def test_unified_snapshot_and_report(self, ladder):
-        rate = 1.3e3 / ladder.rungs[0].estimate_ms(1)
-        deadline = 1.2 * ladder.rungs[0].estimate_ms(1)
-        tracer, drift = Tracer(), DriftMonitor()
-        server = Server(ladder, ServerConfig(deadline_ms=deadline,
-                                             execute=False, seed=0),
-                        tracer=tracer, drift=drift)
-        result = server.run_trace(poisson_trace(60, rate, deadline, rng=0))
-        reg = MetricsRegistry()
-        reg.mount("serve", result.metrics)
-        reg.mount("trace", tracer)
-        reg.mount("drift", drift)
-        snap = reg.snapshot()
-        assert snap["serve"]["counters"]["arrived"] == 60
-        assert snap["trace"]["by_name"]["respond"] \
-            == snap["serve"]["counters"]["completed"]
-        assert "rolling_error" in snap["drift"]
-        report = reg.report()
-        for section in ("-- serve --", "-- trace --", "-- drift --"):
-            assert section in report
-
-    def test_registry_snapshot_is_detached(self):
-        reg = MetricsRegistry()
-        reg.mount("m", ServerMetrics(deadline_ms=1.0))
-        snap = reg.snapshot()
-        snap["m"]["counters"]["arrived"] = 999
-        assert reg.snapshot()["m"]["counters"]["arrived"] == 0
-
-
-# ---------------------------------------------------------------------------
 # satellite regressions in repro.serve.metrics
 # ---------------------------------------------------------------------------
 class TestHistogramClamps:
@@ -623,6 +414,20 @@ class TestMetricFamilies:
             tele.gauge("events", "demo", ("kind",))
         with pytest.raises(ValueError, match="already registered"):
             tele.counter("events", "demo", ("other",))
+
+
+    def test_get_or_create_is_idempotent(self):
+        from repro.obs import Telemetry
+
+        tele = Telemetry()
+        tele.counter("a").child(()).increment(2)
+        tele.counter("a").child(()).increment()
+        tele.gauge("g").child(()).set(4.5)
+        tele.histogram("h").child(()).observe(1.0)
+        families = tele.snapshot()["families"]
+        assert families["a"]["children"] == [{"labels": {}, "value": 3}]
+        assert families["g"]["children"][0]["value"] == 4.5
+        assert families["h"]["children"][0]["value"]["count"] == 1
 
 
 class TestTimeSeriesStore:
