@@ -51,9 +51,6 @@ class RoutingPolicy:
                now_ms: float) -> Replica | None:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
-
 
 class RoundRobin(RoutingPolicy):
     """Cycle through the routable replicas in order."""

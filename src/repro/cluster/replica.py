@@ -51,9 +51,6 @@ class ReplicaTracer:
     def instant(self, name, cat, ts_ms, rid=None, **args) -> None:
         self.emit(name, cat, ts_ms, 0.0, rid, args)
 
-    def span(self, name, cat, ts_ms, dur_ms, rid=None, **args) -> None:
-        self.emit(name, cat, ts_ms, dur_ms, rid, args)
-
 
 class Replica:
     """A single serving shard driven by a cluster router.

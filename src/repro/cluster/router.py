@@ -42,11 +42,6 @@ class ClusterResult:
         return [r for r in self.responses if r.status == "rejected"]
 
     @property
-    def dropped(self) -> list[Response]:
-        """Admitted somewhere but never executed (drain or dead rungs)."""
-        return [r for r in self.responses if r.status == "dropped"]
-
-    @property
     def missed(self) -> list[Response]:
         """Completed responses that overran their deadline."""
         return [r for r in self.completed if not r.deadline_met]

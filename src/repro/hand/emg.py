@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.metrics.angular import mean_angular_similarity
 from repro.nn import Adam, Dense, Network, ReLU, Softmax
 from repro.nn.losses import softmax_cross_entropy
 
@@ -134,7 +133,3 @@ class EMGClassifier:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Grasp-probability distributions for EMG feature rows."""
         return self.net.forward(x)
-
-    def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Mean angular similarity against (one-hot or soft) labels."""
-        return mean_angular_similarity(self.predict(x), y)

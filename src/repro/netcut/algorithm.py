@@ -65,11 +65,6 @@ class NetCutResult:
         """How many networks Algorithm 1 retrained."""
         return sum(1 for c in self.candidates if c.feasible)
 
-    @property
-    def total_train_hours(self) -> float:
-        """Simulated GPU-hours spent retraining the proposed TRNs."""
-        return sum(c.train_hours for c in self.candidates)
-
 
 def run_netcut(bases: list[Network], deadline_ms: float, estimator,
                retrain: RetrainFn, measure: MeasureFn | None = None,

@@ -17,14 +17,13 @@ noise-free, so builder output is byte-stable). Accuracy metadata comes
 from a pluggable ``accuracy_fn``; the default :func:`capacity_accuracy`
 is a deterministic *proxy* — a concave function of retained feature
 FLOPs, standing in for retrained-head accuracy so bake-offs run in
-seconds — while the full :meth:`GreedyLayerRemoval.deploy` pipeline still
+seconds — while the deploy pipeline (:func:`repro.netcut.deploy.deploy`)
 measures real accuracy on the hand dataset.
 
 Builders:
 
 - :class:`GreedyLayerRemoval` — the paper's blockwise cutpoints behind
-  the interface; also hosts the end-to-end deploy pipeline that
-  :func:`repro.netcut.deploy.deploy` delegates to.
+  the interface.
 - :class:`FilterPruneBuilder` — L1-norm channel pruning at graded keep
   ratios ("To Filter Prune, or to Layer Prune").
 - :class:`HALPBuilder` — knapsack-style global pruning: remove the
@@ -163,12 +162,7 @@ class GreedyLayerRemoval(LadderBuilder):
     """The paper's rung source: blockwise cutpoints, shallowest cut last.
 
     Rung 0 is the zero-cut transfer model; each further rung removes more
-    trailing feature blocks (Algorithm 1's candidate set). This class
-    also hosts the full deploy pipeline (Algorithm 1 → validation → head
-    retraining → transplant → quantize → serialise);
-    :func:`repro.netcut.deploy.deploy` delegates here, and its artifacts
-    remain byte-identical to the pre-refactor path (the pipeline leaves
-    the ``builder`` tag empty, keeping the ``.npz`` meta unchanged).
+    trailing feature blocks (Algorithm 1's candidate set).
     """
 
     name = "greedy"
@@ -185,70 +179,6 @@ class GreedyLayerRemoval(LadderBuilder):
             for c in cuts]
         return [self._artifact(net, base, spec, deadline_ms, accuracy_fn)
                 for net in nets]
-
-    def deploy(self, workbench, deadline_ms: float | None = None,
-               estimator: str = "profiler", quantize: bool = True,
-               save_path: str | None = None) -> DeploymentArtifact:
-        """Run the full pipeline on a :class:`repro.experiments.Workbench`.
-
-        Steps: Algorithm 1 → measured-latency validation → head retraining
-        on the full training split → weight transplant → (optional) INT8
-        quantization with a 10% calibration split → (optional)
-        serialisation.
-
-        Raises ``RuntimeError`` when no candidate's *measured* latency
-        meets the deadline.
-        """
-        from repro.device.quantize import QuantizedNetwork, calibration_split
-        from repro.device.runtime import measure_latency
-        from repro.metrics.angular import mean_angular_similarity
-        from repro.train.features import record_gap_features
-        from repro.train.trainer import train_head_on_features, \
-            transplant_head
-
-        from .deploy import _predict, save_artifact
-
-        deadline = (deadline_ms if deadline_ms is not None
-                    else workbench.config.deadline_ms)
-        result = workbench.netcut(estimator, deadline_ms=deadline)
-        validated = [c for c in result.candidates
-                     if c.feasible and c.measured_latency_ms is not None
-                     and c.measured_latency_ms <= deadline]
-        if not validated:
-            raise RuntimeError(
-                f"no candidate's measured latency meets {deadline} ms")
-        best = max(validated, key=lambda c: c.accuracy)
-
-        base = workbench.base(best.base_name)
-        cut_node = (best.cutpoint.cut_node if best.cutpoint
-                    else block_boundaries(base)[-1].output_node)
-        train_data, test_data = workbench.hands()
-        feats_train = record_gap_features(base, train_data.x, [cut_node])
-        head = train_head_on_features(
-            feats_train[cut_node], train_data.y,
-            workbench.config.num_classes,
-            epochs=workbench.config.head_epochs,
-            rng=workbench.config.seed).network
-
-        trn = workbench.transfer_model(best.base_name, best.cutpoint)
-        transplant_head(head, trn)
-        measured = measure_latency(trn, workbench.device).mean_ms
-        accuracy = mean_angular_similarity(_predict(trn, test_data),
-                                           test_data.y)
-
-        artifact = DeploymentArtifact(trn, best.trn_name, best.base_name,
-                                      measured, accuracy, deadline)
-        if quantize:
-            calib_idx = calibration_split(len(train_data), 0.1,
-                                          rng=workbench.config.seed)
-            artifact.quantized = QuantizedNetwork(trn,
-                                                  train_data.x[calib_idx])
-            q_pred = artifact.quantized.forward(test_data.x)
-            artifact.int8_accuracy = mean_angular_similarity(q_pred,
-                                                             test_data.y)
-        if save_path is not None:
-            save_artifact(artifact, save_path)
-        return artifact
 
 
 class FilterPruneBuilder(LadderBuilder):

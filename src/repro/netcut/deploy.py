@@ -15,9 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.synthetic import Dataset
-from repro.device.quantize import QuantizedNetwork
+from repro.device.quantize import QuantizedNetwork, calibration_split
+from repro.device.runtime import measure_latency
+from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
 from repro.nn.serialize import architecture_dict, network_from_dict
+from repro.train.features import record_gap_features
+from repro.train.trainer import train_head_on_features, transplant_head
+from repro.trim.blocks import block_boundaries
 
 __all__ = ["DeploymentArtifact", "deploy", "save_artifact", "load_artifact"]
 
@@ -56,21 +61,51 @@ def deploy(workbench, deadline_ms: float | None = None,
     Steps: Algorithm 1 → measured-latency validation → head retraining on
     the full training split → weight transplant → (optional) INT8
     quantization with a 10% calibration split → (optional) serialisation.
-
-    The pipeline itself lives on
-    :meth:`repro.netcut.builders.GreedyLayerRemoval.deploy` — the paper's
-    strategy behind the pluggable :class:`~repro.netcut.builders
-    .LadderBuilder` interface — and this function delegates to it, so the
-    historical entry point keeps producing byte-identical artifacts.
+    The artifact's ``builder`` tag stays empty.
 
     Raises ``RuntimeError`` when no candidate's *measured* latency meets
     the deadline.
     """
-    from .builders import GreedyLayerRemoval  # lazy: avoids import cycle
+    deadline = (deadline_ms if deadline_ms is not None
+                else workbench.config.deadline_ms)
+    result = workbench.netcut(estimator, deadline_ms=deadline)
+    validated = [c for c in result.candidates
+                 if c.feasible and c.measured_latency_ms is not None
+                 and c.measured_latency_ms <= deadline]
+    if not validated:
+        raise RuntimeError(
+            f"no candidate's measured latency meets {deadline} ms")
+    best = max(validated, key=lambda c: c.accuracy)
 
-    return GreedyLayerRemoval().deploy(
-        workbench, deadline_ms=deadline_ms, estimator=estimator,
-        quantize=quantize, save_path=save_path)
+    base = workbench.base(best.base_name)
+    cut_node = (best.cutpoint.cut_node if best.cutpoint
+                else block_boundaries(base)[-1].output_node)
+    train_data, test_data = workbench.hands()
+    feats_train = record_gap_features(base, train_data.x, [cut_node])
+    head = train_head_on_features(
+        feats_train[cut_node], train_data.y,
+        workbench.config.num_classes,
+        epochs=workbench.config.head_epochs,
+        rng=workbench.config.seed).network
+
+    trn = workbench.transfer_model(best.base_name, best.cutpoint)
+    transplant_head(head, trn)
+    measured = measure_latency(trn, workbench.device).mean_ms
+    accuracy = mean_angular_similarity(_predict(trn, test_data),
+                                       test_data.y)
+
+    artifact = DeploymentArtifact(trn, best.trn_name, best.base_name,
+                                  measured, accuracy, deadline)
+    if quantize:
+        calib_idx = calibration_split(len(train_data), 0.1,
+                                      rng=workbench.config.seed)
+        artifact.quantized = QuantizedNetwork(trn, train_data.x[calib_idx])
+        q_pred = artifact.quantized.forward(test_data.x)
+        artifact.int8_accuracy = mean_angular_similarity(q_pred,
+                                                         test_data.y)
+    if save_path is not None:
+        save_artifact(artifact, save_path)
+    return artifact
 
 
 def save_artifact(artifact: DeploymentArtifact, path: str) -> None:

@@ -87,9 +87,6 @@ class KernelGroup:
         """The node that determines the kernel's compute cost."""
         return self.node_names[0]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.node_names
-
 
 def fuse_kernels(net, enabled: bool = True) -> list[KernelGroup]:
     """Partition a network's nodes into kernel groups.

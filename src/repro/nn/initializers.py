@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "glorot_uniform", "lecun_normal"]
+__all__ = ["he_normal", "glorot_uniform"]
 
 
 def he_normal(shape: tuple[int, ...], fan_in: int,
@@ -23,10 +23,3 @@ def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
     """Glorot (Xavier) uniform initialization, suited to linear/softmax heads."""
     limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-def lecun_normal(shape: tuple[int, ...], fan_in: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """LeCun normal initialization (variance 1/fan_in)."""
-    std = np.sqrt(1.0 / max(fan_in, 1))
-    return rng.normal(0.0, std, size=shape).astype(np.float32)

@@ -77,9 +77,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def snapshot(self) -> float:
-        return self.value
-
 
 class LatencyHistogram:
     """Streaming histogram over log-spaced bins (default 1 µs .. 10 s).
@@ -359,9 +356,6 @@ class TimeSeriesStore:
         self.capacity = capacity
         self._series: dict[tuple[str, LabelKey], deque] = {}
 
-    def __len__(self) -> int:
-        return len(self._series)
-
     @staticmethod
     def _key(name: str, labels: dict | LabelKey | None) -> tuple:
         if labels is None:
@@ -597,25 +591,6 @@ class Telemetry:
         if self.alerts is not None:
             out["alerts"] = self.alerts.snapshot()
         return out
-
-    def report(self) -> str:
-        lines = [f"telemetry: {len(self.families)} families, "
-                 f"{len(self.store)} series, "
-                 f"{self.samples_taken} samples"]
-        for name, fam in sorted(self.families.items()):
-            for labels, child in sorted(fam.children()):
-                label_str = ",".join(f"{k}={v}" for k, v in labels)
-                tag = f"{name}{{{label_str}}}" if label_str else name
-                if fam.kind == "histogram":
-                    s = child.snapshot()
-                    lines.append(
-                        f"  {tag}: n={s['count']} p50 {s['p50_ms']:.3f} "
-                        f"p99 {s['p99_ms']:.3f} ms")
-                else:
-                    lines.append(f"  {tag}: {child.value:g}")
-        if self.alerts is not None:
-            lines.append(self.alerts.report())
-        return "\n".join(lines)
 
 
 # -- exposition --------------------------------------------------------------

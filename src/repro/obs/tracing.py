@@ -45,12 +45,6 @@ class Span:
                 f"ts_ms={self.ts_ms}, dur_ms={self.dur_ms}, "
                 f"rid={self.rid}, args={self.args})")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Span):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f)
-                   for f in self.__slots__)
-
     def as_dict(self) -> dict:
         d = {"name": self.name, "cat": self.cat, "ts_ms": self.ts_ms,
              "dur_ms": self.dur_ms}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.estimators.model_selection import relative_error
-from repro.hand.control import DEFAULT_DEADLINE_MS
 from repro.metrics.pareto import (
     CandidatePoint,
     best_under_deadline,
@@ -233,6 +232,3 @@ def build_report(wb) -> str:
     ]
     return "\n\n".join(parts) + "\n"
 
-
-# re-exported for convenience in examples
-DEADLINE_MS = DEFAULT_DEADLINE_MS

@@ -5,8 +5,9 @@ less than B single inferences (kernels launch once, weights are read once,
 occupancy improves), so batching is the cheapest capacity lever a server
 has — as long as no batch member's deadline is sacrificed to wait for the
 others. The batcher therefore grows a batch from the EDF head only while
-the *batched* latency estimate still fits inside every member's remaining
-slack (minus a configurable safety margin for estimator error).
+the *batched* latency estimate still finishes by the head's deadline
+(:func:`deadline_fit`); the fluid model in :mod:`repro.workload.fluid`
+applies the same rule to its fluid queue heads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,24 @@ from .ladder import TRNRung
 from .queue import EDFQueue
 from .request import Request
 
-__all__ = ["MicroBatcher"]
+__all__ = ["MicroBatcher", "deadline_fit"]
+
+
+def deadline_fit(estimate_ms, now_ms: float, deadline_ms: float,
+                 limit: int) -> int:
+    """The batch size the deadline-fit rule forms, at most ``limit``.
+
+    Grows from 1 while ``now_ms + estimate_ms(b + 1) <= deadline_ms`` and
+    stops at the first size that does not fit, even if a larger one would
+    (a non-monotone latency table). ``deadline_ms`` is the EDF head's: the
+    queue pops deadlines in non-decreasing order, so a batch that finishes
+    by the head's deadline finishes by every member's. The head always
+    runs, so the result is at least 1.
+    """
+    b = 1
+    while b < limit and now_ms + estimate_ms(b + 1) <= deadline_ms:
+        b += 1
+    return b
 
 
 class MicroBatcher:
@@ -29,59 +47,45 @@ class MicroBatcher:
     stop-reason counters.
     """
 
-    def __init__(self, max_batch: int = 8, slack_margin_ms: float = 0.0,
-                 tracer=None, on_form=None):
+    def __init__(self, max_batch: int = 8, tracer=None, on_form=None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if slack_margin_ms < 0:
-            raise ValueError("slack_margin_ms must be >= 0")
         self.max_batch = max_batch
-        self.slack_margin_ms = slack_margin_ms
         self.tracer = tracer
         self._emit = None if tracer is None else tracer.emit
         self._on_form = on_form
-
-    def _fits(self, batch: list[Request], now_ms: float,
-              est_ms: float) -> bool:
-        finish = now_ms + est_ms + self.slack_margin_ms
-        return all(finish <= r.abs_deadline_ms for r in batch)
 
     def form(self, queue: EDFQueue, now_ms: float,
              rung: TRNRung) -> list[Request]:
         """Pop the next micro-batch to execute at ``now_ms`` on ``rung``.
 
         The EDF head is always taken (running it late still beats never
-        running it — a miss is recorded either way); further requests join
-        only while the grown batch's estimated completion time keeps every
-        member inside its deadline minus the slack margin. Because the
-        queue is deadline-ordered, the first request that does not fit
-        terminates growth: later requests have no tighter deadlines but the
-        batch only gets slower.
+        running it — a miss is recorded either way); the batch then grows
+        by :func:`deadline_fit` against the head's deadline, up to
+        ``max_batch`` and the queue's depth.
         """
         if not len(queue):
             raise IndexError("cannot form a batch from an empty queue")
-        batch = [queue.pop()]
-        stop = None
-        while len(batch) < self.max_batch and len(queue):
-            candidate = queue.peek()
-            est = rung.estimate_ms(len(batch) + 1)
-            if not self._fits(batch + [candidate], now_ms, est):
-                stop = "deadline-fit"
-                break
+        head = queue.pop()
+        limit = min(self.max_batch, len(queue) + 1)
+        size = deadline_fit(rung.estimate_ms, now_ms, head.abs_deadline_ms,
+                            limit)
+        batch = [head]
+        for _ in range(size - 1):
             batch.append(queue.pop())
         if self._emit is not None or self._on_form is not None:
             # member rids ride the engine's matching "forward" span; the
             # batched estimate and stop reason are stamped here because
             # only the batcher knows *why* growth stopped (estimate_ms at
             # the final size is one cached dict lookup, no per-member work)
-            if stop is None:
-                stop = ("max-batch" if len(batch) == self.max_batch
-                        else "queue-empty")
+            stop = ("max-batch" if size == self.max_batch
+                    else "queue-empty" if size == limit
+                    else "deadline-fit")
             if self._on_form is not None:
-                self._on_form(len(batch), stop)
+                self._on_form(size, stop)
             if self._emit is not None:
                 self._emit("batch", "batch", now_ms, 0.0, None,
-                           {"size": len(batch),
-                            "est_ms": rung.estimate_ms(len(batch)),
+                           {"size": size,
+                            "est_ms": rung.estimate_ms(size),
                             "stop": stop})
         return batch

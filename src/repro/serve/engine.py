@@ -46,30 +46,30 @@ from .metrics import ServerMetrics
 from .queue import EDFQueue
 from .request import COMPLETED, DROPPED, REJECTED, Request, Response
 
-__all__ = ["ServerConfig", "Engine"]
+__all__ = ["ServerConfig", "Engine", "admission_rung"]
+
+RATE_WINDOW = 64            # arrivals used for rate estimation
+UPGRADE_UTILIZATION = 0.75  # max predicted rho on the slower rung
 
 
 @dataclass
 class ServerConfig:
-    """Every knob of the serving stack, with real-time-friendly defaults."""
+    """Every knob of the serving stack, with real-time-friendly defaults.
+
+    Component parameters nothing needs to vary (the controller's quantile
+    and thresholds, the re-estimator's margin and minimum change) keep
+    the defaults their classes state.
+    """
 
     deadline_ms: float = 0.9          # the robotic hand's budget
     queue_capacity: int = 128
     max_batch: int = 8
-    batch_slack_ms: float = 0.0       # safety margin for estimator error
     admission_control: bool = True
     admission_policy: object | None = None  # e.g. WeightedFairAdmission
     adaptive: bool = True             # TRN-ladder degradation on/off
     window: int = 32                  # controller sliding window (requests)
     min_observations: int = 16
     cooldown: int = 16
-    degrade_quantile: float = 0.99
-    degrade_ratio: float = 1.0
-    upgrade_ratio: float = 0.5
-    upgrade_cooldown: int | None = None  # default 4x cooldown (lazy upgrades)
-    upgrade_utilization: float = 0.75  # max predicted rho on the slower rung
-    rate_window: int = 64             # arrivals used for rate estimation
-    warm_start: bool = True           # skip the device's cold-start ramp
     execute: bool = True              # run real forwards (False = timing only)
     kernel_timing: bool = False       # time compiled kernels per batch
     seed: int = 0
@@ -78,8 +78,6 @@ class ServerConfig:
     reestimate_cooldown_ms: float = 25.0  # min virtual time between fits
     reestimate_min_samples: int = 8   # fresh batches required per fit
     reestimate_method: str = "ratio"  # "ratio" or "svr"
-    reestimate_margin: float = 1.0    # greedy budget = margin x deadline
-    reestimate_min_change: float = 0.05  # discard fits below this change
     reestimate_max_samples: int = 64  # per-rung fit buffer (forgetting)
     # -- resilience (see repro.faults) --------------------------------------
     resilience: bool = False          # timeouts/retries/breakers on or off
@@ -87,6 +85,28 @@ class ServerConfig:
     max_retries: int = 3              # abandoned attempts per batch
     breaker_threshold: int = 3        # consecutive failures that open
     breaker_cooldown_ms: float = 25.0  # open -> half-open probe delay
+
+    def __post_init__(self):
+        # the negated forms reject NaN too
+        if not self.deadline_ms > 0:
+            raise ValueError(
+                f"deadline_ms must be positive, got {self.deadline_ms}")
+        if not self.exec_timeout_factor > 0:
+            raise ValueError("exec_timeout_factor must be positive, got "
+                             f"{self.exec_timeout_factor}")
+        if not self.max_retries >= 0:
+            raise ValueError(
+                f"max_retries must be >= 0, got {self.max_retries}")
+
+
+def admission_rung(ladder, adaptive: bool):
+    """The rung whose batch-1 estimate admission prices.
+
+    An adaptive server can still degrade to its fastest rung, so only a
+    deadline even that rung misses is un-meetable; a pinned server is
+    priced on the rung it serves.
+    """
+    return ladder.fastest if adaptive else ladder.current
 
 
 class Engine:
@@ -138,17 +158,14 @@ class Engine:
             depth_gauge=None if telemetry is None
             else metrics.child("serve_queue_depth"))
         self.batcher = MicroBatcher(
-            config.max_batch, config.batch_slack_ms, tracer=tracer,
+            config.max_batch, tracer=tracer,
             on_form=None if telemetry is None else self._count_batch_stop)
         self.controller = (HysteresisController(
             config.deadline_ms, window=config.window,
             min_observations=config.min_observations,
-            cooldown=config.cooldown, quantile=config.degrade_quantile,
-            degrade_ratio=config.degrade_ratio,
-            upgrade_ratio=config.upgrade_ratio,
-            upgrade_cooldown=config.upgrade_cooldown)
+            cooldown=config.cooldown)
             if config.adaptive else None)
-        self._arrivals: deque[float] = deque(maxlen=config.rate_window)
+        self._arrivals: deque[float] = deque(maxlen=RATE_WINDOW)
         self.admission_policy = config.admission_policy
         if self.admission_policy is not None:
             # fresh share window: a policy object may be reused across
@@ -174,15 +191,12 @@ class Engine:
                 cooldown_ms=config.reestimate_cooldown_ms,
                 min_samples=config.reestimate_min_samples,
                 method=config.reestimate_method,
-                margin=config.reestimate_margin,
-                min_rel_change=config.reestimate_min_change,
                 max_samples_per_rung=config.reestimate_max_samples)
         ladder.reseed(config.seed)
-        if config.warm_start:
-            for rung in ladder.rungs:
-                # the paper's 200-run warm-up, so serving starts past the
-                # clock ramp instead of degrading on cold-start stragglers
-                rung.sampler.warm_up(200)
+        for rung in ladder.rungs:
+            # the paper's 200-run warm-up, so serving starts past the
+            # clock ramp instead of degrading on cold-start stragglers
+            rung.sampler.warm_up(200)
         self._kernel_timing = False
         if config.kernel_timing:
             for rung in ladder.rungs:
@@ -199,12 +213,6 @@ class Engine:
                                 self._collect_telemetry)
 
     # -- admission -----------------------------------------------------------
-    def _admission_estimate_ms(self) -> float:
-        """Best-case service estimate used to detect un-meetable deadlines."""
-        rung = self.ladder.fastest if self.config.adaptive \
-            else self.ladder.current
-        return rung.estimate_ms(1)
-
     def _admit(self, pending: deque, now_ms: float,
                responses: dict[int, Response]) -> None:
         while pending and pending[0].arrival_ms <= now_ms:
@@ -214,7 +222,9 @@ class Engine:
             reason = None
             if self.config.admission_control:
                 start = max(now_ms, req.arrival_ms)
-                if start + self._admission_estimate_ms() > req.abs_deadline_ms:
+                est = admission_rung(self.ladder,
+                                     self.config.adaptive).estimate_ms(1)
+                if start + est > req.abs_deadline_ms:
                     reason = "unmeetable-deadline"
             if (reason is None and self.admission_policy is not None
                     and not self.admission_policy.allow(
@@ -333,7 +343,7 @@ class Engine:
             return True
         b = self._observed_batch()
         per_request_ms = slower.estimate_ms(b) / b
-        return rate * per_request_ms <= self.config.upgrade_utilization
+        return rate * per_request_ms <= UPGRADE_UTILIZATION
 
     def _observed_batch(self) -> int:
         occupancy = self.metrics.mean_batch_size
@@ -355,7 +365,7 @@ class Engine:
         b = self._observed_batch()
         while self.ladder.can_degrade:
             per_request_ms = self.ladder.current.estimate_ms(b) / b
-            if rate * per_request_ms <= self.config.upgrade_utilization:
+            if rate * per_request_ms <= UPGRADE_UTILIZATION:
                 break
             self.ladder.degrade()
 
@@ -402,34 +412,42 @@ class Engine:
                 self.tracer.instant("fault", "faults", now_ms,
                                     fault=event.fault, phase=event.phase)
 
+    def _breaker_walk(self, start: int, now_ms: float,
+                      admits=CircuitBreaker.allow):
+        """The first rung from index ``start`` down whose breaker admits.
+
+        Rungs whose breaker is open are skipped *downwards* (faster),
+        because a faster rung can serve the slower rung's traffic (at lower
+        accuracy) while the reverse re-breaks the deadline. ``admits`` is
+        ``CircuitBreaker.allow``, which advances breaker states, or
+        ``CircuitBreaker.would_allow``, which only reads them. Returns
+        ``None`` when every breaker refuses.
+        """
+        for rung in self.ladder.rungs[start:]:
+            if admits(self.breakers[rung.name], now_ms):
+                return rung
+        return None
+
     def _select_rung(self, now_ms: float):
         """The rung the next batch should target.
 
-        Without resilience this is the ladder cursor. With it, rungs whose
-        breaker is open are skipped *downwards* (faster), because a faster
-        rung can serve the slower rung's traffic (at lower accuracy) while
-        the reverse re-breaks the deadline. With every breaker refusing,
-        fall back to the fastest rung outright — the last-resort path.
+        Without resilience this is the ladder cursor. With it, the breaker
+        walk from the cursor; with every breaker refusing, fall back to the
+        fastest rung outright — the last-resort path.
         """
         if not self.config.resilience:
             return self.ladder.current
-        for i in range(self.ladder.current_index, len(self.ladder)):
-            rung = self.ladder.rungs[i]
-            if self.breakers[rung.name].allow(now_ms):
-                return rung
-        return self.ladder.fastest
+        return (self._breaker_walk(self.ladder.current_index, now_ms)
+                or self.ladder.fastest)
 
     def _retry_rung(self, failed, now_ms: float):
         """The next faster rung to retry on (None when nothing is faster)."""
-        start = self.ladder.rungs.index(failed) + 1
-        for i in range(start, len(self.ladder)):
-            rung = self.ladder.rungs[i]
-            if self.breakers[rung.name].allow(now_ms):
-                return rung
+        rung = self._breaker_walk(self.ladder.rungs.index(failed) + 1, now_ms)
+        if rung is not None or failed is self.ladder.fastest:
+            return rung
         # every faster breaker is open; the fastest rung is still a better
         # bet than replaying the rung that just failed
-        return self.ladder.fastest if failed is not self.ladder.fastest \
-            else None
+        return self.ladder.fastest
 
     def _execute(self, batch: list, rung, now_ms: float):
         """Run one batch, resiliently when configured.
@@ -530,11 +548,8 @@ class Engine:
         """
         if not self.config.resilience:
             return self.ladder.current
-        for i in range(self.ladder.current_index, len(self.ladder)):
-            rung = self.ladder.rungs[i]
-            if self.breakers[rung.name].would_allow(now_ms):
-                return rung
-        return None
+        return self._breaker_walk(self.ladder.current_index, now_ms,
+                                  CircuitBreaker.would_allow)
 
     def _serve_step(self, now: float, responses: dict[int, Response]) -> float:
         """Form, execute and respond to one micro-batch; returns the clock.

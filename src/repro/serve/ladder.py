@@ -141,15 +141,16 @@ class TRNLadder:
                   rng: np.random.Generator | int = 0) -> "TRNLadder":
         """Build the full blockwise ladder of one base network.
 
-        Rung 0 is the zero-cut transfer model (all feature blocks kept);
-        deeper cuts follow. ``max_rungs`` caps the ladder length (the
-        shallowest cuts are kept so the ladder always has a fast escape
+        Rung 0 is ``<base>-cut1``, the transfer model with the last
+        feature block removed (the deepest blockwise cut); each further
+        rung removes one more block. ``max_rungs`` caps the ladder length
+        (the shallowest cut is kept so the ladder always has a fast escape
         rung). Heads are freshly initialised — accuracy metadata comes from
         NetCut/exploration when available, not from this constructor.
         """
         cuts = enumerate_blockwise(base)
         if max_rungs is not None and max_rungs < len(cuts):
-            # keep the full TRN, the shallowest, and evenly spaced middles
+            # keep the deepest cut, the shallowest, and evenly spaced middles
             idx = np.linspace(0, len(cuts) - 1, max_rungs).round().astype(int)
             cuts = [cuts[i] for i in sorted(set(int(i) for i in idx))]
         rungs = [TRNRung(f"{base.name}-cut{c.blocks_removed}",
@@ -306,6 +307,8 @@ class HysteresisController:
             raise ValueError(f"quantile must be in [0, 1], got {quantile}")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
+        if not cooldown >= 0:
+            raise ValueError(f"cooldown must be >= 0, got {cooldown}")
         self.deadline_ms = deadline_ms
         self.window = window
         self.min_observations = min(min_observations, window)

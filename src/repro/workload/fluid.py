@@ -14,14 +14,14 @@ being sampled one request at a time.
 The approximation is M/G/1-flavoured rather than a closed formula: the
 per-tenant queues are fluid FIFOs whose heads compete in EDF order, the
 service rate is the batching-aware ``B / est(B)`` with ``B`` limited by
-both queue depth and the head's remaining slack (exactly the batcher's
-deadline-fit rule), and misses come from the analytic tail of the
-device's noise/straggler distribution evaluated at each parcel's
-remaining slack. Because every replica of a homogeneous fleet sees an
-equal share of a well-balanced router's traffic, a fleet solve is a
-single-replica solve at ``rate / n`` — which is what lets fluid mode
-stress the autoscaler and router at fleet sizes the event loop cannot
-reach. Cross-validation against the discrete simulator lives in
+both queue depth and the head's deadline (the batcher's own
+:func:`repro.serve.batcher.deadline_fit`), and misses come from the
+analytic tail of the device's noise/straggler distribution evaluated at
+each parcel's remaining slack. Because every replica of a homogeneous
+fleet sees an equal share of a well-balanced router's traffic, a fleet
+solve is a single-replica solve at ``rate / n`` — which is what lets
+fluid mode stress the autoscaler and router at fleet sizes the event
+loop cannot reach. Cross-validation against the discrete simulator lives in
 ``benchmarks/test_workload_slo.py``.
 """
 
@@ -30,6 +30,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+
+from repro.serve.batcher import deadline_fit
+from repro.serve.engine import admission_rung
 
 __all__ = ["FluidModel", "FluidPrediction", "TenantPrediction"]
 
@@ -148,7 +151,7 @@ class FluidModel:
         tables = {r.name: [r.estimate_ms(b)
                            for b in range(1, config.max_batch + 1)]
                   for r in ladder.rungs}
-        adm_rung = ladder.fastest if config.adaptive else ladder.current
+        adm_rung = admission_rung(ladder, config.adaptive)
         spec = ladder.rungs[0].spec
         return cls(tables, config.queue_capacity, config.max_batch,
                    adm_rung.estimate_ms(1), config.deadline_ms,
@@ -284,14 +287,10 @@ class FluidModel:
                     break
                 now = t + (dt_ms - budget)
                 admit_ms, amount = queues[head_name][0]
-                slack = head_deadline - now
-                qtot = sum(qlen.values())
-                # the batcher's deadline-fit rule: grow while the batched
-                # estimate still fits the head's remaining slack
-                b = 1
-                while (b < self.max_batch and b + 1 <= qtot
-                       and est[b] <= slack):
-                    b += 1
+                # the batcher's deadline-fit rule, over whole requests
+                limit = min(self.max_batch, int(sum(qlen.values())))
+                b = deadline_fit(lambda n: est[n - 1], now, head_deadline,
+                                 limit)
                 per_req = est[b - 1] * self.mean_factor / b
                 take = min(amount, budget / per_req)
                 if take <= 1e-12:

@@ -49,6 +49,28 @@ class TestDesign:
                     "train", "estimators", "netcut", "hand", "extensions"):
             assert f"{pkg}/" in design or f"  {pkg}." in design, pkg
             assert os.path.isdir(os.path.join(REPO, "src", "repro", pkg)), pkg
+        # every file the map lists exists: package headers sit at two
+        # spaces, their files at four (several may share one line), and
+        # a two-space entry may name a file directly (`pkg/file.py`)
+        block = design.split("(module map)", 1)[1].split("```")[1]
+        src = os.path.join(REPO, "src", "repro")
+        listed, pkg = [], None
+        for line in block.splitlines():
+            words = line.split()
+            indent = len(line) - len(line.lstrip())
+            if indent == 2 and words[0].endswith("/"):
+                pkg = words[0][:-1]
+                listed.append(pkg)
+            elif indent == 2 and words[0].endswith(".py"):
+                listed.append(words[0])
+            elif indent == 4 and pkg is not None:
+                for word in words:
+                    if not word.endswith(".py"):
+                        break
+                    listed.append(f"{pkg}/{word}")
+        assert len(listed) > 60
+        for path in listed:
+            assert os.path.exists(os.path.join(src, path)), path
 
 
 class TestExperimentsDoc:

@@ -28,6 +28,7 @@ from repro.serve import (
     poisson_trace,
     uniform_trace,
 )
+from repro.serve.batcher import deadline_fit
 
 
 @pytest.fixture(scope="module")
@@ -104,18 +105,13 @@ class TestMicroBatcher:
         assert [r.rid for r in batch] == [0]
         assert len(q) == 1
 
-    def test_slack_margin_is_respected(self, ladder):
+    def test_pairs_when_the_batched_estimate_fits(self, ladder):
         rung = ladder.rungs[0]
         est2 = rung.estimate_ms(2)
         q = EDFQueue(capacity=16)
         q.push(request(0, 0.0, est2 + 0.001))
         q.push(request(1, 0.0, est2 + 0.001))
         assert len(MicroBatcher(max_batch=4).form(q, 0.0, rung)) == 2
-        q.push(request(2, 0.0, est2 + 0.001))
-        q.push(request(3, 0.0, est2 + 0.001))
-        # a safety margin larger than the remaining slack forbids pairing
-        batcher = MicroBatcher(max_batch=4, slack_margin_ms=0.01)
-        assert len(batcher.form(q, 0.0, rung)) == 1
 
     def test_head_always_runs_even_when_late(self, ladder):
         rung = ladder.rungs[0]
@@ -129,6 +125,110 @@ class TestMicroBatcher:
         rung = ladder.rungs[0]
         assert rung.estimate_ms(4) < 4 * rung.estimate_ms(1)
         assert rung.estimate_ms(4) > rung.estimate_ms(1)
+
+    def test_form_matches_the_all_members_reference(self):
+        """Checking the EDF head alone forms the same batches, with the
+        same stop reasons, as checking every member: the batcher before
+        the shared fit rule, kept below as it was (less its tracer span)
+        with its slack margin at zero."""
+
+        class ReferenceBatcher:
+            def __init__(self, max_batch, on_form):
+                self.max_batch = max_batch
+                self.slack_margin_ms = 0.0
+                self._emit = None
+                self._on_form = on_form
+
+            def _fits(self, batch, now_ms, est_ms):
+                finish = now_ms + est_ms + self.slack_margin_ms
+                return all(finish <= r.abs_deadline_ms for r in batch)
+
+            def form(self, queue, now_ms, rung):
+                if not len(queue):
+                    raise IndexError("cannot form a batch from an empty "
+                                     "queue")
+                batch = [queue.pop()]
+                stop = None
+                while len(batch) < self.max_batch and len(queue):
+                    candidate = queue.peek()
+                    est = rung.estimate_ms(len(batch) + 1)
+                    if not self._fits(batch + [candidate], now_ms, est):
+                        stop = "deadline-fit"
+                        break
+                    batch.append(queue.pop())
+                if self._emit is not None or self._on_form is not None:
+                    if stop is None:
+                        stop = ("max-batch" if len(batch) == self.max_batch
+                                else "queue-empty")
+                    if self._on_form is not None:
+                        self._on_form(len(batch), stop)
+                return batch
+
+        class StubRung:
+            def __init__(self, table):
+                self.table = table
+
+            def estimate_ms(self, b):
+                return self.table[b - 1]
+
+        rng = np.random.default_rng(0)
+        stops = set()
+        for case in range(3000):
+            max_batch = int(rng.integers(1, 9))
+            table = rng.uniform(0.05, 2.0, size=8)
+            if case % 2:
+                table = np.sort(table)          # monotone latency table
+            rung = StubRung(table.tolist())
+            now = 0.0 if case % 3 == 0 else float(rng.uniform(0.0, 2.0))
+            reqs = []
+            for rid in range(int(rng.integers(1, 13))):
+                if case % 3 == 0:
+                    # deadlines on the table's values (exact-fit ties)
+                    # or one ulp below them (misses by the least amount)
+                    arrival, rel = 0.0, float(rng.choice(table))
+                    if rng.random() < 0.5:
+                        rel = float(np.nextafter(rel, 0.0))
+                else:
+                    arrival = float(rng.uniform(0.0, now))
+                    rel = float(rng.uniform(0.0, 3.0))
+                reqs.append(request(rid, arrival, rel))
+            outcomes = []
+            for cls in (MicroBatcher, ReferenceBatcher):
+                q = EDFQueue(capacity=16)
+                for r in reqs:
+                    q.push(r)
+                formed = []
+                batcher = cls(max_batch, on_form=lambda size, stop:
+                              formed.append((size, stop)))
+                batches = []
+                while len(q):
+                    batches.append([r.rid for r in
+                                    batcher.form(q, now, rung)])
+                outcomes.append((batches, formed))
+            assert outcomes[0] == outcomes[1], case
+            stops.update(stop for _, stop in outcomes[0][1])
+        assert stops == {"max-batch", "queue-empty", "deadline-fit"}
+
+
+class TestDeadlineFit:
+    @pytest.mark.parametrize("table, now, deadline, limit, size", [
+        ([0.1, 0.2], 0.0, 10.0, 1, 1),
+        ([0.1, 0.2, 0.3], 5.0, 4.0, 3, 1),
+        ([0.1, 0.2, 0.3], 0.0, 10.0, 3, 3),
+        ([1.0, 2.0, 3.0], 0.5, 2.5, 3, 2),
+        # est(3) would fit again, but growth stops at the first miss
+        ([1.0, 5.0, 2.0, 2.0], 0.0, 3.0, 4, 1),
+    ], ids=["limit-1", "head-late", "all-fit", "exact-fit", "first-miss"])
+    def test_batch_size(self, table, now, deadline, limit, size):
+        asked = []
+
+        def estimate(b):
+            asked.append(b)
+            return table[b - 1]
+
+        assert deadline_fit(estimate, now, deadline, limit) == size
+        # sizes are priced in order, up to the first that does not fit
+        assert asked == list(range(2, min(size + 1, limit) + 1))
 
 
 class TestLadder:
@@ -301,6 +401,11 @@ class TestHysteresisController:
         with pytest.raises(ValueError, match="window"):
             HysteresisController(1.0, window=window)
 
+    @pytest.mark.parametrize("cooldown", [-1, float("nan")])
+    def test_negative_cooldown_rejected(self, cooldown):
+        with pytest.raises(ValueError, match="cooldown"):
+            HysteresisController(1.0, cooldown=cooldown)
+
     @pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.99, 1.0])
     def test_window_quantile_is_numpys(self, q):
         """Exactly np.quantile of the window, through eviction and refill."""
@@ -341,6 +446,25 @@ class TestHysteresisController:
         got = decisions(HysteresisController(1.0, **kwargs))
         assert got == decisions(NumpyQuantile(1.0, **kwargs))
         assert {"degrade", "upgrade"} <= set(got)
+
+
+class TestServerConfigValidation:
+    """Bad serving knobs fail at construction, not mid-trace."""
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan")])
+    def test_non_positive_deadline_rejected(self, deadline):
+        with pytest.raises(ValueError, match="deadline_ms"):
+            ServerConfig(deadline_ms=deadline)
+
+    @pytest.mark.parametrize("factor", [0.0, -2.5, float("nan")])
+    def test_non_positive_timeout_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="exec_timeout_factor"):
+            ServerConfig(exec_timeout_factor=factor, resilience=True)
+
+    @pytest.mark.parametrize("retries", [-1, float("nan")])
+    def test_negative_retries_rejected(self, retries):
+        with pytest.raises(ValueError, match="max_retries"):
+            ServerConfig(max_retries=retries)
 
 
 class TestAdmissionControl:

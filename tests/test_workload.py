@@ -426,6 +426,21 @@ class TestSharedTraceHelpersMoved:
         assert offered_load(even, 2.0) == pytest.approx(2.0)
 
 
+class TestImportOrder:
+    """``workload/fluid.py`` takes the serving rules from ``repro.serve``
+    at module level while ``repro.serve`` re-exports the trace makers of
+    ``repro.workload``: either package must import first."""
+
+    @pytest.mark.parametrize("first", ["repro.workload", "repro.serve"])
+    def test_fresh_interpreter_imports(self, first):
+        code = (f"import {first}\n"
+                "from repro.serve import MicroBatcher, poisson_trace\n"
+                "from repro.workload import FluidModel\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True)
+
+
 class TestFluidModel:
     def model(self, **kw):
         # est(b) = 0.5 + 0.1*b ms: one request each 0.6 ms, batching pays
