@@ -7,7 +7,7 @@ The package is organised bottom-up:
 - :mod:`repro.zoo` — the seven pretrained architectures the paper studies.
 - :mod:`repro.data` — synthetic pretraining and HANDS-like grasp datasets.
 - :mod:`repro.device` — the simulated Jetson Xavier (latency model,
-  profiler, fusion, INT8 quantization) and Tesla K20m training-cost model.
+  profiler, INT8 quantization) and Tesla K20m training-cost model.
 - :mod:`repro.metrics` — angular similarity and Pareto-frontier analysis.
 - :mod:`repro.trim` — layer removal and TRN construction.
 - :mod:`repro.train` — transfer learning (feature recording, fine-tuning,

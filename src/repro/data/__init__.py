@@ -1,8 +1,11 @@
-"""Synthetic datasets: the pretraining task and the HANDS-like transfer task."""
+"""Synthetic datasets: the pretraining task and the HANDS-like transfer task.
+
+A :class:`Dataset` holds images and (possibly soft) labels; training draws
+its shuffled minibatches in :func:`repro.train.run_epochs`.
+"""
 
 from .hands import GRASP_TYPES, grasp_affinities, grasp_distribution, make_hands_dataset
 from .imagenet import SYNTH_IMAGENET_CLASSES, make_synth_imagenet
-from .transforms import augment_batch, brightness_jitter, random_flip, random_shift
 from .synthetic import (
     SHAPE_FAMILIES,
     TEXTURES,
@@ -14,10 +17,6 @@ from .synthetic import (
 
 __all__ = [
     "Dataset",
-    "augment_batch",
-    "brightness_jitter",
-    "random_flip",
-    "random_shift",
     "ObjectParams",
     "render_object",
     "sample_object",

@@ -205,12 +205,3 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Select a subset by index array."""
         return Dataset(self.x[indices], self.y[indices], self.class_names)
-
-    def batches(self, batch_size: int,
-                rng: np.random.Generator | None = None):
-        """Yield ``(x, y)`` minibatches, shuffled when ``rng`` is given."""
-        n = len(self)
-        order = rng.permutation(n) if rng is not None else np.arange(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            yield self.x[idx], self.y[idx]

@@ -1,11 +1,10 @@
-"""Embedded-platform simulation: latency model, profiler, fusion, quantization.
+"""Embedded-platform simulation: latency model, profiler, quantization.
 
 This subpackage stands in for the paper's NVIDIA Jetson Xavier (inference
 measurements) and Tesla K20m (training-time accounting). See DESIGN.md for
-the calibration rationale.
+the calibration rationale. The latency model prices the fused kernels of
+:func:`repro.nn.compile.fuse_kernels`; import the fusion rules from there.
 """
-
-from repro.nn.compile import KernelGroup, fuse_kernels
 
 from .k20m import TrainingCostModel, k20m
 from .latency import KernelCost, LatencyBreakdown, kernel_latency_ms, network_latency
@@ -30,8 +29,6 @@ __all__ = [
     "DEVICE_PROFILES",
     "k20m",
     "TrainingCostModel",
-    "KernelGroup",
-    "fuse_kernels",
     "KernelCost",
     "LatencyBreakdown",
     "kernel_latency_ms",

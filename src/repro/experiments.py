@@ -43,10 +43,9 @@ from repro.netcut.explorer import Exploration, explore_blockwise
 from repro.nn.graph import Network
 from repro.train.features import record_gap_features
 from repro.train.pretrain import default_cache_dir, get_pretrained
-from repro.train.trainer import train_head_on_features
-from repro.trim.blocks import block_boundaries
+from repro.train.trainer import train_head_on_features, transplant_head
 from repro.trim.removal import build_trn
-from repro.trim.search import Cutpoint, enumerate_blockwise
+from repro.trim.search import Cutpoint, enumerate_blockwise, transfer_cut
 from repro.zoo.registry import NETWORKS
 
 __all__ = ["ExperimentConfig", "LatencyPoint", "Workbench"]
@@ -140,10 +139,8 @@ class Workbench:
         network with the replaced classification head).
         """
         base = self.base(name)
-        cut_node = (cutpoint.cut_node if cutpoint
-                    else block_boundaries(base)[-1].output_node)
-        return build_trn(base, cut_node, self.config.num_classes,
-                         rng=self.config.seed)
+        return build_trn(base, transfer_cut(base, cutpoint),
+                         self.config.num_classes, rng=self.config.seed)
 
     def base_latencies(self) -> dict[str, float]:
         """Measured latency of every off-the-shelf transfer model (Fig. 1)."""
@@ -236,20 +233,23 @@ class Workbench:
     # -- retraining ----------------------------------------------------------
     def retrain_trn(self, base: Network, cutpoint: Cutpoint | None
                     ) -> tuple[Network, float]:
-        """Retrain a single TRN (frozen-feature phase) and score it."""
+        """Retrain a single TRN (frozen-feature phase) and score it.
+
+        The head is fitted on the cut's recorded GAP features and scored
+        on the test split's; the returned TRN carries that head.
+        """
         train_data, test_data = self.hands()
-        cut_node = (cutpoint.cut_node if cutpoint
-                    else block_boundaries(base)[-1].output_node)
+        cut_node = transfer_cut(base, cutpoint)
         feats_train = record_gap_features(base, train_data.x, [cut_node])
         feats_test = record_gap_features(base, test_data.x, [cut_node])
-        result = train_head_on_features(
+        head = train_head_on_features(
             feats_train[cut_node], train_data.y, self.config.num_classes,
-            epochs=self.config.head_epochs, rng=self.config.seed)
-        pred = result.network.forward(feats_test[cut_node])
-        accuracy = mean_angular_similarity(pred, test_data.y)
+            epochs=self.config.head_epochs, rng=self.config.seed).network
+        accuracy = mean_angular_similarity(head.forward(feats_test[cut_node]),
+                                           test_data.y)
         trn = build_trn(base, cut_node, self.config.num_classes,
                         rng=self.config.seed)
-        return trn, accuracy
+        return transplant_head(head, trn), accuracy
 
     # -- the paper's experiments ------------------------------------------------
     def exploration(self, force: bool = False) -> Exploration:

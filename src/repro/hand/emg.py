@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn import Adam, Dense, Network, ReLU, Softmax
-from repro.nn.losses import softmax_cross_entropy
+from repro.nn import Adam, Network
+from repro.train.trainer import run_epochs
+from repro.trim.removal import attach_head
 
 from .grasps import GRASP_TYPES
 
@@ -101,33 +102,16 @@ class EMGClassifier:
     """A small dense network over EMG features, outputting grasp probabilities."""
 
     def __init__(self, hidden: int = 24, rng: np.random.Generator | int = 0):
-        self.net = Network("emg_classifier", (4 * EMG_CHANNELS,))
-        self.net.add("fc1", Dense(hidden))
-        self.net.add("relu1", ReLU())
-        self.net.add("logits", Dense(len(GRASP_TYPES)))
-        self.net.add("probs", Softmax())
-        self.net.build(rng)
+        self.net = attach_head(
+            Network("emg_classifier", (4 * EMG_CHANNELS,)).build(),
+            len(GRASP_TYPES), hidden=(hidden,), rng=rng)
 
     def fit(self, x: np.ndarray, y: np.ndarray, epochs: int = 40,
             lr: float = 1e-2, batch_size: int = 32,
             rng: np.random.Generator | int = 1) -> "EMGClassifier":
         """Train on EMG features with one-hot grasp labels."""
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
-        optimizer = Adam(lr)
-        self.net.output_name = "logits"
-        try:
-            for _ in range(epochs):
-                order = rng.permutation(x.shape[0])
-                for start in range(0, x.shape[0], batch_size):
-                    idx = order[start:start + batch_size]
-                    self.net.zero_grad()
-                    self.net.forward_backward(
-                        x[idx], loss_fn=softmax_cross_entropy, y=y[idx],
-                        training=True)
-                    optimizer.step(self.net.parameters())
-        finally:
-            self.net.output_name = "probs"
+        run_epochs(self.net, x, y, epochs, Adam(lr), batch_size,
+                   np.random.default_rng(rng))
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

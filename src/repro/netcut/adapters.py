@@ -23,7 +23,7 @@ from repro.estimators.features import extract_features
 from repro.estimators.profile_based import ProfilerEstimator
 from repro.nn.graph import Network
 from repro.trim.removal import build_trn, removed_node_set
-from repro.trim.search import Cutpoint
+from repro.trim.search import Cutpoint, transfer_cut
 
 __all__ = ["ProfilerAdapter", "AnalyticalAdapter", "OracleAdapter"]
 
@@ -46,10 +46,7 @@ class ProfilerAdapter:
 
     def _estimator_for(self, base: Network) -> ProfilerEstimator:
         if base.name not in self._estimators:
-            from repro.trim.blocks import block_boundaries
-
-            cut0 = block_boundaries(base)[-1].output_node
-            transfer = build_trn(base, cut0, self.num_classes,
+            transfer = build_trn(base, transfer_cut(base), self.num_classes,
                                  name=base.name)
             table = profile_network(transfer, self.device)
             self._estimators[base.name] = ProfilerEstimator(transfer, table)
@@ -102,7 +99,7 @@ class OracleAdapter:
         self.num_classes = num_classes
 
     def estimate(self, base: Network, cutpoint: Cutpoint | None) -> float:
-        if cutpoint is None:
-            return network_latency(base, self.device).total_ms
-        trn = build_trn(base, cutpoint.cut_node, self.num_classes)
+        """``cutpoint=None`` prices the transfer model, as the other
+        adapters do."""
+        trn = build_trn(base, transfer_cut(base, cutpoint), self.num_classes)
         return network_latency(trn, self.device).total_ms

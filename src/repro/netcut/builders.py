@@ -43,7 +43,6 @@ from repro.device.latency import kernel_latency_ms, network_latency
 from repro.device.spec import DeviceSpec
 from repro.metrics.pareto import CandidatePoint, pareto_frontier
 from repro.nn.graph import Network
-from repro.trim.blocks import block_boundaries
 from repro.trim.prune import (
     channel_importance,
     prunable_channel_convs,
@@ -52,7 +51,7 @@ from repro.trim.prune import (
     skippable_blocks,
 )
 from repro.trim.removal import build_trn
-from repro.trim.search import enumerate_blockwise
+from repro.trim.search import enumerate_blockwise, transfer_cut
 
 from .deploy import DeploymentArtifact
 
@@ -136,8 +135,7 @@ class LadderBuilder:
     def _full_trn(self, base: Network, num_classes: int,
                   rng) -> Network:
         """The zero-cut transfer model every strategy grades down from."""
-        cut = block_boundaries(base)[-1].output_node
-        return build_trn(base, cut, num_classes, rng=rng,
+        return build_trn(base, transfer_cut(base), num_classes, rng=rng,
                          name=f"{base.name}-{self.name}-full")
 
     def _artifact(self, net: Network, base: Network, spec: DeviceSpec,

@@ -3,8 +3,8 @@
 This is the glue a user of the methodology actually wants: run Algorithm 1,
 *validate* the winner's measured latency against the deadline (falling back
 to the next-best candidate when estimator error put the winner over),
-retrain its head, graft the weights into the full TRN, optionally quantize,
-and serialise the result to a single ``.npz``.
+retrain its TRN, optionally quantize, and serialise the result to a single
+``.npz``.
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.synthetic import Dataset
 from repro.device.quantize import QuantizedNetwork, calibration_split
 from repro.device.runtime import measure_latency
 from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
 from repro.nn.serialize import architecture_dict, network_from_dict
-from repro.train.features import record_gap_features
-from repro.train.trainer import train_head_on_features, transplant_head
-from repro.trim.blocks import block_boundaries
+from repro.train.trainer import evaluate
 
 __all__ = ["DeploymentArtifact", "deploy", "save_artifact", "load_artifact"]
 
@@ -58,9 +55,10 @@ def deploy(workbench, deadline_ms: float | None = None,
            save_path: str | None = None) -> DeploymentArtifact:
     """Run the full pipeline on a :class:`repro.experiments.Workbench`.
 
-    Steps: Algorithm 1 → measured-latency validation → head retraining on
-    the full training split → weight transplant → (optional) INT8
-    quantization with a 10% calibration split → (optional) serialisation.
+    Steps: Algorithm 1 → measured-latency validation → the winner's TRN
+    from ``workbench.retrain_trn`` (its head fitted on the full training
+    split) → (optional) INT8 quantization with a 10% calibration split →
+    (optional) serialisation.
     The artifact's ``builder`` tag stays empty.
 
     Raises ``RuntimeError`` when no candidate's *measured* latency meets
@@ -77,22 +75,11 @@ def deploy(workbench, deadline_ms: float | None = None,
             f"no candidate's measured latency meets {deadline} ms")
     best = max(validated, key=lambda c: c.accuracy)
 
-    base = workbench.base(best.base_name)
-    cut_node = (best.cutpoint.cut_node if best.cutpoint
-                else block_boundaries(base)[-1].output_node)
+    trn, _ = workbench.retrain_trn(workbench.base(best.base_name),
+                                   best.cutpoint)
     train_data, test_data = workbench.hands()
-    feats_train = record_gap_features(base, train_data.x, [cut_node])
-    head = train_head_on_features(
-        feats_train[cut_node], train_data.y,
-        workbench.config.num_classes,
-        epochs=workbench.config.head_epochs,
-        rng=workbench.config.seed).network
-
-    trn = workbench.transfer_model(best.base_name, best.cutpoint)
-    transplant_head(head, trn)
     measured = measure_latency(trn, workbench.device).mean_ms
-    accuracy = mean_angular_similarity(_predict(trn, test_data),
-                                       test_data.y)
+    accuracy = evaluate(trn, test_data)
 
     artifact = DeploymentArtifact(trn, best.trn_name, best.base_name,
                                   measured, accuracy, deadline)
@@ -168,10 +155,3 @@ def load_artifact(path: str) -> DeploymentArtifact:
         int8_accuracy=meta.get("int8_accuracy", float("nan")),
         path=path,
         builder=meta.get("builder", ""))
-
-
-def _predict(net: Network, data: Dataset, batch_size: int = 128
-             ) -> np.ndarray:
-    outs = [net.forward(data.x[s:s + batch_size])
-            for s in range(0, len(data), batch_size)]
-    return np.concatenate(outs)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-
 from repro.data.synthetic import Dataset
 from repro.device.k20m import TrainingCostModel
 from repro.device.runtime import measure_latency
@@ -22,9 +21,13 @@ from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
 from repro.train.features import record_gap_features
 from repro.train.trainer import train_head_on_features
-from repro.trim.blocks import block_boundaries
 from repro.trim.removal import build_trn
-from repro.trim.search import Cutpoint, enumerate_blockwise, enumerate_iterative
+from repro.trim.search import (
+    Cutpoint,
+    enumerate_blockwise,
+    enumerate_iterative,
+    transfer_cut,
+)
 
 __all__ = ["TRNRecord", "Exploration", "explore_cutpoints", "explore_blockwise"]
 
@@ -82,12 +85,6 @@ class Exploration:
         return cls([TRNRecord(**row) for row in rows])
 
 
-def _zero_cut(base: Network) -> Cutpoint:
-    """The degenerate cut keeping all feature blocks (the original net)."""
-    last = block_boundaries(base)[-1].output_node
-    return Cutpoint(base.name, last, 0, 0)
-
-
 def explore_cutpoints(base: Network, cuts: list[Cutpoint],
                       train_data: Dataset, test_data: Dataset,
                       device: DeviceSpec,
@@ -136,7 +133,8 @@ def explore_blockwise(bases: list[Network], train_data: Dataset,
         cuts = (enumerate_iterative(base) if iterative
                 else enumerate_blockwise(base))
         if include_original:
-            cuts = [_zero_cut(base)] + list(cuts)
+            # the degenerate cut keeping every feature block
+            cuts = [Cutpoint(base.name, transfer_cut(base), 0, 0), *cuts]
         exploration.records.extend(explore_cutpoints(
             base, cuts, train_data, test_data, device, cost_model,
             head_epochs, rng_seed=rng_seed))

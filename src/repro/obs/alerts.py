@@ -19,8 +19,7 @@ Everything is deterministic: rules read only the
 :class:`repro.obs.telemetry.TimeSeriesStore`, which is sampled on the
 virtual clock, so the same seeded run fires and resolves the same alerts
 at the same virtual times, every time. Firing/resolved transitions are
-recorded as :class:`AlertEvent`\\ s and traced as instant spans
-(category ``alerts``) when a tracer is attached.
+recorded as :class:`AlertEvent`\\ s.
 """
 
 from __future__ import annotations
@@ -107,12 +106,11 @@ class AlertEngine:
     it remembers the incident, it should not prolong the page).
     """
 
-    def __init__(self, rules: list[BurnRateRule], tracer=None):
+    def __init__(self, rules: list[BurnRateRule]):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ValueError("alert rule names must be unique")
         self.rules = list(rules)
-        self.tracer = tracer
         self.events: list[AlertEvent] = []
         self._states = {r.name: _RuleState() for r in self.rules}
 
@@ -148,12 +146,7 @@ class AlertEngine:
                 produced.append(AlertEvent(now_ms, rule.name, "resolved",
                                            fast, slow if slow is not None
                                            else float("nan"), thr))
-        for event in produced:
-            self.events.append(event)
-            if self.tracer is not None:
-                self.tracer.instant("alert", "alerts", event.time_ms,
-                                    rule=event.rule, state=event.state,
-                                    fast=event.fast, slow=event.slow)
+        self.events.extend(produced)
         return produced
 
     @property

@@ -487,12 +487,11 @@ class Telemetry:
     """
 
     def __init__(self, sample_interval_ms: float = 1.0,
-                 capacity: int = 2048, tracer=None):
+                 capacity: int = 2048):
         if sample_interval_ms <= 0:
             raise ValueError("sample_interval_ms must be positive")
         self.sample_interval_ms = sample_interval_ms
         self.store = TimeSeriesStore(capacity)
-        self.tracer = tracer
         self.families: dict[str, MetricFamily] = {}
         self.alerts = None
         self._collectors: dict[str, object] = {}

@@ -8,7 +8,7 @@ fully deterministic under a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class Response:
     output: np.ndarray | None = None
     reject_reason: str | None = None
     tenant: str | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def queue_ms(self) -> float:

@@ -15,6 +15,7 @@ from .trainer import (
     evaluate,
     fine_tune,
     predict,
+    run_epochs,
     train_head_on_features,
     transplant_head,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "evaluate",
     "fine_tune",
     "predict",
+    "run_epochs",
     "train_head_on_features",
     "transplant_head",
 ]

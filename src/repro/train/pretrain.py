@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.data.imagenet import make_synth_imagenet
 from repro.nn import Adam, Network
-from repro.nn.losses import softmax_cross_entropy
 from repro.zoo import build_network
+
+from .trainer import run_epochs
 
 __all__ = ["PretrainConfig", "recipe_for", "default_cache_dir", "pretrain",
            "get_pretrained"]
@@ -76,29 +77,12 @@ def pretrain(net: Network, config: PretrainConfig = PretrainConfig(),
                                seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     optimizer = Adam(config.lr)
-    # train on logits: bypass the final softmax for numerical stability
-    saved_output = net.output_name
-    out_node = net.nodes[net.output_name]
-    if type(out_node.layer).__name__ == "Softmax":
-        net.output_name = out_node.inputs[0]
-    try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(data))
-            total, batches = 0.0, 0
-            for start in range(0, len(data), config.batch_size):
-                idx = order[start:start + config.batch_size]
-                net.zero_grad()
-                _, loss = net.forward_backward(
-                    data.x[idx], loss_fn=softmax_cross_entropy,
-                    y=data.y[idx], training=True)
-                optimizer.step(net.parameters())
-                total += loss
-                batches += 1
-            if verbose:
-                print(f"  [{net.name}] epoch {epoch + 1}/{config.epochs} "
-                      f"loss={total / batches:.4f}")
-    finally:
-        net.output_name = saved_output
+    for epoch in range(config.epochs):
+        [loss] = run_epochs(net, data.x, data.y, 1, optimizer,
+                            config.batch_size, rng)
+        if verbose:
+            print(f"  [{net.name}] epoch {epoch + 1}/{config.epochs} "
+                  f"loss={loss:.4f}")
     return net
 
 

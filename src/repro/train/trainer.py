@@ -1,4 +1,7 @@
-"""Training loops: head-only training and the paper's two-phase fine-tuning.
+"""The training loop, head-only training and the paper's two-phase fine-tuning.
+
+:func:`run_epochs` is the one epoch loop: pretraining, head training,
+fine-tuning and the EMG classifier all train through it.
 
 The paper's transfer recipe (§III-B3): start with all pretrained features
 frozen and train the new head at learning rate 1e-3, then unfreeze the
@@ -16,10 +19,11 @@ import numpy as np
 
 from repro.data.synthetic import Dataset
 from repro.metrics.angular import mean_angular_similarity
-from repro.nn import Adam, Dense, Network, ReLU, Softmax
+from repro.nn import Adam, Network
 from repro.nn.losses import softmax_cross_entropy
+from repro.trim.removal import DEFAULT_HEAD_HIDDEN, attach_head
 
-__all__ = ["TrainConfig", "TrainResult", "build_head_network",
+__all__ = ["TrainConfig", "TrainResult", "run_epochs", "build_head_network",
            "train_head_on_features", "fine_tune", "evaluate", "predict",
            "transplant_head"]
 
@@ -47,17 +51,12 @@ class TrainResult:
 
 
 def build_head_network(in_dim: int, num_classes: int,
-                       hidden: tuple[int, int] = (32, 16),
+                       hidden: tuple[int, ...] = DEFAULT_HEAD_HIDDEN,
                        rng: np.random.Generator | int = 0) -> Network:
-    """The paper's transfer head as a standalone network on GAP features."""
-    net = Network("head", (in_dim,))
-    prev = "input"
-    for i, width in enumerate(hidden, start=1):
-        prev = net.add(f"fc{i}", Dense(width), inputs=prev, role="head")
-        prev = net.add(f"relu{i}", ReLU(), role="head")
-    net.add("logits", Dense(num_classes), inputs=prev, role="head")
-    net.add("probs", Softmax(), role="head")
-    return net.build(rng)
+    """The paper's transfer head as a standalone network on GAP features:
+    :func:`repro.trim.attach_head` on a bare ``(in_dim,)`` input."""
+    return attach_head(Network("head", (in_dim,)).build(), num_classes,
+                       hidden, rng)
 
 
 def transplant_head(head: Network, trn: Network) -> Network:
@@ -65,38 +64,34 @@ def transplant_head(head: Network, trn: Network) -> Network:
 
     The sweep experiments train the transfer head on pre-recorded GAP
     features (:func:`train_head_on_features`); this grafts those weights
-    onto the full TRN (whose head layers are named ``head_fc1``,
-    ``head_fc2``, ``head_logits``) so the TRN can run end-to-end inference.
-    Returns ``trn``.
+    onto the full TRN, whose head layers carry the same names (both come
+    from :func:`repro.trim.attach_head`), so the TRN can run end-to-end
+    inference. Returns ``trn``.
     """
-    mapping = {"fc1": "head_fc1", "fc2": "head_fc2", "logits": "head_logits"}
-    for src, dst in mapping.items():
-        if src not in head.nodes or dst not in trn.nodes:
-            raise KeyError(f"cannot transplant {src!r} -> {dst!r}")
-        for pname, p in head.nodes[src].layer.params.items():
-            target = trn.nodes[dst].layer.params[pname]
+    for node in head.nodes.values():
+        for pname, p in node.layer.params.items():
+            if node.name not in trn.nodes:
+                raise KeyError(f"TRN has no layer {node.name!r}")
+            target = trn.nodes[node.name].layer.params[pname]
             if target.value.shape != p.value.shape:
                 raise ValueError(
-                    f"head/TRN shape mismatch at {dst}.{pname}: "
+                    f"head/TRN shape mismatch at {node.name}.{pname}: "
                     f"{target.value.shape} vs {p.value.shape}")
             target.value = p.value.copy()
     return trn
 
 
-def _logits_node(net: Network) -> str:
-    """The node feeding the final softmax (training bypasses the softmax)."""
-    out = net.nodes[net.output_name]
-    if type(out.layer).__name__ == "Softmax":
-        return out.inputs[0]
-    return net.output_name
-
-
-def _run_epochs(net: Network, x: np.ndarray, y: np.ndarray, epochs: int,
-                optimizer: Adam, batch_size: int,
-                rng: np.random.Generator, losses: list[float]) -> None:
-    logits_node = _logits_node(net)
+def run_epochs(net: Network, x: np.ndarray, y: np.ndarray, epochs: int,
+               optimizer: Adam, batch_size: int,
+               rng: np.random.Generator) -> list[float]:
+    """The one training loop: shuffled minibatch epochs of softmax
+    cross-entropy on the logits (the final softmax is bypassed for
+    numerical stability). Returns each epoch's mean batch loss."""
+    losses = []
     saved_output = net.output_name
-    net.output_name = logits_node
+    out = net.nodes[saved_output]
+    if type(out.layer).__name__ == "Softmax":
+        net.output_name = out.inputs[0]
     try:
         for _ in range(epochs):
             order = rng.permutation(x.shape[0])
@@ -114,21 +109,20 @@ def _run_epochs(net: Network, x: np.ndarray, y: np.ndarray, epochs: int,
             losses.append(epoch_loss / max(batches, 1))
     finally:
         net.output_name = saved_output
+    return losses
 
 
 def train_head_on_features(features: np.ndarray, y: np.ndarray,
                            num_classes: int, epochs: int = 60,
                            lr: float = 1e-3, batch_size: int = 64,
-                           hidden: tuple[int, int] = (32, 16),
+                           hidden: tuple[int, ...] = DEFAULT_HEAD_HIDDEN,
                            rng: np.random.Generator | int = 0) -> TrainResult:
     """Phase-1 training: fit the transfer head on frozen GAP features."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     head = build_head_network(features.shape[1], num_classes, hidden, rng)
-    result = TrainResult(head)
-    optimizer = Adam(lr)
-    _run_epochs(head, features.astype(np.float32), y, epochs, optimizer,
-                batch_size, rng, result.losses)
+    losses = run_epochs(head, features.astype(np.float32), y, epochs,
+                        Adam(lr), batch_size, rng)
+    result = TrainResult(head, losses)
     result.train_accuracy = mean_angular_similarity(
         head.forward(features.astype(np.float32)), y)
     return result
@@ -148,13 +142,15 @@ def fine_tune(net: Network, train_data: Dataset,
 
     net.freeze(lambda node: node.role != "head")
     optimizer = Adam(config.lr_frozen)
-    _run_epochs(net, train_data.x, train_data.y, config.epochs_frozen,
-                optimizer, config.batch_size, rng, result.losses)
+    result.losses += run_epochs(net, train_data.x, train_data.y,
+                                config.epochs_frozen, optimizer,
+                                config.batch_size, rng)
 
     net.unfreeze()
     optimizer.set_lr(config.lr_full)
-    _run_epochs(net, train_data.x, train_data.y, config.epochs_full,
-                optimizer, config.batch_size, rng, result.losses)
+    result.losses += run_epochs(net, train_data.x, train_data.y,
+                                config.epochs_full, optimizer,
+                                config.batch_size, rng)
 
     result.train_accuracy = evaluate(net, train_data)
     if test_data is not None:

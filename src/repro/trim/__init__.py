@@ -18,7 +18,12 @@ from .removal import (
     removed_weighted_layers,
     trn_node_count,
 )
-from .search import Cutpoint, enumerate_blockwise, enumerate_iterative
+from .search import (
+    Cutpoint,
+    enumerate_blockwise,
+    enumerate_iterative,
+    transfer_cut,
+)
 
 __all__ = [
     "BlockBoundary",
@@ -31,6 +36,7 @@ __all__ = [
     "removed_node_set",
     "DEFAULT_HEAD_HIDDEN",
     "Cutpoint",
+    "transfer_cut",
     "enumerate_blockwise",
     "enumerate_iterative",
     "channel_importance",

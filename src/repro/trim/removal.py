@@ -20,6 +20,8 @@ import numpy as np
 
 from repro.nn import Dense, GlobalAvgPool, Network, ReLU, Softmax
 
+from .blocks import _weighted
+
 __all__ = ["DEFAULT_HEAD_HIDDEN", "attach_head", "build_trn",
            "trn_node_count", "removed_weighted_layers", "removed_node_set"]
 
@@ -28,16 +30,17 @@ DEFAULT_HEAD_HIDDEN = (32, 16)
 
 
 def attach_head(features: Network, num_classes: int,
-                hidden: tuple[int, int] = DEFAULT_HEAD_HIDDEN,
+                hidden: tuple[int, ...] = DEFAULT_HEAD_HIDDEN,
                 rng: np.random.Generator | int = 0) -> Network:
     """Attach the GAP + FC/ReLU + FC/ReLU + FC/Softmax head in place.
 
-    ``features`` must be built (so shapes are known); the head parameters
-    are freshly initialised from ``rng`` and the returned network is
-    ``features`` itself, rebuilt to cover the new layers.
+    The one head builder: TRNs, the heads trained on recorded features
+    and the EMG classifier all get theirs here, one FC/ReLU pair per
+    ``hidden`` width (GAP only on a spatial output). ``features`` must be
+    built (so shapes are known); the head parameters are freshly
+    initialised from ``rng`` and the returned network is ``features``
+    itself, rebuilt to cover the new layers.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     out = features.output_name
     if len(features.shape_of(out)) == 3:
         out = features.add("head_gap", GlobalAvgPool(), inputs=out,
@@ -56,7 +59,7 @@ def attach_head(features: Network, num_classes: int,
 
 
 def build_trn(base: Network, cut_node: str, num_classes: int,
-              hidden: tuple[int, int] = DEFAULT_HEAD_HIDDEN,
+              hidden: tuple[int, ...] = DEFAULT_HEAD_HIDDEN,
               rng: np.random.Generator | int = 0,
               name: str | None = None) -> Network:
     """Build a TRN from a pretrained base network and a cutpoint node.
@@ -98,18 +101,6 @@ def removed_weighted_layers(base: Network, cut_node: str) -> int:
     This is the x-axis of the paper's Fig. 5. Head layers of the base
     network do not count: transfer learning replaces them in any case.
     """
-    kept: set[str] = set()
-    stack = [cut_node]
-    while stack:
-        cur = stack.pop()
-        if cur in kept:
-            continue
-        kept.add(cur)
-        stack.extend(base.nodes[cur].inputs)
-    removed = 0
-    for node in base.nodes.values():
-        if node.role != "feature" or node.name in kept:
-            continue
-        if type(node.layer).__name__ in ("Conv2D", "DepthwiseConv2D", "Dense"):
-            removed += 1
-    return removed
+    nodes = [base.nodes[name] for name in removed_node_set(base, cut_node)]
+    return sum(1 for node in nodes
+               if node.role == "feature" and _weighted(node.layer))

@@ -16,7 +16,8 @@ from repro.nn.graph import Network
 from .blocks import block_boundaries, stem_output
 from .removal import removed_weighted_layers
 
-__all__ = ["Cutpoint", "enumerate_blockwise", "enumerate_iterative"]
+__all__ = ["Cutpoint", "transfer_cut", "enumerate_blockwise",
+           "enumerate_iterative"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,15 @@ class Cutpoint:
     cut_node: str
     blocks_removed: int | None
     layers_removed: int
+
+
+def transfer_cut(net: Network, cutpoint: Cutpoint | None = None) -> str:
+    """The node a TRN's head attaches to: the cutpoint's node, or with
+    ``cutpoint=None`` the last feature block's output (the transfer model,
+    which keeps every feature block and replaces the pretraining head)."""
+    if cutpoint is not None:
+        return cutpoint.cut_node
+    return block_boundaries(net)[-1].output_node
 
 
 def enumerate_blockwise(net: Network) -> list[Cutpoint]:

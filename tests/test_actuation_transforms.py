@@ -1,14 +1,8 @@
-"""Tests for the actuation model and the augmentation transforms."""
+"""Tests for the hand's actuation model."""
 
 import numpy as np
 import pytest
 
-from repro.data.transforms import (
-    augment_batch,
-    brightness_jitter,
-    random_flip,
-    random_shift,
-)
 from repro.hand.actuation import ActuationModel
 from repro.hand.grasps import joint_targets
 
@@ -66,41 +60,3 @@ class TestActuationModel:
             model.drive(self._decision(), -1.0)
         with pytest.raises(ValueError):
             ActuationModel(tau_ms=0.0)
-
-
-class TestTransforms:
-    @pytest.fixture
-    def batch(self, rng):
-        return rng.random((8, 16, 16, 3)).astype(np.float32)
-
-    def test_flip_preserves_content(self, batch):
-        out = random_flip(batch, np.random.default_rng(0), p=1.0)
-        np.testing.assert_allclose(out, batch[:, :, ::-1, :])
-
-    def test_flip_probability_zero_is_identity(self, batch):
-        out = random_flip(batch, np.random.default_rng(0), p=0.0)
-        np.testing.assert_array_equal(out, batch)
-
-    def test_shift_preserves_shape_and_range(self, batch):
-        out = random_shift(batch, np.random.default_rng(0), max_shift=3)
-        assert out.shape == batch.shape
-        assert out.min() >= 0 and out.max() <= 1
-
-    def test_shift_zero_is_copy(self, batch):
-        out = random_shift(batch, np.random.default_rng(0), max_shift=0)
-        np.testing.assert_array_equal(out, batch)
-        assert out is not batch
-
-    def test_brightness_stays_in_unit_range(self, batch):
-        out = brightness_jitter(batch, np.random.default_rng(0),
-                                strength=0.5)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_augment_batch_deterministic_per_seed(self, batch):
-        a = augment_batch(batch, np.random.default_rng(7))
-        b = augment_batch(batch, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-
-    def test_augment_batch_changes_images(self, batch):
-        out = augment_batch(batch, np.random.default_rng(3))
-        assert not np.array_equal(out, batch)

@@ -96,16 +96,6 @@ class TestDatasetContainer:
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.x[1], data.x[5])
 
-    def test_batches_cover_everything(self):
-        data = make_hands_dataset(25, seed=3)
-        seen = sum(x.shape[0] for x, _ in data.batches(8))
-        assert seen == 25
-
-    def test_batches_shuffled_with_rng(self, rng):
-        data = make_hands_dataset(25, seed=3)
-        xb, _ = next(iter(data.batches(25, rng=rng)))
-        assert not np.array_equal(xb, data.x)
-
 
 class TestSynthImageNet:
     def test_twenty_classes(self):

@@ -6,7 +6,6 @@ import pytest
 from repro.device import (
     DeviceSpec,
     ServiceTimeSampler,
-    fuse_kernels,
     k20m,
     kernel_latency_ms,
     measure_latency,
@@ -17,6 +16,7 @@ from repro.device import (
     xavier,
 )
 from repro.nn import BatchNorm, Conv2D, Network, ReLU
+from repro.nn.compile import fuse_kernels
 
 
 

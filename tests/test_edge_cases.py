@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import Dataset, make_hands_dataset
+from repro.data import make_hands_dataset
 from repro.device import DeviceSpec, measure_latency, network_latency
 from repro.estimators import SVR, LinearRegression
 from repro.nn import Dense, Network
@@ -45,11 +45,6 @@ class TestDegenerateInputs:
         data = make_hands_dataset(10, seed=0)
         train, test = data.split(1.0, rng=0)
         assert len(train) == 10 and len(test) == 0
-
-    def test_empty_dataset_batches(self):
-        empty = Dataset(np.zeros((0, 4, 4, 3), dtype=np.float32),
-                        np.zeros((0, 5), dtype=np.float32), ["a"] * 5)
-        assert list(empty.batches(4)) == []
 
 
 class TestDeviceEdgeCases:

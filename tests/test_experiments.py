@@ -85,3 +85,16 @@ class TestExperiments:
         trn, accuracy = wb.retrain_trn(base, cut)
         assert 0.0 < accuracy <= 1.0
         assert trn.name.startswith("mobilenet_v1_0.25/")
+
+    @pytest.mark.parametrize("blocks_removed", [0, 1])
+    def test_retrain_trn_serves_its_trained_head(self, wb, blocks_removed):
+        """The returned TRN carries the head retrain_trn fitted: its own
+        forward pass scores the accuracy it reports."""
+        from repro.train import evaluate
+        from repro.trim import enumerate_blockwise
+
+        base = wb.base("mobilenet_v1_0.25")
+        cut = ([None] + enumerate_blockwise(base))[blocks_removed]
+        trn, accuracy = wb.retrain_trn(base, cut)
+        _, test_data = wb.hands()
+        assert evaluate(trn, test_data) == pytest.approx(accuracy, abs=1e-6)

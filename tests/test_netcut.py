@@ -133,6 +133,19 @@ class TestAdapters:
         assert lats == sorted(lats, reverse=True)
         assert oracle.estimate(tiny_net, None) > lats[0]
 
+    def test_oracle_none_prices_the_transfer_model(self, tiny_net,
+                                                  tiny_device):
+        """``cutpoint=None`` is the transfer model (every feature block,
+        the new head), as for the profiler and analytical adapters, not
+        the pretraining network with its own head."""
+        from repro.device import network_latency
+        from repro.trim import build_trn, transfer_cut
+
+        transfer = build_trn(tiny_net, transfer_cut(tiny_net), 5)
+        expected = network_latency(transfer, tiny_device).total_ms
+        oracle = OracleAdapter(tiny_device)
+        assert oracle.estimate(tiny_net, None) == expected
+
     def test_profiler_adapter_builds_one_table_per_base(self, tiny_device):
         from repro.trim import enumerate_blockwise
 
