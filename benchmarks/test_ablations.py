@@ -34,7 +34,7 @@ def test_ablation_ratio_vs_raw_difference(wb, latency_points, truth,
         ratio_pred, raw_pred = [], []
         for p in latency_points:
             base = wb.base(p.base_name)
-            est = profiler._estimator_for(base)
+            est = profiler.estimator_for(base)
             removed = removed_node_set(base, p.cut_node)
             ratio_pred.append(est.estimate(removed))
             raw_pred.append(est.estimate_raw_difference(removed))
@@ -62,7 +62,7 @@ def test_ablation_head_correction(wb, latency_points, truth, benchmark):
         corrected, verbatim = [], []
         for p in latency_points:
             base = wb.base(p.base_name)
-            est = profiler._estimator_for(base)
+            est = profiler.estimator_for(base)
             removed = removed_node_set(base, p.cut_node)
             corrected.append(est.estimate(removed))
             verbatim.append(est.estimate_paper(removed))

@@ -95,21 +95,14 @@ def test_deploy_quantization_task_accuracy_preserved(wb, calib, benchmark):
     cost task accuracy. Train a TRN head, run the trained TRN in fp32 and
     int8, and compare angular-similarity accuracy against the labels."""
     from repro.metrics import mean_angular_similarity as mas
-    from repro.train import record_gap_features, train_head_on_features, \
-        transplant_head
     from repro.trim import enumerate_blockwise
 
     base = wb.base("mobilenet_v1_0.5")
     cut = enumerate_blockwise(base)[0]
-    train_data, test_data = wb.hands()
+    _, test_data = wb.hands()
 
     def trained_accuracies():
-        feats = record_gap_features(base, train_data.x, [cut.cut_node])
-        head = train_head_on_features(feats[cut.cut_node], train_data.y, 5,
-                                      epochs=wb.config.head_epochs,
-                                      rng=0).network
-        trn = wb.transfer_model("mobilenet_v1_0.5", cut)
-        transplant_head(head, trn)
+        trn, _ = wb.retrain_trn(base, cut)
         qnet = QuantizedNetwork(trn, calib)
         fp_acc = mas(trn.forward(test_data.x), test_data.y)
         q_acc = mas(qnet.forward(test_data.x), test_data.y)

@@ -20,7 +20,7 @@ def resnet_series(wb, latency_points):
     """(blocks_removed, truth, profiler, svr, linear) for ResNet-50 cuts."""
     points = [p for p in latency_points if p.base_name == "resnet50"]
     base = wb.base("resnet50")
-    profiler = wb.profiler_adapter()._estimator_for(base)
+    profiler = wb.profiler_adapter().estimator_for(base)
     prof = np.array([profiler.estimate(removed_node_set(base, p.cut_node))
                      for p in points])
     svr_model, _ = wb.analytical_model("rbf")

@@ -10,24 +10,14 @@ import numpy as np
 import pytest
 
 from repro.estimators import relative_error
-from repro.trim import removed_node_set
 
 from conftest import emit
 
 
 @pytest.fixture(scope="module")
-def predictions(wb, latency_points):
-    truth = np.array([p.measured_ms for p in latency_points])
-    profiler = wb.profiler_adapter()
-    prof = np.array([
-        profiler._estimator_for(wb.base(p.base_name)).estimate(
-            removed_node_set(wb.base(p.base_name), p.cut_node))
-        for p in latency_points])
-    svr_model, test_idx = wb.analytical_model("rbf")
-    lin_model, _ = wb.analytical_model("linear-ols")
-    feats = [p.features for p in latency_points]
-    return truth, prof, svr_model.predict(feats), lin_model.predict(feats), \
-        test_idx
+def predictions(wb):
+    s = wb.estimates()
+    return s.measured, s.profiler, s.svr, s.linear, s.held_out
 
 
 def test_fig09_per_network_errors(predictions, latency_points, wb,
@@ -56,9 +46,7 @@ def test_fig09_per_network_errors(predictions, latency_points, wb,
 
 
 def test_fig09_average_errors_match_paper_scale(predictions, benchmark):
-    truth, prof, svr, lin, test_idx = predictions
-    hold = np.zeros(len(truth), dtype=bool)
-    hold[test_idx] = True
+    truth, prof, svr, lin, hold = predictions
 
     prof_err = benchmark(relative_error, prof, truth)
     svr_err = relative_error(svr[hold], truth[hold])

@@ -16,46 +16,31 @@ import numpy as np
 
 from repro import Workbench
 from repro.estimators import relative_error
-from repro.trim import removed_node_set
 
 
 def main() -> None:
     wb = Workbench()
-    points = wb.latency_dataset()
-    truth = np.array([p.measured_ms for p in points])
-    names = [p.base_name for p in points]
-
-    profiler = wb.profiler_adapter()
-    prof_pred = np.array([
-        profiler._estimator_for(wb.base(p.base_name)).estimate(
-            removed_node_set(wb.base(p.base_name), p.cut_node))
-        for p in points])
-
-    svr_model, test_idx = wb.analytical_model("rbf")
-    lin_model, _ = wb.analytical_model("linear-ols")
-    svr_pred = svr_model.predict([p.features for p in points])
-    lin_pred = lin_model.predict([p.features for p in points])
+    s = wb.estimates()
+    truth, hold = s.measured, s.held_out
 
     print(f"{'network':20s} {'profiler':>10} {'SVR (rbf)':>10} "
           f"{'linear':>10}   (mean relative error, %)")
     print("-" * 58)
     for net in wb.config.networks:
-        mask = np.array([n == net for n in names])
+        mask = s.base_names == net
         print(f"{net:20s} "
-              f"{relative_error(prof_pred[mask], truth[mask]):>9.2f}% "
-              f"{relative_error(svr_pred[mask], truth[mask]):>9.2f}% "
-              f"{relative_error(lin_pred[mask], truth[mask]):>9.2f}%")
+              f"{relative_error(s.profiler[mask], truth[mask]):>9.2f}% "
+              f"{relative_error(s.svr[mask], truth[mask]):>9.2f}% "
+              f"{relative_error(s.linear[mask], truth[mask]):>9.2f}%")
     print("-" * 58)
-    hold = np.zeros(len(points), dtype=bool)
-    hold[test_idx] = True
     print(f"{'ALL (80% holdout)':20s} "
-          f"{relative_error(prof_pred[hold], truth[hold]):>9.2f}% "
-          f"{relative_error(svr_pred[hold], truth[hold]):>9.2f}% "
-          f"{relative_error(lin_pred[hold], truth[hold]):>9.2f}%")
+          f"{relative_error(s.profiler[hold], truth[hold]):>9.2f}% "
+          f"{relative_error(s.svr[hold], truth[hold]):>9.2f}% "
+          f"{relative_error(s.linear[hold], truth[hold]):>9.2f}%")
     print(f"\nabsolute errors (ms): profiler "
-          f"{np.abs(prof_pred - truth).mean():.4f}, "
-          f"SVR {np.abs(svr_pred[hold] - truth[hold]).mean():.4f}, "
-          f"linear {np.abs(lin_pred[hold] - truth[hold]).mean():.4f}")
+          f"{np.abs(s.profiler - truth).mean():.4f}, "
+          f"SVR {np.abs(s.svr[hold] - truth[hold]).mean():.4f}, "
+          f"linear {np.abs(s.linear[hold] - truth[hold]).mean():.4f}")
     print("paper reference: profiler 3.5% (0.024 ms), SVR 4.28% "
           "(0.029 ms), linear 23.81% (0.092 ms)")
 

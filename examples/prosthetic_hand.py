@@ -30,7 +30,6 @@ from repro.hand import (
     synth_emg_window,
 )
 from repro.metrics import angular_similarity
-from repro.train import record_gap_features, train_head_on_features
 
 
 def main() -> None:
@@ -66,15 +65,8 @@ def main() -> None:
           f"{best.estimated_latency_ms:.3f} ms, measured "
           f"{best.measured_latency_ms:.3f} ms, accuracy {best.accuracy:.3f}")
 
-    # retrain the winning TRN's head and keep the trained head around for
-    # per-frame inference during the reaches
-    base = wb.base(best.base_name)
-    cut_node = (best.cutpoint.cut_node if best.cutpoint
-                else list(wb.exploration().for_base(best.base_name))[0].cut_node)
-    train_data, _ = wb.hands()
-    feats = record_gap_features(base, train_data.x, [cut_node])
-    head = train_head_on_features(feats[cut_node], train_data.y, 5,
-                                  epochs=50).network
+    # retrain the winning TRN: it classifies every frame of the reaches
+    trn, _ = wb.retrain_trn(wb.base(best.base_name), best.cutpoint)
 
     print("\nsimulating 40 reach episodes ...")
     rng = np.random.default_rng(7)
@@ -86,8 +78,7 @@ def main() -> None:
         truth = grasp_distribution(params, rng=None)
         frames = np.stack([
             render_object(params, 32, rng) for _ in range(spec.fusion_frames)])
-        frame_feats = record_gap_features(base, frames, [cut_node])
-        visual_preds = head.forward(frame_feats[cut_node])
+        visual_preds = trn.forward(frames)
 
         grasp_idx = int(np.argmax(truth))
         emg_window = synth_emg_window(grasp_idx, rng)

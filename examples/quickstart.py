@@ -17,9 +17,8 @@ Run:  python examples/quickstart.py
 from repro.device import measure_latency, profile_network, xavier
 from repro.estimators import ProfilerEstimator
 from repro.hand import DEFAULT_DEADLINE_MS
-from repro.metrics import mean_angular_similarity
 from repro.data import make_hands_dataset
-from repro.train import get_pretrained, record_gap_features, train_head_on_features
+from repro.train import get_pretrained, retrain
 from repro.trim import build_trn, enumerate_blockwise, removed_node_set
 
 
@@ -57,14 +56,8 @@ def main() -> None:
           f"({chosen.blocks_removed} blocks removed) ...")
     data = make_hands_dataset(800, seed=1)
     train, test = data.split(0.75, rng=0)
-    feats_train = record_gap_features(base, train.x, [chosen.cut_node])
-    feats_test = record_gap_features(base, test.x, [chosen.cut_node])
-    head = train_head_on_features(feats_train[chosen.cut_node], train.y, 5,
-                                  epochs=50)
-    accuracy = mean_angular_similarity(
-        head.network.forward(feats_test[chosen.cut_node]), test.y)
-
-    trn = build_trn(base, chosen.cut_node, 5)
+    trn, accuracy = next(retrain(base, [chosen.cut_node], train, test,
+                                 epochs=50))
     measured = measure_latency(trn, device).mean_ms
     print(f"\nresult: {trn.name}  latency {measured:.3f} ms "
           f"(deadline {deadline} ms)  angular-similarity accuracy "

@@ -10,8 +10,8 @@ The package is organised bottom-up:
   profiler, INT8 quantization) and Tesla K20m training-cost model.
 - :mod:`repro.metrics` — angular similarity and Pareto-frontier analysis.
 - :mod:`repro.trim` — layer removal and TRN construction.
-- :mod:`repro.train` — transfer learning (feature recording, fine-tuning,
-  pretraining with caching).
+- :mod:`repro.train` — transfer learning (feature recording, the retrain
+  step, fine-tuning, pretraining with caching).
 - :mod:`repro.estimators` — profiler-based and analytical (ε-SVR) latency
   estimators with model selection.
 - :mod:`repro.netcut` — Algorithm 1, the blockwise-exploration baseline

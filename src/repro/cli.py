@@ -29,8 +29,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from repro.cluster import POLICIES
 from repro.device import DEVICE_PROFILES, network_latency, xavier
 from repro.faults import SCENARIOS, build_scenario
@@ -278,28 +276,16 @@ def cmd_netcut_online(args) -> int:
 def cmd_estimators(args) -> int:
     """Print the Fig. 9 estimator-error table."""
     from repro.estimators import relative_error
-    from repro.trim import removed_node_set
 
     wb = _workbench(args)
-    points = wb.latency_dataset()
-    truth = np.array([p.measured_ms for p in points])
-    profiler = wb.profiler_adapter()
-    prof = np.array([
-        profiler._estimator_for(wb.base(p.base_name)).estimate(
-            removed_node_set(wb.base(p.base_name), p.cut_node))
-        for p in points])
-    svr, _ = wb.analytical_model("rbf")
-    lin, _ = wb.analytical_model("linear-ols")
-    feats = [p.features for p in points]
-    svr_pred, lin_pred = svr.predict(feats), lin.predict(feats)
-    names = [p.base_name for p in points]
+    s = wb.estimates()
     print(f"{'network':22s} {'profiler%':>10} {'svr%':>8} {'linear%':>9}")
     for net in wb.config.networks:
-        mask = np.array([n == net for n in names])
+        mask = s.base_names == net
         print(f"{net:22s} "
-              f"{relative_error(prof[mask], truth[mask]):>10.2f} "
-              f"{relative_error(svr_pred[mask], truth[mask]):>8.2f} "
-              f"{relative_error(lin_pred[mask], truth[mask]):>9.2f}")
+              f"{relative_error(s.profiler[mask], s.measured[mask]):>10.2f} "
+              f"{relative_error(s.svr[mask], s.measured[mask]):>8.2f} "
+              f"{relative_error(s.linear[mask], s.measured[mask]):>9.2f}")
     return 0
 
 

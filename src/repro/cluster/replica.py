@@ -144,21 +144,17 @@ class Replica:
             self._pending, self.responses, self.clock_ms, until_ms)
 
     def finish(self) -> None:
-        """Drain everything: serve the backlog, then account leftovers.
+        """Drain everything: serve the backlog, then end the run.
 
         After an infinite-horizon :meth:`advance` the queue is empty
         unless every rung hard-failed; :meth:`repro.serve.Engine.drain`
         converts any leftovers to ``DROPPED`` responses so the
-        conservation law ``completed + dropped == admitted`` holds.
+        conservation law ``completed + dropped == admitted`` holds, and
+        takes the replica's closing telemetry sample.
         """
         self.advance(float("inf"))
         for resp in self.engine.drain(self.clock_ms):
             self.responses[resp.rid] = resp
-        telemetry = self.engine._telemetry
-        if telemetry is not None:
-            # closing sample: the replica's final counter values land in
-            # the series even when it went idle between sampling instants
-            telemetry.sample(self.clock_ms)
 
 
 def homogeneous_replicas(base, spec, n: int,

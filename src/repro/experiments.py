@@ -36,19 +36,17 @@ from repro.estimators.analytical import (
 )
 from repro.estimators.features import NetworkFeatures, extract_features
 from repro.estimators.model_selection import stratified_split_indices
-from repro.metrics.angular import mean_angular_similarity
 from repro.netcut.adapters import AnalyticalAdapter, ProfilerAdapter
 from repro.netcut.algorithm import NetCutResult, run_netcut
 from repro.netcut.explorer import Exploration, explore_blockwise
 from repro.nn.graph import Network
-from repro.train.features import record_gap_features
 from repro.train.pretrain import default_cache_dir, get_pretrained
-from repro.train.trainer import train_head_on_features, transplant_head
-from repro.trim.removal import build_trn
+from repro.train.trainer import retrain
+from repro.trim.removal import build_trn, removed_node_set
 from repro.trim.search import Cutpoint, enumerate_blockwise, transfer_cut
 from repro.zoo.registry import NETWORKS
 
-__all__ = ["ExperimentConfig", "LatencyPoint", "Workbench"]
+__all__ = ["ExperimentConfig", "LatencyPoint", "EstimatorSweep", "Workbench"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,20 @@ class LatencyPoint:
     blocks_removed: int
     measured_ms: float
     features: NetworkFeatures
+
+
+@dataclass(frozen=True)
+class EstimatorSweep:
+    """Per latency-dataset point, in order: its base network, measured
+    latency, profiler, RBF ε-SVR and OLS estimates, and whether the SVR
+    held it out (Figs 8-9)."""
+
+    base_names: np.ndarray
+    measured: np.ndarray
+    profiler: np.ndarray
+    svr: np.ndarray
+    linear: np.ndarray
+    held_out: np.ndarray
 
 
 class Workbench:
@@ -230,26 +242,35 @@ class Workbench:
         return AnalyticalAdapter(model, self.base_latencies(),
                                  self.config.num_classes)
 
+    def estimates(self) -> EstimatorSweep:
+        """The Fig. 9 sweep: the profiler, RBF-SVR and OLS estimates of
+        every TRN in :meth:`latency_dataset` next to its measurement."""
+        points = self.latency_dataset()
+        profiler = self.profiler_adapter()
+        svr, test_idx = self.analytical_model("rbf")
+        linear, _ = self.analytical_model("linear-ols")
+        features = [p.features for p in points]
+        held_out = np.zeros(len(points), dtype=bool)
+        held_out[test_idx] = True
+        return EstimatorSweep(
+            base_names=np.array([p.base_name for p in points]),
+            measured=np.array([p.measured_ms for p in points]),
+            profiler=np.array([
+                profiler.estimator_for(self.base(p.base_name)).estimate(
+                    removed_node_set(self.base(p.base_name), p.cut_node))
+                for p in points]),
+            svr=svr.predict(features), linear=linear.predict(features),
+            held_out=held_out)
+
     # -- retraining ----------------------------------------------------------
     def retrain_trn(self, base: Network, cutpoint: Cutpoint | None
                     ) -> tuple[Network, float]:
-        """Retrain a single TRN (frozen-feature phase) and score it.
-
-        The head is fitted on the cut's recorded GAP features and scored
-        on the test split's; the returned TRN carries that head.
-        """
+        """Algorithm 1's retrain step (:func:`repro.train.retrain`) on the
+        hand dataset: the TRN carrying its trained head, and its accuracy."""
         train_data, test_data = self.hands()
-        cut_node = transfer_cut(base, cutpoint)
-        feats_train = record_gap_features(base, train_data.x, [cut_node])
-        feats_test = record_gap_features(base, test_data.x, [cut_node])
-        head = train_head_on_features(
-            feats_train[cut_node], train_data.y, self.config.num_classes,
-            epochs=self.config.head_epochs, rng=self.config.seed).network
-        accuracy = mean_angular_similarity(head.forward(feats_test[cut_node]),
-                                           test_data.y)
-        trn = build_trn(base, cut_node, self.config.num_classes,
-                        rng=self.config.seed)
-        return transplant_head(head, trn), accuracy
+        return next(retrain(base, [transfer_cut(base, cutpoint)], train_data,
+                            test_data, self.config.head_epochs,
+                            self.config.seed))
 
     # -- the paper's experiments ------------------------------------------------
     def exploration(self, force: bool = False) -> Exploration:
@@ -258,16 +279,9 @@ class Workbench:
         Cached on disk; this is the ground truth behind Figs 4-7 and the
         183-hour side of the 27× comparison.
         """
-        path = self._cache_path("exploration")
-        if self._exploration is None and not force and os.path.exists(path):
-            self._exploration = Exploration.load(path)
         if self._exploration is None or force:
-            train_data, test_data = self.hands()
-            self._exploration = explore_blockwise(
-                self.bases(), train_data, test_data, self.device,
-                self.cost_model, self.config.head_epochs,
-                rng_seed=self.config.seed)
-            self._exploration.save(path)
+            self._exploration = self._explore(
+                "exploration", list(self.config.networks), force)
         return self._exploration
 
     def iterative_exploration(self, name: str = "inception_v3",
@@ -278,16 +292,19 @@ class Workbench:
         against — every feature node of the network is a cutpoint.
         Cached on disk (per network).
         """
-        path = os.path.join(
-            self.cache_dir,
-            f"iterative-{name}-{self.device.name}-{self.config.digest()}.json")
+        return self._explore(f"iterative-{name}", [name], force,
+                             iterative=True)
+
+    def _explore(self, kind: str, names: list[str], force: bool,
+                 iterative: bool = False) -> Exploration:
+        path = self._cache_path(kind)
         if not force and os.path.exists(path):
             return Exploration.load(path)
         train_data, test_data = self.hands()
         exploration = explore_blockwise(
-            [self.base(name)], train_data, test_data, self.device,
-            self.cost_model, self.config.head_epochs, iterative=True,
-            rng_seed=self.config.seed)
+            [self.base(name) for name in names], train_data, test_data,
+            self.device, self.cost_model, self.config.head_epochs,
+            iterative=iterative, rng_seed=self.config.seed)
         exploration.save(path)
         return exploration
 

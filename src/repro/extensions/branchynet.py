@@ -9,7 +9,7 @@ architectures at design time.
 
 This module implements early exiting on top of the same substrates so the
 two approaches can be compared head-to-head (see
-``benchmarks/test_ext_branchynet.py``): a :class:`BranchyNetwork` shares
+``benchmarks/test_ext_related_work.py``): a :class:`BranchyNetwork` shares
 one trunk with per-exit heads trained on the trunk's frozen features, and
 its runtime semantics (entropy-threshold exiting) give an
 average-latency/accuracy curve parameterised by the confidence threshold.

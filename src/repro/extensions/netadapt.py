@@ -18,8 +18,9 @@ network NetAdapt targeted) and concatenating DAGs, but not a network with a
 conv that feeds a residual ``Add``. Pruning propagates through batch norm,
 activations and depthwise convolutions into the next full convolution's (or
 the head's) input dimension. The short fine-tune is approximated by
-retraining the transfer head on the pruned features — the same fast
-frozen-feature protocol the rest of this repository uses.
+retraining the transfer head on the pruned features with
+:func:`repro.train.retrain` — the same fast frozen-feature protocol the
+rest of this repository uses.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.data.synthetic import Dataset
 from repro.device.k20m import TrainingCostModel
 from repro.device.latency import network_latency
 from repro.device.spec import DeviceSpec
-from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
 from repro.nn.layers import Conv2D
-from repro.train.features import record_gap_features
-from repro.train.trainer import train_head_on_features
-from repro.trim import prune_channels
+from repro.train.trainer import retrain
+from repro.trim import prune_channels, transfer_cut
 
 __all__ = ["NetAdaptConfig", "NetAdaptResult", "run_netadapt"]
 
@@ -92,21 +92,14 @@ def _prune_smallest(net: Network, conv: str, order: np.ndarray,
     return trial, network_latency(trial, device).total_ms
 
 
-def _head_input_node(net: Network) -> str:
-    if "head_gap" in net.nodes:
-        return net.nodes["head_gap"].inputs[0]
-    return net.nodes["gap"].inputs[0]
-
-
-def _proxy_accuracy(net: Network, train_x, train_y, test_x, test_y,
-                    epochs: int, seed: int) -> float:
-    node = _head_input_node(net)
-    feats_train = record_gap_features(net, train_x, [node])
-    feats_test = record_gap_features(net, test_x, [node])
-    head = train_head_on_features(feats_train[node], train_y,
-                                  train_y.shape[1], epochs=epochs,
-                                  rng=seed).network
-    return mean_angular_similarity(head.forward(feats_test[node]), test_y)
+def _retrain(net: Network, train: Dataset, test: Dataset, epochs: int,
+             seed: int) -> tuple[Network, float]:
+    """The transfer head retrained on ``net``'s pruned features: the TRN
+    carrying it, under ``net``'s name, and its accuracy."""
+    trn, accuracy = next(retrain(net, [transfer_cut(net)], train, test,
+                                 epochs, seed))
+    trn.name = net.name
+    return trn, accuracy
 
 
 def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
@@ -118,9 +111,12 @@ def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
     """Adapt ``net`` (a built transfer model) to ``budget_ms``.
 
     The network is modified on a working copy; the input network is left
-    untouched. Raises ``RuntimeError`` if the budget cannot be reached
-    before every layer hits ``min_channels``.
+    untouched. ``result.network`` carries the head of the final long
+    fine-tune, whose test accuracy is ``result.accuracy``. Raises
+    ``RuntimeError`` if the budget cannot be reached before every layer
+    hits ``min_channels``.
     """
+    train, test = Dataset(train_x, train_y, []), Dataset(test_x, test_y, [])
     work = net.copy()
     work.build(config.seed)
     result = NetAdaptResult(work, float("nan"),
@@ -162,9 +158,8 @@ def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
             if ms >= result.latency_ms - 1e-9:
                 continue  # pruning this layer saves nothing
             evaluated += 1
-            acc = _proxy_accuracy(candidate, train_x, train_y, test_x,
-                                  test_y, config.head_epochs_short,
-                                  config.seed)
+            _, acc = _retrain(candidate, train, test,
+                              config.head_epochs_short, config.seed)
             if cost_model is not None:
                 result.train_hours += cost_model.train_hours_for_flops(
                     candidate.total_flops()) * (
@@ -186,9 +181,8 @@ def run_netadapt(net: Network, budget_ms: float, device: DeviceSpec,
         result.history.append(IterationRecord(
             iteration, lname, kept, result.latency_ms, acc, evaluated))
 
-    result.accuracy = _proxy_accuracy(work, train_x, train_y, test_x,
-                                      test_y, config.head_epochs_final,
-                                      config.seed)
+    result.network, result.accuracy = _retrain(
+        work, train, test, config.head_epochs_final, config.seed)
     if cost_model is not None:
         result.train_hours += cost_model.train_hours_for_flops(
             work.total_flops())

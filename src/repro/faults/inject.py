@@ -120,7 +120,8 @@ class FaultInjector:
 
     # -- read-out ------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Injector state as a plain dict (mountable in a registry)."""
+        """Injector state, every fault event included, as a plain
+        JSON-able dict."""
         return {"seed": self.seed, "now_ms": self.now_ms,
                 "faults": [f.describe() for f in self.faults],
                 "active": [f.describe() for f, a

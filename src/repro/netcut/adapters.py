@@ -44,7 +44,9 @@ class ProfilerAdapter:
         self.num_classes = num_classes
         self._estimators: dict[str, ProfilerEstimator] = {}
 
-    def _estimator_for(self, base: Network) -> ProfilerEstimator:
+    def estimator_for(self, base: Network) -> ProfilerEstimator:
+        """The ratio estimator over ``base``'s table (profiled on first
+        use)."""
         if base.name not in self._estimators:
             transfer = build_trn(base, transfer_cut(base), self.num_classes,
                                  name=base.name)
@@ -54,7 +56,7 @@ class ProfilerAdapter:
 
     def estimate(self, base: Network, cutpoint: Cutpoint | None) -> float:
         """Estimated TRN latency in ms (``cutpoint=None`` = original net)."""
-        estimator = self._estimator_for(base)
+        estimator = self.estimator_for(base)
         if cutpoint is None:
             return estimator.table.end_to_end_ms
         return estimator.estimate(removed_node_set(base, cutpoint.cut_node))

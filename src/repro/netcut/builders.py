@@ -51,7 +51,7 @@ from repro.trim.prune import (
     skippable_blocks,
 )
 from repro.trim.removal import build_trn
-from repro.trim.search import enumerate_blockwise, transfer_cut
+from repro.trim.search import enumerate_blockwise, evenly_spaced, transfer_cut
 
 from .deploy import DeploymentArtifact
 
@@ -124,14 +124,6 @@ class LadderBuilder:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------------
-    def _grades(self, grades: tuple, max_rungs: int | None) -> list:
-        if max_rungs is None or max_rungs >= len(grades):
-            return list(grades)
-        if max_rungs < 1:
-            raise ValueError("max_rungs must be >= 1")
-        idx = np.linspace(0, len(grades) - 1, max_rungs).round().astype(int)
-        return [grades[int(i)] for i in sorted(set(idx.tolist()))]
-
     def _full_trn(self, base: Network, num_classes: int,
                   rng) -> Network:
         """The zero-cut transfer model every strategy grades down from."""
@@ -169,8 +161,10 @@ class GreedyLayerRemoval(LadderBuilder):
               max_rungs=None, accuracy_fn=None, rng=0):
         trn, deadline_ms, accuracy_fn = self._defaults(
             base, spec, num_classes, deadline_ms, accuracy_fn, rng)
-        cuts = self._grades(tuple(enumerate_blockwise(base)), None
-                            if max_rungs is None else max_rungs - 1)
+        cuts = enumerate_blockwise(base)
+        if max_rungs is not None:
+            # the full TRN is rung 0; the cuts grade the other max_rungs - 1
+            cuts = [] if max_rungs == 1 else evenly_spaced(cuts, max_rungs - 1)
         nets = [trn] + [
             build_trn(base, c.cut_node, num_classes, rng=rng,
                       name=f"{base.name}-{self.name}-cut{c.blocks_removed}")
@@ -201,7 +195,7 @@ class FilterPruneBuilder(LadderBuilder):
         importances = {conv: channel_importance(trn, conv)
                        for conv in prunable_channel_convs(trn)}
         nets = []
-        for ratio in self._grades(self.ratios, max_rungs):
+        for ratio in evenly_spaced(self.ratios, max_rungs):
             if ratio == 0.0:
                 nets.append(trn)
                 continue
@@ -276,7 +270,7 @@ class HALPBuilder(LadderBuilder):
         items.sort(key=lambda it: (it[2] / max(it[3], 1e-12), it[0],
                                    int(it[1][0])))
         nets = []
-        for budget in self._grades(self.budgets, max_rungs):
+        for budget in evenly_spaced(self.budgets, max_rungs):
             target = budget * full_ms
             estimate = full_ms
             removed: dict[str, list[np.ndarray]] = {}
@@ -366,7 +360,7 @@ class DPDepthBuilder(LadderBuilder):
             base, spec, num_classes, deadline_ms, accuracy_fn, rng)
         costs = self._block_costs(trn, spec)
         nets, seen = [], set()
-        for floor in self._grades(self.floors, max_rungs):
+        for floor in evenly_spaced(self.floors, max_rungs):
             chosen = self._knapsack(costs, 1.0 - floor)
             key = frozenset(chosen)
             if key in seen:

@@ -9,16 +9,13 @@ retrain its TRN, optionally quantize, and serialise the result to a single
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.device.quantize import QuantizedNetwork, calibration_split
 from repro.device.runtime import measure_latency
 from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
-from repro.nn.serialize import architecture_dict, network_from_dict
+from repro.nn.serialize import load_archive, save_network
 from repro.train.trainer import evaluate
 
 __all__ = ["DeploymentArtifact", "deploy", "save_artifact", "load_artifact"]
@@ -105,9 +102,6 @@ def save_artifact(artifact: DeploymentArtifact, path: str) -> None:
     the fp32 weights and a calibration set, so it is rebuilt at load time
     when needed.
     """
-    net = artifact.network
-    if not net.built:
-        raise RuntimeError("artifact network must be built before saving")
     meta = {
         "trn_name": artifact.trn_name,
         "base_name": artifact.base_name,
@@ -120,11 +114,7 @@ def save_artifact(artifact: DeploymentArtifact, path: str) -> None:
         # only tagged rungs grow the key: untagged artifacts keep the
         # exact pre-builder .npz bytes
         meta["builder"] = artifact.builder
-    np.savez_compressed(
-        path,
-        __architecture__=np.array(json.dumps(architecture_dict(net))),
-        __artifact__=np.array(json.dumps(meta)),
-        **net.state_dict())
+    save_network(artifact.network, path, meta)
     artifact.path = path
 
 
@@ -135,16 +125,11 @@ def load_artifact(path: str) -> DeploymentArtifact:
     Algorithm 1 — this is how a server (or a test) gets a ready-to-serve
     :class:`DeploymentArtifact` from disk.
     """
-    with np.load(path) as archive:
-        if "__artifact__" not in archive.files:
-            raise ValueError(
-                f"{path!r} has no __artifact__ metadata; use "
-                "repro.nn.serialize.load_network for plain network files")
-        arch = json.loads(str(archive["__architecture__"]))
-        meta = json.loads(str(archive["__artifact__"]))
-        state = {k: archive[k] for k in archive.files
-                 if not k.startswith("__")}
-    net = network_from_dict(arch, state)
+    net, meta = load_archive(path)
+    if meta is None:
+        raise ValueError(
+            f"{path!r} has no __artifact__ metadata; use "
+            "repro.nn.serialize.load_network for plain network files")
     return DeploymentArtifact(
         network=net,
         trn_name=meta["trn_name"],

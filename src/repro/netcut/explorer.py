@@ -3,9 +3,9 @@
 This retrains and measures *every* blockwise TRN of every base network
 (the paper's 148 candidates), producing the ground-truth trade-off data
 behind Figures 4-7 and the training-time totals behind the 27× speedup
-claim. Retraining uses the paper's frozen-feature phase, made fast by
-recording the GAP features of every cutpoint in a single dataset pass per
-base network (:mod:`repro.train.features`).
+claim. Retraining is :func:`repro.train.retrain`, the paper's
+frozen-feature phase, made fast by recording the GAP features of every
+cutpoint in a single dataset pass per base network.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ from repro.data.synthetic import Dataset
 from repro.device.k20m import TrainingCostModel
 from repro.device.runtime import measure_latency
 from repro.device.spec import DeviceSpec
-from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
-from repro.train.features import record_gap_features
-from repro.train.trainer import train_head_on_features
-from repro.trim.removal import build_trn
+from repro.train.trainer import retrain
 from repro.trim.search import (
     Cutpoint,
     enumerate_blockwise,
@@ -89,29 +86,21 @@ def explore_cutpoints(base: Network, cuts: list[Cutpoint],
                       train_data: Dataset, test_data: Dataset,
                       device: DeviceSpec,
                       cost_model: TrainingCostModel | None = None,
-                      head_epochs: int = 50, num_classes: int | None = None,
+                      head_epochs: int = 50,
                       rng_seed: int = 0) -> list[TRNRecord]:
     """Retrain and measure a TRN for every cutpoint of one base network."""
-    num_classes = num_classes or train_data.num_classes
-    nodes = [c.cut_node for c in cuts]
-    feats_train = record_gap_features(base, train_data.x, nodes)
-    feats_test = record_gap_features(base, test_data.x, nodes)
+    trns = retrain(base, [c.cut_node for c in cuts], train_data, test_data,
+                   head_epochs, rng_seed)
     records = []
-    for cut in cuts:
-        head = train_head_on_features(
-            feats_train[cut.cut_node], train_data.y, num_classes,
-            epochs=head_epochs, rng=rng_seed)
-        pred = head.network.forward(feats_test[cut.cut_node])
-        accuracy = mean_angular_similarity(pred, test_data.y)
-        trn = build_trn(base, cut.cut_node, num_classes, rng=rng_seed)
-        latency = measure_latency(trn, device).mean_ms
-        hours = cost_model.train_hours(trn) if cost_model else 0.0
+    for cut, (trn, accuracy) in zip(cuts, trns):
         records.append(TRNRecord(
             base_name=base.name, trn_name=trn.name, cut_node=cut.cut_node,
             blocks_removed=cut.blocks_removed,
-            layers_removed=cut.layers_removed, latency_ms=latency,
-            accuracy=accuracy, train_hours=hours,
-            feature_dim=feats_train[cut.cut_node].shape[1],
+            layers_removed=cut.layers_removed,
+            latency_ms=measure_latency(trn, device).mean_ms,
+            accuracy=accuracy,
+            train_hours=cost_model.train_hours(trn) if cost_model else 0.0,
+            feature_dim=trn.shape_of(cut.cut_node)[-1],
             flops=trn.total_flops(), params=trn.total_params()))
     return records
 

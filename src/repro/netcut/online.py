@@ -289,7 +289,8 @@ class ReestimationController:
 
     # -- read-out ------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Controller state as a plain dict (for the metrics registry)."""
+        """Controller state, every fit included, as a plain JSON-able
+        dict."""
         return {"deadline_ms": self.deadline_ms,
                 "method": self.method,
                 "counters": dict(self.counters),

@@ -10,7 +10,9 @@ the robotic hand.
 Format: a NumPy ``.npz`` whose ``__architecture__`` entry is a JSON string
 describing the graph and whose remaining entries are the parameter and
 batch-norm-statistic arrays keyed exactly as in
-:meth:`repro.nn.graph.Network.state_dict`.
+:meth:`repro.nn.graph.Network.state_dict`. A deployment artifact
+(:func:`repro.netcut.save_artifact`) adds one ``__artifact__`` JSON entry
+of metadata.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .layers import (
     Softmax,
 )
 
-__all__ = ["save_network", "load_network", "architecture_dict",
-           "network_from_dict"]
+__all__ = ["save_network", "load_network", "load_archive",
+           "architecture_dict", "network_from_dict"]
 
 
 def _conv_config(layer: Conv2D) -> dict:
@@ -130,21 +132,24 @@ def architecture_dict(net: Network) -> dict:
             "output": net.output_name, "nodes": nodes}
 
 
-def save_network(net: Network, path: str) -> None:
-    """Persist a built network (structure + weights) to ``path``."""
+def save_network(net: Network, path: str, metadata: dict | None = None
+                 ) -> None:
+    """Persist a built network (structure + weights) to ``path``, with
+    ``metadata`` (if given) as the ``__artifact__`` entry."""
     if not net.built:
         raise RuntimeError("network must be built before saving")
-    arch = json.dumps(architecture_dict(net))
-    state = net.state_dict()
-    np.savez_compressed(path, __architecture__=np.array(arch), **state)
+    extra = ({} if metadata is None
+             else {"__artifact__": np.array(json.dumps(metadata))})
+    np.savez_compressed(
+        path, __architecture__=np.array(json.dumps(architecture_dict(net))),
+        **extra, **net.state_dict())
 
 
 def network_from_dict(arch: dict, state: dict[str, np.ndarray]) -> Network:
     """Rebuild a network from an :func:`architecture_dict` and a state dict.
 
     The inverse of ``(architecture_dict(net), net.state_dict())``; used by
-    :func:`load_network` and by archives that store extra metadata next to
-    the architecture (e.g. deployment artifacts).
+    :func:`load_archive` and by the pruning surgery.
     """
     net = Network(arch["name"], tuple(arch["input_shape"]))
     for spec in arch["nodes"]:
@@ -157,10 +162,18 @@ def network_from_dict(arch: dict, state: dict[str, np.ndarray]) -> Network:
     return net
 
 
-def load_network(path: str) -> Network:
-    """Reconstruct a network saved by :func:`save_network`."""
+def load_archive(path: str) -> tuple[Network, dict | None]:
+    """A file saved by :func:`save_network`: the network and its
+    ``__artifact__`` metadata (``None`` when the file has none)."""
     with np.load(path) as archive:
         arch = json.loads(str(archive["__architecture__"]))
+        metadata = (json.loads(str(archive["__artifact__"]))
+                    if "__artifact__" in archive.files else None)
         state = {k: archive[k] for k in archive.files
                  if not k.startswith("__")}
-    return network_from_dict(arch, state)
+    return network_from_dict(arch, state), metadata
+
+
+def load_network(path: str) -> Network:
+    """Reconstruct a network saved by :func:`save_network`."""
+    return load_archive(path)[0]

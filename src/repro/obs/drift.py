@@ -181,7 +181,7 @@ class DriftMonitor:
                 and self.rolling_error > self.threshold)
 
     def snapshot(self) -> dict:
-        """Monitor state as a plain dict (for the metrics registry)."""
+        """Monitor state as a plain dict (what :meth:`report` prints)."""
         return {"observations": self._observations,
                 "skipped": self._skipped,
                 "rolling_error": self.rolling_error,

@@ -156,7 +156,7 @@ class Tracer:
         return [s for s in self.buffer if s.name == name]
 
     def snapshot(self) -> dict:
-        """Span statistics as a plain dict (for the metrics registry)."""
+        """Span statistics as a plain dict (what :meth:`report` prints)."""
         return {"buffered": len(self.buffer),
                 "dropped": self.buffer.dropped,
                 "by_name": dict(sorted(self._by_name().items()))}

@@ -9,8 +9,6 @@ Used by ``examples/generate_report.py`` and the test suite.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.estimators.model_selection import relative_error
 from repro.metrics.pareto import (
     CandidatePoint,
@@ -19,7 +17,6 @@ from repro.metrics.pareto import (
     relative_improvement,
 )
 from repro.netcut.accounting import compare_costs
-from repro.trim.removal import removed_node_set
 
 __all__ = ["build_report"]
 
@@ -82,29 +79,16 @@ def _pareto_section(wb, exploration) -> str:
 
 
 def _estimator_section(wb) -> str:
-    points = wb.latency_dataset()
-    truth = np.array([p.measured_ms for p in points])
-    names = [p.base_name for p in points]
-    profiler = wb.profiler_adapter()
-    prof = np.array([
-        profiler._estimator_for(wb.base(p.base_name)).estimate(
-            removed_node_set(wb.base(p.base_name), p.cut_node))
-        for p in points])
-    svr, _ = wb.analytical_model("rbf")
-    lin, _ = wb.analytical_model("linear-ols")
-    feats = [p.features for p in points]
-    svr_pred, lin_pred = svr.predict(feats), lin.predict(feats)
+    s = wb.estimates()
     rows = []
     for net in wb.config.networks:
-        mask = np.array([n == net for n in names])
-        rows.append([net,
-                     f"{relative_error(prof[mask], truth[mask]):.2f}%",
-                     f"{relative_error(svr_pred[mask], truth[mask]):.2f}%",
-                     f"{relative_error(lin_pred[mask], truth[mask]):.2f}%"])
-    rows.append(["**all**",
-                 f"**{relative_error(prof, truth):.2f}%**",
-                 f"**{relative_error(svr_pred, truth):.2f}%**",
-                 f"**{relative_error(lin_pred, truth):.2f}%**"])
+        mask = s.base_names == net
+        rows.append([net] + [
+            f"{relative_error(pred[mask], s.measured[mask]):.2f}%"
+            for pred in (s.profiler, s.svr, s.linear)])
+    rows.append(["**all**"] + [
+        f"**{relative_error(pred, s.measured):.2f}%**"
+        for pred in (s.profiler, s.svr, s.linear)])
     return ("## Latency estimators (Figs 8-9)\n\n"
             + _table(["network", "profiler", "ε-SVR (RBF)", "linear (OLS)"],
                      rows)

@@ -503,35 +503,29 @@ class Engine:
             return rung, service_ms, t
 
     def _drop_batch(self, batch: list, now_ms: float,
-                    responses: dict[int, Response], reason: str) -> None:
-        """Count a batch that could not execute anywhere as drops."""
+                    reason: str) -> list[Response]:
+        """Drop requests: the one place a request ends ``DROPPED``, is
+        counted and emits its ``drop`` span. Returns the responses."""
+        dropped = []
         for req in batch:
-            responses[req.rid] = Response(
+            dropped.append(Response(
                 req.rid, DROPPED, req.arrival_ms, req.abs_deadline_ms,
-                reject_reason=reason, tenant=req.tenant)
+                reject_reason=reason, tenant=req.tenant))
             self.metrics.record_drop(req.tenant)
             if self._emit is not None:
                 self._emit("drop", "serve", now_ms, 0.0, req.rid,
                            {"reason": reason})
+        return dropped
 
     def drain(self, now_ms: float) -> list[Response]:
-        """Drop every queued request (shutdown); counted, never lost.
-
-        Each drained request becomes a ``DROPPED`` response and increments
-        the ``dropped`` counter, keeping the conservation law
-        ``completed + dropped == admitted`` intact through shutdown — even
-        when the queue backed up behind an open circuit breaker.
-        """
-        dropped = []
-        for req in self.queue.drain():
-            resp = Response(req.rid, DROPPED, req.arrival_ms,
-                            req.abs_deadline_ms, reject_reason="drained",
-                            tenant=req.tenant)
-            self.metrics.record_drop(req.tenant)
-            if self._emit is not None:
-                self._emit("drop", "serve", now_ms, 0.0, req.rid,
-                           {"reason": "drained"})
-            dropped.append(resp)
+        """End a run at ``now_ms``: drop every queued request (counted,
+        never lost, so ``completed + dropped == admitted`` holds through
+        shutdown, even behind an open breaker), then take the closing
+        telemetry sample, which puts the final counter values in the
+        series. Returns the ``DROPPED`` responses."""
+        dropped = self._drop_batch(self.queue.drain(), now_ms, "drained")
+        if self._telemetry is not None:
+            self._telemetry.sample(now_ms)
         return dropped
 
     # -- the event loop ------------------------------------------------------
@@ -563,7 +557,8 @@ class Engine:
         rung, service_ms, exec_start = self._execute(batch, rung, now)
         if service_ms is None:
             # even the fastest rung hard-failed: shed the batch
-            self._drop_batch(batch, exec_start, responses, "rung-failed")
+            for resp in self._drop_batch(batch, exec_start, "rung-failed"):
+                responses[resp.rid] = resp
             return max(now, exec_start)
         finish = exec_start + service_ms
         outputs = None
@@ -663,10 +658,6 @@ class Engine:
         now = self.run_until(pending, responses, 0.0, until)
         for resp in self.drain(now):
             responses[resp.rid] = resp
-        if self._telemetry is not None:
-            # one closing sample so the final counter values are in the
-            # series even when the run ends between sampling instants
-            self._telemetry.sample(now)
         return [responses[r.rid] for r in trace if r.rid in responses]
 
     def _observe_drift(self, predicted_ms: float, observed_ms: float,

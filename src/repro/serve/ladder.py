@@ -28,7 +28,7 @@ from repro.device.runtime import ServiceTimeSampler
 from repro.device.spec import DeviceSpec, stable_seed
 from repro.nn.graph import Network
 from repro.trim.removal import build_trn
-from repro.trim.search import enumerate_blockwise
+from repro.trim.search import enumerate_blockwise, evenly_spaced
 
 __all__ = ["TRNRung", "TRNLadder", "HysteresisController"]
 
@@ -148,15 +148,10 @@ class TRNLadder:
         rung). Heads are freshly initialised — accuracy metadata comes from
         NetCut/exploration when available, not from this constructor.
         """
-        cuts = enumerate_blockwise(base)
-        if max_rungs is not None and max_rungs < len(cuts):
-            # keep the deepest cut, the shallowest, and evenly spaced middles
-            idx = np.linspace(0, len(cuts) - 1, max_rungs).round().astype(int)
-            cuts = [cuts[i] for i in sorted(set(int(i) for i in idx))]
         rungs = [TRNRung(f"{base.name}-cut{c.blocks_removed}",
                          build_trn(base, c.cut_node, num_classes, rng=rng),
                          spec)
-                 for c in cuts]
+                 for c in evenly_spaced(enumerate_blockwise(base), max_rungs)]
         return cls(rungs)
 
     # -- cursor --------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Transfer learning: feature recording, head training, fine-tuning, pretraining."""
+"""Transfer learning: feature recording, the retrain step, fine-tuning,
+pretraining."""
 
 from .features import record_gap_features
 from .pretrain import (
@@ -15,6 +16,7 @@ from .trainer import (
     evaluate,
     fine_tune,
     predict,
+    retrain,
     run_epochs,
     train_head_on_features,
     transplant_head,
@@ -33,6 +35,7 @@ __all__ = [
     "evaluate",
     "fine_tune",
     "predict",
+    "retrain",
     "run_epochs",
     "train_head_on_features",
     "transplant_head",

@@ -6,13 +6,14 @@ fine-tuning and the EMG classifier all train through it.
 The paper's transfer recipe (§III-B3): start with all pretrained features
 frozen and train the new head at learning rate 1e-3, then unfreeze the
 whole network and continue for 50 epochs at 1e-4. ``fine_tune`` implements
-exactly that on a full TRN; ``train_head_on_features`` implements the
-frozen phase on pre-recorded GAP features, which is what the large sweeps
-use (see :mod:`repro.train.features`).
+exactly that on a full TRN; :func:`retrain` is the frozen phase on
+pre-recorded GAP features (see :mod:`repro.train.features`), the one
+retrain step the sweeps, Algorithm 1, NetAdapt and the examples share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +22,13 @@ from repro.data.synthetic import Dataset
 from repro.metrics.angular import mean_angular_similarity
 from repro.nn import Adam, Network
 from repro.nn.losses import softmax_cross_entropy
-from repro.trim.removal import DEFAULT_HEAD_HIDDEN, attach_head
+from repro.trim.removal import DEFAULT_HEAD_HIDDEN, attach_head, build_trn
+
+from .features import record_gap_features
 
 __all__ = ["TrainConfig", "TrainResult", "run_epochs", "build_head_network",
-           "train_head_on_features", "fine_tune", "evaluate", "predict",
-           "transplant_head"]
+           "train_head_on_features", "retrain", "fine_tune", "evaluate",
+           "predict", "transplant_head"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ def build_head_network(in_dim: int, num_classes: int,
 def transplant_head(head: Network, trn: Network) -> Network:
     """Copy a standalone head's trained weights into a TRN's head layers.
 
-    The sweep experiments train the transfer head on pre-recorded GAP
+    :func:`retrain` trains the transfer head on pre-recorded GAP
     features (:func:`train_head_on_features`); this grafts those weights
     onto the full TRN, whose head layers carry the same names (both come
     from :func:`repro.trim.attach_head`), so the TRN can run end-to-end
@@ -126,6 +129,30 @@ def train_head_on_features(features: np.ndarray, y: np.ndarray,
     result.train_accuracy = mean_angular_similarity(
         head.forward(features.astype(np.float32)), y)
     return result
+
+
+def retrain(net: Network, cut_nodes: list[str], train_data: Dataset,
+            test_data: Dataset, epochs: int, seed: int = 0
+            ) -> Iterator[tuple[Network, float]]:
+    """Phase-1 retraining of ``net``'s TRN at every cut node, one at a time.
+
+    The GAP features of every cut are recorded once per split. For each
+    cut in order, a head seeded from ``seed`` is fitted on the training
+    features and scored (mean angular similarity) on the test features;
+    the yielded TRN (:func:`repro.trim.build_trn` at that cut) carries
+    that head. Yields ``(trn, accuracy)``.
+    """
+    num_classes = train_data.num_classes
+    feats_train = record_gap_features(net, train_data.x, cut_nodes)
+    feats_test = record_gap_features(net, test_data.x, cut_nodes)
+    for node in cut_nodes:
+        head = train_head_on_features(feats_train[node], train_data.y,
+                                      num_classes, epochs=epochs,
+                                      rng=seed).network
+        accuracy = mean_angular_similarity(head.forward(feats_test[node]),
+                                           test_data.y)
+        trn = build_trn(net, node, num_classes, rng=seed)
+        yield transplant_head(head, trn), accuracy
 
 
 def fine_tune(net: Network, train_data: Dataset,

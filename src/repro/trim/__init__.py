@@ -22,6 +22,7 @@ from .search import (
     Cutpoint,
     enumerate_blockwise,
     enumerate_iterative,
+    evenly_spaced,
     transfer_cut,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "transfer_cut",
     "enumerate_blockwise",
     "enumerate_iterative",
+    "evenly_spaced",
     "channel_importance",
     "prunable_channel_convs",
     "prune_channels",

@@ -9,7 +9,10 @@ across the seven networks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.nn.graph import Network
 
@@ -17,7 +20,7 @@ from .blocks import block_boundaries, stem_output
 from .removal import removed_weighted_layers
 
 __all__ = ["Cutpoint", "transfer_cut", "enumerate_blockwise",
-           "enumerate_iterative"]
+           "enumerate_iterative", "evenly_spaced"]
 
 
 @dataclass(frozen=True)
@@ -88,3 +91,15 @@ def enumerate_iterative(net: Network) -> list[Cutpoint]:
     cuts.append(Cutpoint(net.name, stem_output(net), n_blocks,
                          removed_weighted_layers(net, stem_output(net))))
     return cuts
+
+
+def evenly_spaced(items: Sequence, count: int | None) -> list:
+    """At most ``count`` (a ladder's ``max_rungs``) of ``items``: the
+    first, the last and evenly spaced middles, in order (all of them when
+    ``count`` is ``None``)."""
+    if count is not None and count < 1:
+        raise ValueError("max_rungs must be >= 1")
+    if count is None or count >= len(items):
+        return list(items)
+    idx = np.linspace(0, len(items) - 1, count).round().astype(int)
+    return [items[i] for i in sorted(set(idx.tolist()))]

@@ -250,6 +250,18 @@ class TestBuilders:
         capped = build_rungs(tiny, tiny_device_cls, max_rungs=2)
         assert all(len(artifacts) <= 2 for artifacts in capped.values())
 
+    @pytest.mark.parametrize("strategy", sorted(BUILDERS))
+    def test_one_rung_is_the_full_trn(self, tiny, tiny_device_cls,
+                                      strategy):
+        rungs = BUILDERS[strategy]().rungs(tiny, tiny_device_cls,
+                                           max_rungs=1)
+        assert [a.trn_name for a in rungs] == [f"tiny-{strategy}-full"]
+
+    @pytest.mark.parametrize("strategy", sorted(BUILDERS))
+    def test_zero_rungs_rejected(self, tiny, tiny_device_cls, strategy):
+        with pytest.raises(ValueError, match="max_rungs must be >= 1"):
+            BUILDERS[strategy]().rungs(tiny, tiny_device_cls, max_rungs=0)
+
     def test_rungs_are_deterministic(self, tiny, tiny_device_cls,
                                      per_strategy):
         again = build_rungs(tiny, tiny_device_cls, max_rungs=3)

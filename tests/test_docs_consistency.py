@@ -93,6 +93,25 @@ class TestExperimentsDoc:
             assert quantity in doc, quantity
 
 
+class TestSourcePaths:
+    def test_repo_paths_named_in_source_exist(self):
+        """Every benchmarks/, tests/, examples/, scripts/ or docs/ path a
+        module, docstring or message in src/repro names is on disk."""
+        src = os.path.join(REPO, "src", "repro")
+        pattern = re.compile(
+            r"\b(?:benchmarks|tests|examples|scripts|docs)/[\w./-]*\w")
+        named = set()
+        for root, _, files in os.walk(src):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name)) as fh:
+                        named.update(pattern.findall(fh.read()))
+        assert len(named) > 15
+        missing = [path for path in sorted(named)
+                   if not os.path.exists(os.path.join(REPO, path))]
+        assert not missing, missing
+
+
 class TestExamplesSmoke:
     def test_every_example_is_smoked(self):
         """scripts/examples_smoke.sh lists every examples/*.py — a demo

@@ -108,19 +108,21 @@ def netadapt_outcome(result) -> dict:
 
 #: run -> ((budget, step) as fractions of the start latency, short and
 #: final head epochs, pruned layer per iteration, candidates trained,
-#: SHA-256 of the sorted-JSON :func:`netadapt_outcome`). The digests were
-#: recorded when each layer's removal count came from a linear scan, so
-#: they also pin that run_netadapt's bisection picks what that scan picks.
+#: SHA-256 of the sorted-JSON :func:`netadapt_outcome`). Every outcome
+#: field but ``state_sha256`` was recorded when each layer's removal count
+#: came from a linear scan, so the digests also pin that run_netadapt's
+#: bisection picks what that scan picks. ``state_sha256`` covers the head
+#: of the final fine-tune, which ``result.network`` carries.
 PINNED_RUNS = {
     "reaches_budget": (
         (0.9, 0.04, 4, 6),
         ["block2_pw_conv", "block1_pw_conv", "block12_pw_conv"], 42,
-        "59e4db7c19f62992ef729b253ae5a507a42ea986f948100cbbc54408a241ab24"),
+        "0d2a64f7819e549f506d118f3e5506b918b9c91efccd8ff057fbe99f947ef584"),
     "prunes_stem": (
         (0.85, 0.04, 2, 2),
         ["block2_pw_conv", "block1_pw_conv", "block12_pw_conv",
          "block6_pw_conv", "stem_conv"], 67,
-        "ec8e885ed0f8d1e5686627ce840fb8f6907bd5189be5f616461b5821c67eeeef"),
+        "9a4a7d412bd9d4dd2e120ecd4151f878946042ecfc200e1025ceb274bbd725e2"),
 }
 
 
@@ -174,6 +176,16 @@ class TestRunNetAdapt:
         assert outcome["candidates_trained"] == candidates
         text = json.dumps(outcome, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+    def test_network_scores_reported_accuracy(self, setup, pinned_run):
+        """The returned network carries the head the final fine-tune
+        scored, so its own forward pass reproduces ``result.accuracy``."""
+        from repro.train import evaluate
+
+        _, _, (_, test) = setup
+        _, result = pinned_run("reaches_budget")
+        assert evaluate(result.network, test) == pytest.approx(
+            result.accuracy, abs=1e-6)
 
     def test_original_untouched(self, setup):
         trn, device, (train, test) = setup

@@ -1,23 +1,47 @@
 """Tests for the markdown report builder (reduced workbench)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import ExperimentConfig, Workbench
 from repro.report import build_report
 from repro.train import PretrainConfig
 
+#: SHA-256 of the Fig. 9 sweep on the reduced workbench: the measured,
+#: profiler, RBF-SVR and OLS arrays (floats as hex) and the SVR's held-out
+#: mask. Recorded from the arithmetic ``repro estimators`` ran before the
+#: sweep had one home in :meth:`Workbench.estimates`.
+ESTIMATES_SHA256 = (
+    "02f134f2f23b0a05c8f1b53b8206ca0167e8ea1fdcc6ff133b7d113e85ed8137")
+
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
+def wb(tmp_path_factory):
     config = ExperimentConfig(
         networks=("mobilenet_v1_0.25", "mobilenet_v1_0.5"),
         hands_images=60, head_epochs=6, deadline_ms=0.35)
-    wb = Workbench(
+    return Workbench(
         config,
         cache_dir=str(tmp_path_factory.mktemp("reportcache")),
         pretrain_config=PretrainConfig(n_images=40, epochs=1,
                                        batch_size=16))
+
+
+@pytest.fixture(scope="module")
+def report(wb):
     return build_report(wb)
+
+
+def test_estimator_sweep_is_pinned(wb):
+    s = wb.estimates()
+    sha = hashlib.sha256()
+    for series in (s.measured, s.profiler, s.svr, s.linear):
+        sha.update(json.dumps([float(v).hex() for v in series]).encode())
+    sha.update(json.dumps([bool(m) for m in s.held_out]).encode())
+    assert sha.hexdigest() == ESTIMATES_SHA256
+    assert list(s.base_names) == [p.base_name for p in wb.latency_dataset()]
 
 
 class TestReport:

@@ -9,6 +9,7 @@ from repro.trim import (
     build_trn,
     enumerate_blockwise,
     enumerate_iterative,
+    evenly_spaced,
     removed_node_set,
     removed_weighted_layers,
     stem_output,
@@ -56,6 +57,22 @@ class TestEnumerateBlockwise:
         removed = [c.layers_removed for c in cuts]
         assert removed == sorted(removed)
         assert removed == [1, 2, 3]
+
+
+class TestEvenlySpaced:
+    def test_keeps_endpoints_and_spaces_middles(self):
+        assert evenly_spaced(range(13), 3) == [0, 6, 12]
+        assert evenly_spaced("abcdefg", 4) == ["a", "c", "e", "g"]
+        assert evenly_spaced(range(5), 1) == [0]
+
+    def test_short_lists_and_none_keep_everything(self):
+        assert evenly_spaced((1, 2), 5) == [1, 2]
+        assert evenly_spaced((1, 2, 3), None) == [1, 2, 3]
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_counts_below_one(self, count):
+        with pytest.raises(ValueError, match="max_rungs must be >= 1"):
+            evenly_spaced((1, 2, 3), count)
 
 
 class TestEnumerateIterative:
