@@ -9,14 +9,16 @@ This benchmark replays the PR-1 serve-throughput scenario
 
 - **Inference serving** (``execute=True``): every batch runs a real
   forward pass, as a deployed server would. This is where the
-  "observability is cheap enough to leave on" claim lives, and the traced
-  run must stay within 10% of the untraced wall-clock.
+  "observability is cheap enough to leave on" claim lives.
 - **Simulator-only** (``execute=False``): the PR-1 timing regime, where a
-  request costs only bookkeeping, so any ratio over it moves whenever the
-  serve loop itself gets faster or slower. This regime is guarded only
-  against gross regressions in per-span and per-sample cost, as the wall
-  time observability *adds per request*, scaled to a reference host by a
-  fixed interpreter calibration loop timed in the same schedule.
+  request costs only bookkeeping. This regime is guarded only against
+  gross regressions in per-span and per-sample cost.
+
+Both regimes bound the wall time observability *adds per request*,
+scaled to a reference host by a fixed interpreter calibration loop timed
+in the same schedule. A ratio over the plain request would move whenever
+the serve loop itself got faster or slower, and the host's own speed
+drifts run to run.
 
 Both regimes take the *minimum* over several runs per variant in
 seeded-random order: minima converge to the noise-free cost on a shared
@@ -42,15 +44,20 @@ from conftest import emit
 
 REQUESTS = 400
 DEADLINE_MS = 0.9
-OVERHEAD_BUDGET = 0.10      # traced inference serving: at most 10% more
-# Simulator-only gross-regression guards: µs added per request, scaled to
-# a host that runs _calibration_loop() in CALIBRATION_REF_S. Each admits
-# the absolute overhead a ratio ceiling (40% tracing, 80% telemetry) over
-# the plain simulator-only request admitted while that request still made
-# per-response NumPy calls: 157 µs at the reference speed (8.45 µs per
-# calibration-ms, median of nine runs on a shared 2-vCPU Xeon VM). A
-# ratio ceiling would tighten whenever the serve loop itself got faster.
+# Every ceiling is µs added per request, scaled to a host that runs
+# _calibration_loop() in CALIBRATION_REF_S.
 CALIBRATION_REF_S = 0.0186
+# Inference serving: each admits the absolute overhead the former 10%
+# ceiling admitted over the plain inference request, 497 µs at the
+# reference speed (26.7 µs per calibration-ms, median of ten runs of
+# this file's min-of-N protocol on a shared 2-vCPU Xeon VM).
+EXEC_TRACING_CEILING_US = 50.0     # 0.10 x 497 µs
+EXEC_TELEMETRY_CEILING_US = 50.0   # 0.10 x 497 µs
+# Simulator-only gross-regression guards. Each admits the absolute
+# overhead a ratio ceiling (40% tracing, 80% telemetry) over the plain
+# simulator-only request admitted while that request still made
+# per-response NumPy calls: 157 µs at the reference speed (8.45 µs per
+# calibration-ms, median of nine runs on a shared 2-vCPU Xeon VM).
 SIM_TRACING_CEILING_US = 63.0     # 0.40 x 157 µs
 SIM_TELEMETRY_CEILING_US = 126.0  # 0.80 x 157 µs: telemetry maintains the
                                   # whole labeled surface (family mirrors
@@ -115,27 +122,18 @@ def _min_times(tracer, runs, *variants):
     return [min(times[fn]) for fn in variants]
 
 
-def _measured_overhead(plain_run, traced_run, tracer, runs, budget):
-    for _ in range(MEASURE_ATTEMPTS):
-        base_s, obs_s = _min_times(tracer, runs, plain_run, traced_run)
-        overhead = obs_s / base_s - 1.0
-        if overhead < budget:
-            break
-    return base_s, obs_s, overhead
-
-
-def _sim_added_us(plain_run, observed_run, tracer, ceiling_us):
-    """Simulator-only µs observability adds per request, host-scaled,
-    and the report lines that show it."""
+def _added_us(regime, plain_run, observed_run, tracer, runs, ceiling_us):
+    """µs observability adds per request, host-scaled, and the report
+    lines that show it."""
     for _ in range(MEASURE_ATTEMPTS):
         base_s, obs_s, calib_s = _min_times(
-            tracer, SIM_RUNS, plain_run, observed_run, _calibration_loop)
+            tracer, runs, plain_run, observed_run, _calibration_loop)
         added_us = ((obs_s - base_s) / REQUESTS * 1e6
                     * CALIBRATION_REF_S / calib_s)
         if added_us < ceiling_us:
             break
     return added_us, [
-        f"{'simulator-only':16s} {base_s:>11.4f} {obs_s:>9.4f} "
+        f"{regime:16s} {base_s:>11.4f} {obs_s:>9.4f} "
         f"{added_us:>+8.1f} µs/request at reference host speed "
         f"(ceiling {ceiling_us:.0f})",
         f"{'':16s} plain {1e6 * base_s / REQUESTS:.1f} µs/request, "
@@ -153,7 +151,8 @@ def _servers(ladder, execute):
 
 @pytest.mark.obs
 def test_bench_tracing_overhead(ladder, trace, benchmark):
-    """Full observability (tracer + drift) adds <10% to inference serving."""
+    """Full observability (tracer + drift) stays cheap: bounded µs added
+    per request to inference serving."""
     plain, observed, tracer, drift = _servers(ladder, execute=True)
 
     def plain_run():
@@ -162,23 +161,22 @@ def test_bench_tracing_overhead(ladder, trace, benchmark):
     def traced_run():
         return observed.run_trace(trace)
 
-    base_s, obs_s, overhead = _measured_overhead(
-        plain_run, traced_run, tracer, EXEC_RUNS, OVERHEAD_BUDGET)
+    added_us, exec_lines = _added_us(
+        "inference", plain_run, traced_run, tracer, EXEC_RUNS,
+        EXEC_TRACING_CEILING_US)
 
     # the simulator-only regime: reported + bounded per request
     sim_plain, sim_obs, sim_tracer, _ = _servers(ladder, execute=False)
-    sim_added_us, sim_lines = _sim_added_us(
-        lambda: sim_plain.run_trace(trace),
-        lambda: sim_obs.run_trace(trace), sim_tracer,
+    sim_added_us, sim_lines = _added_us(
+        "simulator-only", lambda: sim_plain.run_trace(trace),
+        lambda: sim_obs.run_trace(trace), sim_tracer, SIM_RUNS,
         SIM_TRACING_CEILING_US)
 
     result = benchmark(traced_run)
     spans = len(tracer.spans()) + tracer.buffer.dropped
     lines = [f"{'regime':16s} {'untraced s':>11} {'traced s':>9} "
-             f"{'overhead':>9}",
-             f"{'inference':16s} {base_s:>11.4f} {obs_s:>9.4f} "
-             f"{100 * overhead:>+8.2f}% (budget "
-             f"{100 * OVERHEAD_BUDGET:.0f}%)",
+             f"{'added':>9}",
+             *exec_lines,
              *sim_lines,
              f"{spans} spans/run, {drift.observations} drift observations",
              f"{REQUESTS} Poisson requests, deadline {DEADLINE_MS} ms, "
@@ -189,13 +187,14 @@ def test_bench_tracing_overhead(ladder, trace, benchmark):
     # tracing must not change the serving outcome, only observe it
     untraced = plain.run_trace(trace)
     assert result.metrics.snapshot() == untraced.metrics.snapshot()
-    assert overhead < OVERHEAD_BUDGET
+    assert added_us < EXEC_TRACING_CEILING_US
     assert sim_added_us < SIM_TRACING_CEILING_US
 
 
 @pytest.mark.obs
 def test_bench_telemetry_overhead(ladder, trace):
-    """Labeled telemetry (families + sampling) adds <10% to inference.
+    """Labeled telemetry (families + sampling) stays cheap: bounded µs
+    added per request to inference serving.
 
     Same protocol as the tracing benchmark: ``ServerMetrics`` records into
     labeled families either way (a private telemetry when none is
@@ -216,24 +215,23 @@ def test_bench_telemetry_overhead(ladder, trace):
 
     # telemetry's ring-buffer store is self-bounding, so there is nothing
     # to clear between runs; hand the helper an unused placeholder tracer
-    base_s, tel_s, overhead = _measured_overhead(
-        plain_run, metered_run, Tracer(), EXEC_RUNS, OVERHEAD_BUDGET)
+    added_us, exec_lines = _added_us(
+        "inference", plain_run, metered_run, Tracer(), EXEC_RUNS,
+        EXEC_TELEMETRY_CEILING_US)
 
     sim_config = ServerConfig(deadline_ms=DEADLINE_MS, execute=False, seed=0)
     sim_plain = Server(ladder, sim_config)
     sim_metered = Server(ladder, sim_config,
                          telemetry=Telemetry(sample_interval_ms=1.0))
-    sim_added_us, sim_lines = _sim_added_us(
-        lambda: sim_plain.run_trace(trace),
-        lambda: sim_metered.run_trace(trace), Tracer(),
+    sim_added_us, sim_lines = _added_us(
+        "simulator-only", lambda: sim_plain.run_trace(trace),
+        lambda: sim_metered.run_trace(trace), Tracer(), SIM_RUNS,
         SIM_TELEMETRY_CEILING_US)
 
     samples = telemetry.samples_taken
     lines = [f"{'regime':16s} {'plain s':>11} {'metered s':>9} "
-             f"{'overhead':>9}",
-             f"{'inference':16s} {base_s:>11.4f} {tel_s:>9.4f} "
-             f"{100 * overhead:>+8.2f}% (budget "
-             f"{100 * OVERHEAD_BUDGET:.0f}%)",
+             f"{'added':>9}",
+             *exec_lines,
              *sim_lines,
              f"{len(telemetry.families)} metric families, "
              f"{samples} store samples",
@@ -244,7 +242,7 @@ def test_bench_telemetry_overhead(ladder, trace):
 
     # telemetry must not change the serving outcome, only observe it
     assert metered_run().metrics.snapshot() == plain_run().metrics.snapshot()
-    assert overhead < OVERHEAD_BUDGET
+    assert added_us < EXEC_TELEMETRY_CEILING_US
     assert sim_added_us < SIM_TELEMETRY_CEILING_US
 
 

@@ -149,8 +149,9 @@ class Replica:
         After an infinite-horizon :meth:`advance` the queue is empty
         unless every rung hard-failed; :meth:`repro.serve.Engine.drain`
         converts any leftovers to ``DROPPED`` responses so the
-        conservation law ``completed + dropped == admitted`` holds, and
-        takes the replica's closing telemetry sample.
+        conservation law ``completed + dropped == admitted`` holds. The
+        replica takes no closing telemetry sample: the router takes the
+        fleet's one, after every replica has finished.
         """
         self.advance(float("inf"))
         for resp in self.engine.drain(self.clock_ms):

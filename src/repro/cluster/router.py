@@ -133,8 +133,17 @@ class Router:
                                 action=event.action, replica=event.replica)
 
     def run(self, trace: list[Request]) -> ClusterResult:
-        """Dispatch a whole trace and drain the fleet; trace-order result."""
+        """Dispatch a whole trace and drain the fleet; trace-order result.
+
+        The router owns the run's sampling clock: it restarts the
+        telemetry's gate, and after every replica has drained it takes
+        the one closing sample at the fleet's final clock (the last
+        arrival or the latest replica clock, whichever is later).
+        """
         cluster_rejects: dict[int, Response] = {}
+        now = 0.0
+        if self.telemetry is not None:
+            self.telemetry.start_run()
         for req in sorted(trace, key=lambda r: (r.arrival_ms, r.rid)):
             now = req.arrival_ms
             for replica in self.replicas:
@@ -162,6 +171,9 @@ class Router:
                                         policy=self.policy.name)
         for replica in self.replicas:
             replica.finish()
+        if self.telemetry is not None:
+            self.telemetry.sample(
+                max([now] + [r.clock_ms for r in self.replicas]))
         responses: dict[int, Response] = dict(cluster_rejects)
         for replica in self.replicas:
             responses.update(replica.responses)

@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 __all__ = [
     "ChildSum",
@@ -344,8 +344,8 @@ class ChildSum:
 class TimeSeriesStore:
     """Bounded ring buffers of ``(t_ms, value)`` per (metric, labels) key.
 
-    Appends must be in non-decreasing virtual time per key (the sampler
-    guarantees this); reads never mutate. ``capacity`` bounds each
+    Appends must be in non-decreasing virtual time per key (see
+    :meth:`record`); reads never mutate. ``capacity`` bounds each
     series, so memory is O(series x capacity) no matter how long a run
     goes on.
     """
@@ -365,13 +365,29 @@ class TimeSeriesStore:
                                   for k, v in labels.items()))
         return (name, tuple(labels))
 
-    def record(self, name: str, labels, t_ms: float, value: float) -> None:
-        """Append one point to the series (creating it on first touch)."""
+    def bind(self, name: str, labels):
+        """The ``append`` of one series' ring buffer (created on first bind).
+
+        A writer that records the same series again and again (the
+        sampler) binds it once and appends ``(t_ms, value)`` points
+        through the handle, skipping the per-point key lookup.
+        """
         key = self._key(name, labels)
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = deque(maxlen=self.capacity)
-        series.append((t_ms, value))
+        return series.append
+
+    def record(self, name: str, labels, t_ms: float, value: float) -> None:
+        """Append one point to the series (creating it on first touch).
+
+        ``t_ms`` must not be earlier than the series' last point:
+        :meth:`delta`, :meth:`window_mean` and :meth:`merged` read each
+        series as a step function in time order. The sampler keeps this
+        because one run has one sampling clock (see
+        :meth:`Telemetry.maybe_sample`).
+        """
+        self.bind(name, labels)((t_ms, value))
 
     def names(self) -> list[str]:
         """Distinct metric names, sorted."""
@@ -448,12 +464,12 @@ class TimeSeriesStore:
         out: dict[LabelKey, list[tuple[float, float]]] = {}
         for rest, sources in groups.items():
             times = sorted({t for pts in sources for t, _ in pts})
+            seqs = [list(pts) for pts in sources]
             merged = []
-            cursors = [0] * len(sources)
-            last = [0.0] * len(sources)
+            cursors = [0] * len(seqs)
+            last = [0.0] * len(seqs)
             for t in times:
-                for i, pts in enumerate(sources):
-                    seq = list(pts)
+                for i, seq in enumerate(seqs):
                     while cursors[i] < len(seq) and seq[cursors[i]][0] <= t:
                         last[i] = seq[cursors[i]][1]
                         cursors[i] += 1
@@ -480,10 +496,12 @@ class Telemetry:
     stack (a server, a cluster, a benchmark run). Components create
     families idempotently (:meth:`counter` / :meth:`gauge` /
     :meth:`histogram`), register keyed *collectors* — callables invoked
-    at sample time to refresh derived gauges — and the engine drives
-    :meth:`maybe_sample` on its virtual clock, which snapshots every
-    family into the :class:`TimeSeriesStore` and evaluates the attached
-    :class:`~repro.obs.alerts.AlertEngine`.
+    at sample time to refresh derived gauges — and the serving loop
+    drives :meth:`maybe_sample` on its virtual clock, which snapshots
+    every family into the :class:`TimeSeriesStore` and evaluates the
+    attached :class:`~repro.obs.alerts.AlertEngine`; the loop that owns
+    the run restarts the gate (:meth:`start_run`) and takes the closing
+    sample.
     """
 
     def __init__(self, sample_interval_ms: float = 1.0,
@@ -495,6 +513,8 @@ class Telemetry:
         self.families: dict[str, MetricFamily] = {}
         self.alerts = None
         self._collectors: dict[str, object] = {}
+        # per family: the bound appends of its children's series
+        self._bound: dict[MetricFamily, list] = {}
         self._last_sample_ms: float | None = None
         self.samples_taken = 0
 
@@ -542,38 +562,68 @@ class Telemetry:
         self.alerts = engine
 
     # -- sampling ------------------------------------------------------------
-    def maybe_sample(self, now_ms: float) -> bool:
-        """Sample iff the virtual clock advanced a full interval.
+    def start_run(self) -> None:
+        """Restart the sampling gate: a run's first :meth:`maybe_sample`
+        samples, whatever clock the previous run ended at."""
+        self._last_sample_ms = None
 
-        A clock that moved *backwards* means a new run started on the
-        same telemetry (every run's virtual time begins at zero), so the
-        gate resets rather than going silent for the rest of the run.
+    def maybe_sample(self, now_ms: float) -> bool:
+        """Sample iff ``now_ms`` is at least one interval past the run's
+        last sample.
+
+        A clock behind that point means "not yet", never a new run: a
+        fleet's replica engines sample at batch finishes ahead of the
+        router's arrival clock. The loop that owns the run
+        (:meth:`repro.serve.Engine.run`, :meth:`repro.cluster.Router.run`)
+        owns the clock: it calls :meth:`start_run` first and takes the
+        one closing :meth:`sample`, so every stored series stays in
+        non-decreasing time.
         """
         last = self._last_sample_ms
-        if last is not None and now_ms < last:
-            self._last_sample_ms = None
-            last = None
         if last is not None and now_ms - last < self.sample_interval_ms:
             return False
         self.sample(now_ms)
         return True
 
+    def _bind(self, fam: MetricFamily) -> list:
+        """The bound appends of ``fam``'s series, in ``fam._children``
+        order, after binding the children added since the last sample."""
+        appends = self._bound.setdefault(fam, [])
+        bind = self.store.bind
+        for values in islice(fam._children, len(appends), None):
+            labels = tuple(zip(fam.labelnames, values))
+            appends.append(
+                tuple(bind(fam.name + suffix, labels)
+                      for suffix in ("_count", "_mean", "_p99"))
+                if fam.kind == "histogram" else bind(fam.name, labels))
+        return appends
+
     def sample(self, now_ms: float) -> None:
-        """Record every family into the store; collectors run first."""
+        """Record every family into the store; collectors run first.
+
+        Each child's series is bound once, by the first sample that sees
+        the child, so the store creates its series in the order the
+        families and their children were created. A child a
+        :class:`FamilyView` re-binds keeps its label values, and with
+        them its series.
+        """
         for key in sorted(self._collectors):
             self._collectors[key](now_ms)
-        record = self.store.record
         for fam in self.families.values():
+            children = fam._children
+            appends = self._bound.get(fam)
+            if appends is None or len(appends) < len(children):
+                appends = self._bind(fam)
             if fam.kind == "histogram":
-                for labels, hist in fam.children():
-                    record(fam.name + "_count", labels, now_ms, hist.count)
-                    record(fam.name + "_mean", labels, now_ms,
-                           hist.mean_ms if hist.count else 0.0)
-                    record(fam.name + "_p99", labels, now_ms,
-                           hist.quantile(0.99) if hist.count else 0.0)
+                for (count, mean, p99), hist in zip(appends,
+                                                    children.values()):
+                    n = hist.count
+                    count((now_ms, n))
+                    mean((now_ms, hist.mean_ms if n else 0.0))
+                    p99((now_ms, hist.quantile(0.99) if n else 0.0))
             else:
-                for labels, child in fam.children():
-                    record(fam.name, labels, now_ms, child.value)
+                for append, child in zip(appends, children.values()):
+                    append((now_ms, child.value))
         self._last_sample_ms = now_ms
         self.samples_taken += 1
         if self.alerts is not None:

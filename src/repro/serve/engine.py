@@ -520,13 +520,11 @@ class Engine:
     def drain(self, now_ms: float) -> list[Response]:
         """End a run at ``now_ms``: drop every queued request (counted,
         never lost, so ``completed + dropped == admitted`` holds through
-        shutdown, even behind an open breaker), then take the closing
-        telemetry sample, which puts the final counter values in the
-        series. Returns the ``DROPPED`` responses."""
-        dropped = self._drop_batch(self.queue.drain(), now_ms, "drained")
-        if self._telemetry is not None:
-            self._telemetry.sample(now_ms)
-        return dropped
+        shutdown, even behind an open breaker). Returns the ``DROPPED``
+        responses. The closing telemetry sample belongs to the loop that
+        owns the run (:meth:`run`, or the cluster router), taken after
+        the drain so the series end at the final counter values."""
+        return self._drop_batch(self.queue.drain(), now_ms, "drained")
 
     # -- the event loop ------------------------------------------------------
     def available_rung(self, now_ms: float):
@@ -651,13 +649,19 @@ class Engine:
         as ``DROPPED`` (see :meth:`drain`). Requests the shutdown leaves
         without a response are omitted from the returned list — their
         drops still show in :class:`~repro.serve.metrics.ServerMetrics`.
+        A telemetry's sampling gate restarts here, and the run ends with
+        one closing sample at its final clock.
         """
         responses: dict[int, Response] = {}
         pending = deque(sorted(trace, key=lambda r: (r.arrival_ms, r.rid)))
         until = float("inf") if stop_ms is None else stop_ms
+        if self._telemetry is not None:
+            self._telemetry.start_run()
         now = self.run_until(pending, responses, 0.0, until)
         for resp in self.drain(now):
             responses[resp.rid] = resp
+        if self._telemetry is not None:
+            self._telemetry.sample(now)
         return [responses[r.rid] for r in trace if r.rid in responses]
 
     def _observe_drift(self, predicted_ms: float, observed_ms: float,

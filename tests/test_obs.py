@@ -488,8 +488,14 @@ class TestTelemetrySampling:
         assert not tele.maybe_sample(4.9)
         assert tele.maybe_sample(5.0)
         assert tele.samples_taken == 2
-        # a clock rewind (a fresh run on the same surface) resets the gate
+        # a clock behind the last sample (a replica sampling ahead of the
+        # router) is "not yet", never a new run
+        assert not tele.maybe_sample(0.0)
+        assert not tele.maybe_sample(9.9)
+        # a restarted run samples on its first call, wherever its clock is
+        tele.start_run()
         assert tele.maybe_sample(0.0)
+        assert tele.samples_taken == 3
 
     def test_collectors_run_before_each_sample_and_are_keyed(self):
         from repro.obs import Telemetry
@@ -808,6 +814,15 @@ class TestServeTelemetry:
         assert first.metrics.snapshot() == before == second.metrics.snapshot()
         requests = telemetry.families["serve_requests_total"]
         assert requests.labels(event="arrived").value == 200
+        # the second run restarts the sampling gate: its first point sits
+        # at its own first event (the first batch finish), not one
+        # interval past the first run's closing sample
+        times = [t for t, _ in telemetry.store.series(
+            "serve_requests_total", (("event", "arrived"),))]
+        restart = next(i for i in range(1, len(times))
+                       if times[i] < times[i - 1])
+        first_event = min(r.finish_ms for r in second.completed)
+        assert times[0] == times[restart] == first_event
 
 
 class TestClusterTelemetry:
@@ -836,6 +851,41 @@ class TestClusterTelemetry:
         assert tele.store.latest("cluster_replicas", ()) == 3.0
         assert tele.store.latest("cluster_requests_total",
                                  (("event", "routed"),)) == 300
+
+    def test_fleet_samples_on_one_monotone_clock(self, device):
+        # replica engines sample at batch finishes ahead of the router's
+        # arrival clock; those instants must not re-sample or rewind
+        from repro.cluster import Router, homogeneous_replicas, make_policy
+        from repro.obs import Telemetry
+
+        interval = 1.0
+        tele = Telemetry(sample_interval_ms=interval)
+        config = ServerConfig(deadline_ms=1.0, execute=False, seed=0)
+        replicas = homogeneous_replicas(make_tiny_net(), device, 3, config,
+                                        num_classes=5, telemetry=tele)
+        trace = poisson_trace(600, 3e4, 1.0, rng=0)
+        Router(replicas, make_policy("p2c-deadline", 0),
+               telemetry=tele).run(trace)
+
+        snapshot = tele.store.snapshot()
+        series = [s["points"] for rows in snapshot.values() for s in rows]
+        assert series
+        for points in series:
+            times = [t for t, _ in points]
+            assert times == sorted(times)
+        instants = sorted({t for points in series for t, _ in points})
+        assert len(instants) == tele.samples_taken
+        steps = [b - a for a, b in zip(instants, instants[1:])]
+        # every step but the closing sample's spans a full interval
+        assert all(step >= interval for step in steps[:-1])
+        span = instants[-1] - instants[0]
+        assert tele.samples_taken <= span / interval + 2
+        # the closing sample holds every counter's final value
+        for name, fam in tele.families.items():
+            if fam.kind != "counter":
+                continue
+            for labels, child in fam.children():
+                assert tele.store.latest(name, labels) == child.value
 
     def test_merged_series_requires_telemetry(self, device):
         from repro.cluster import ClusterMetrics, Replica
