@@ -1,8 +1,9 @@
 """The full deployment pipeline: deadline in, shippable network out.
 
-Runs NetCut, validates the winner's *measured* latency, retrains and
-grafts the head, INT8-quantizes with a calibration split, and writes the
-result to a single ``.npz`` that reloads without any of the training code.
+Runs NetCut (one retrained TRN per base network), keeps the most
+accurate TRN whose *measured* latency meets the deadline, INT8-quantizes
+it with a calibration split, and writes the result to a single ``.npz``
+that reloads without any of the training code.
 
 Run:  python examples/deploy_pipeline.py
 """
@@ -15,7 +16,7 @@ from repro.nn.serialize import load_network
 
 def main() -> None:
     wb = Workbench()
-    print("running the deployment pipeline (netcut -> validate -> retrain "
+    print("running the deployment pipeline (netcut + retrain -> validate "
           "-> quantize -> serialise) ...")
     artifact = deploy(wb, quantize=True, save_path="deployed_trn.npz")
 

@@ -55,9 +55,7 @@ def main() -> None:
     # deployment validation: NetCut's picks meet the deadline by
     # *estimate*; before flashing the robot we re-check the measured
     # latency and keep the most accurate candidate that truly fits
-    validated = [c for c in result.candidates if c.feasible
-                 and c.measured_latency_ms <= deadline]
-    best = max(validated, key=lambda c: c.accuracy)
+    best = result.best_measured
     print(f"  proposed {result.best.trn_name} "
           f"(measured {result.best.measured_latency_ms:.3f} ms); "
           f"validated pick: {best.trn_name}")
@@ -65,8 +63,8 @@ def main() -> None:
           f"{best.estimated_latency_ms:.3f} ms, measured "
           f"{best.measured_latency_ms:.3f} ms, accuracy {best.accuracy:.3f}")
 
-    # retrain the winning TRN: it classifies every frame of the reaches
-    trn, _ = wb.retrain_trn(wb.base(best.base_name), best.cutpoint)
+    # the TRN NetCut retrained for that pick classifies every frame
+    trn = best.trn
 
     print("\nsimulating 40 reach episodes ...")
     rng = np.random.default_rng(7)

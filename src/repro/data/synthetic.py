@@ -193,8 +193,7 @@ class Dataset:
     def split(self, train_fraction: float, rng: np.random.Generator | int = 0
               ) -> tuple["Dataset", "Dataset"]:
         """Shuffle and split into (train, test)."""
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
+        rng = np.random.default_rng(rng)
         n = len(self)
         order = rng.permutation(n)
         k = int(round(n * train_fraction))

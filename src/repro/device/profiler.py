@@ -89,8 +89,7 @@ def profile_network(net: Network, spec: DeviceSpec,
     """
     if rng is None:
         rng = stable_seed("profile", net.name, spec.name)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     breakdown = network_latency(net, spec, fused=fused, precision=precision)
     records = []
     overhead = spec.event_overhead_ms()

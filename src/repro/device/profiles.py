@@ -18,6 +18,8 @@ with :func:`repro.device.xavier.xavier`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .spec import DeviceSpec
 from .xavier import xavier
 
@@ -27,41 +29,19 @@ __all__ = ["nano", "agx_boosted", "DEVICE_PROFILES"]
 def nano() -> DeviceSpec:
     """A Jetson-Nano-class device: ~3× weaker than the Xavier profile."""
     base = xavier()
-    return DeviceSpec(
-        name="jetson-nano-sim",
-        peak_gflops=base.peak_gflops / 4.0,
-        bandwidth_gbps=base.bandwidth_gbps / 3.0,
-        launch_overhead_us=base.launch_overhead_us * 2.0,
-        occupancy_flops=base.occupancy_flops,
-        int8_speedup=base.int8_speedup,
-        noise_std=base.noise_std,
-        straggler_prob=base.straggler_prob,
-        straggler_scale=base.straggler_scale,
-        warmup_factor=base.warmup_factor,
-        warmup_decay_runs=base.warmup_decay_runs,
-        event_overhead_us=base.event_overhead_us,
-        weight_cache_factor=base.weight_cache_factor,
-    )
+    return replace(base, name="jetson-nano-sim",
+                   peak_gflops=base.peak_gflops / 4.0,
+                   bandwidth_gbps=base.bandwidth_gbps / 3.0,
+                   launch_overhead_us=base.launch_overhead_us * 2.0)
 
 
 def agx_boosted() -> DeviceSpec:
     """The Xavier profile in a boosted power mode: ~2× faster."""
     base = xavier()
-    return DeviceSpec(
-        name="jetson-agx-boosted-sim",
-        peak_gflops=base.peak_gflops * 2.0,
-        bandwidth_gbps=base.bandwidth_gbps * 2.0,
-        launch_overhead_us=base.launch_overhead_us / 2.0,
-        occupancy_flops=base.occupancy_flops,
-        int8_speedup=base.int8_speedup,
-        noise_std=base.noise_std,
-        straggler_prob=base.straggler_prob,
-        straggler_scale=base.straggler_scale,
-        warmup_factor=base.warmup_factor,
-        warmup_decay_runs=base.warmup_decay_runs,
-        event_overhead_us=base.event_overhead_us,
-        weight_cache_factor=base.weight_cache_factor,
-    )
+    return replace(base, name="jetson-agx-boosted-sim",
+                   peak_gflops=base.peak_gflops * 2.0,
+                   bandwidth_gbps=base.bandwidth_gbps * 2.0,
+                   launch_overhead_us=base.launch_overhead_us / 2.0)
 
 
 #: All device profiles by name.

@@ -39,8 +39,7 @@ def _weight_scales(w: np.ndarray) -> np.ndarray:
 def calibration_split(n_train: int, fraction: float = 0.1,
                       rng: np.random.Generator | int = 0) -> np.ndarray:
     """Indices of the calibration subset (paper: random 10% of train)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     k = max(1, int(round(n_train * fraction)))
     return rng.choice(n_train, size=k, replace=False)
 

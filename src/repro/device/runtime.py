@@ -73,8 +73,7 @@ def measure_latency(net: Network, spec: DeviceSpec,
     """
     if rng is None:
         rng = stable_seed(net.name, spec.name)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     if breakdown is None:
         breakdown = network_latency(net, spec, fused=fused, precision=precision)
     base = breakdown.total_ms
@@ -114,9 +113,7 @@ class ServiceTimeSampler:
         fresh sampler's seeded ``rng``. The per-batch baselines depend only
         on the network and the device, so they survive.
         """
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
-        self._rng = rng
+        self._rng = np.random.default_rng(rng)
         self._runs = 0
 
     @property

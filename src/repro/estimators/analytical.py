@@ -31,8 +31,7 @@ def train_test_split_indices(n: int, train_fraction: float = 0.2,
                              rng: np.random.Generator | int = 0
                              ) -> tuple[np.ndarray, np.ndarray]:
     """The paper's split: tune/fit on 20%, test on the remaining 80%."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     order = rng.permutation(n)
     k = max(2, int(round(n * train_fraction)))
     return order[:k], order[k:]

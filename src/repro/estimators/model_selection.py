@@ -60,8 +60,7 @@ def kfold_indices(n: int, k: int,
     """Shuffled k-fold (train_idx, val_idx) pairs covering ``range(n)``."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     order = rng.permutation(n)
     folds = np.array_split(order, k)
     pairs = []
@@ -126,11 +125,10 @@ def random_search(model_factory: Callable[..., object],
     samples are drawn log-uniformly, the usual choice for scale parameters
     like C and γ.
     """
-    sampler = (np.random.default_rng(int(rng))
-               if isinstance(rng, (int, np.integer)) else rng)
+    rng = np.random.default_rng(rng)
     candidates = []
     for _ in range(n_samples):
-        params = {name: float(np.exp(sampler.uniform(np.log(lo), np.log(hi))))
+        params = {name: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
                   for name, (lo, hi) in param_ranges.items()}
         candidates.append(params)
     return _evaluate(model_factory, candidates, x, y, k, rng=0)

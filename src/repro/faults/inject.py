@@ -17,7 +17,7 @@ failures at the same virtual times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro.device.spec import stable_seed
@@ -35,10 +35,6 @@ class FaultEvent:
     time_ms: float
     fault: str                  # FaultModel.describe()
     phase: str                  # "activate" or "deactivate"
-
-    def as_dict(self) -> dict:
-        return {"time_ms": self.time_ms, "fault": self.fault,
-                "phase": self.phase}
 
 
 class FaultInjector:
@@ -126,7 +122,7 @@ class FaultInjector:
                 "faults": [f.describe() for f in self.faults],
                 "active": [f.describe() for f, a
                            in zip(self.faults, self._active) if a],
-                "events": [e.as_dict() for e in self.events]}
+                "events": [asdict(e) for e in self.events]}
 
     def report(self) -> str:
         lines = [f"faults ({len(self.faults)}), seed {self.seed}:"]

@@ -16,7 +16,7 @@ breaker knows its rung only by name, so it is unit-testable in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["RungFailureError", "BreakerEvent", "CircuitBreaker"]
 
@@ -43,11 +43,6 @@ class BreakerEvent:
     from_state: str
     to_state: str
     reason: str                 # "timeout", "failure", "probe-ok", "cooldown"
-
-    def as_dict(self) -> dict:
-        return {"time_ms": self.time_ms, "rung": self.rung,
-                "from_state": self.from_state, "to_state": self.to_state,
-                "reason": self.reason}
 
 
 class CircuitBreaker:
@@ -143,4 +138,4 @@ class CircuitBreaker:
     def snapshot(self) -> dict:
         return {"rung": self.rung, "state": self.state,
                 "consecutive_failures": self.consecutive_failures,
-                "transitions": [e.as_dict() for e in self.events]}
+                "transitions": [asdict(e) for e in self.events]}

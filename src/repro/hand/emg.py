@@ -84,8 +84,7 @@ def emg_features(signal: np.ndarray) -> np.ndarray:
 def make_emg_dataset(n: int, rng: np.random.Generator | int = 0,
                      samples: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Balanced EMG feature dataset: ``(features (n, 32), one-hot labels)``."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     k = len(GRASP_TYPES)
     x = np.empty((n, 4 * EMG_CHANNELS), dtype=np.float32)
     y = np.zeros((n, k), dtype=np.float32)

@@ -27,7 +27,12 @@ MeasureFn = Callable[[Network], float]
 
 @dataclass
 class NetCutCandidate:
-    """The TRN Algorithm 1 proposes for one base network."""
+    """The TRN Algorithm 1 proposes for one base network.
+
+    ``trn`` is the retrained network the accuracy, measured latency and
+    training cost were taken from (``None`` for an infeasible base), so
+    the proposal ships without a second retrain.
+    """
 
     base_name: str
     trn_name: str
@@ -37,6 +42,7 @@ class NetCutCandidate:
     measured_latency_ms: float | None = None
     train_hours: float = 0.0
     feasible: bool = True
+    trn: Network | None = field(default=None, repr=False, compare=False)
 
     @property
     def blocks_removed(self) -> int:
@@ -61,6 +67,23 @@ class NetCutResult:
         return max(feasible, key=lambda c: c.accuracy)
 
     @property
+    def best_measured(self) -> NetCutCandidate:
+        """The deployable TRN: highest accuracy among feasible candidates
+        whose *measured* latency meets the deadline.
+
+        Estimates can put :attr:`best` just over the deadline; candidates
+        run without a ``measure`` callback have no measurement and never
+        qualify.
+        """
+        validated = [c for c in self.candidates
+                     if c.feasible and c.measured_latency_ms is not None
+                     and c.measured_latency_ms <= self.deadline_ms]
+        if not validated:
+            raise RuntimeError(f"no candidate's measured latency meets "
+                               f"{self.deadline_ms} ms")
+        return max(validated, key=lambda c: c.accuracy)
+
+    @property
     def networks_trained(self) -> int:
         """How many networks Algorithm 1 retrained."""
         return sum(1 for c in self.candidates if c.feasible)
@@ -83,10 +106,12 @@ def run_netcut(bases: list[Network], deadline_ms: float, estimator,
         :mod:`repro.netcut.adapters`).
     retrain:
         Callback that retrains a TRN and returns ``(trn, accuracy)``.
-        Called exactly once per base network (the point of NetCut).
+        Called exactly once per feasible base network (the point of
+        NetCut); the candidate keeps the returned ``trn``, which is what
+        :func:`repro.netcut.deploy` ships.
     measure:
         Optional ground-truth measurement of the retrained TRN, recorded
-        for the Fig. 10 analysis.
+        for the Fig. 10 analysis and :attr:`NetCutResult.best_measured`.
     base_latencies_ms:
         Measured latencies of the original networks (line 3 of
         Algorithm 1). When omitted, the estimator's ``cutpoint=None``
@@ -118,7 +143,7 @@ def run_netcut(bases: list[Network], deadline_ms: float, estimator,
             continue
         trn, accuracy = retrain(base, chosen)    # line 10
         candidate = NetCutCandidate(base.name, trn.name, chosen, est,
-                                    accuracy)
+                                    accuracy, trn=trn)
         if measure is not None:
             candidate.measured_latency_ms = measure(trn)
         if cost_model is not None:

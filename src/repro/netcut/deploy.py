@@ -2,9 +2,9 @@
 
 This is the glue a user of the methodology actually wants: run Algorithm 1,
 *validate* the winner's measured latency against the deadline (falling back
-to the next-best candidate when estimator error put the winner over),
-retrain its TRN, optionally quantize, and serialise the result to a single
-``.npz``.
+to the next-best candidate when estimator error put the winner over), ship
+the TRN Algorithm 1 already retrained and measured for that candidate,
+optionally quantize, and serialise the result to a single ``.npz``.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.device.quantize import QuantizedNetwork, calibration_split
-from repro.device.runtime import measure_latency
 from repro.metrics.angular import mean_angular_similarity
 from repro.nn.graph import Network
 from repro.nn.serialize import load_archive, save_network
-from repro.train.trainer import evaluate
 
 __all__ = ["DeploymentArtifact", "deploy", "save_artifact", "load_artifact"]
 
@@ -52,38 +50,28 @@ def deploy(workbench, deadline_ms: float | None = None,
            save_path: str | None = None) -> DeploymentArtifact:
     """Run the full pipeline on a :class:`repro.experiments.Workbench`.
 
-    Steps: Algorithm 1 → measured-latency validation → the winner's TRN
-    from ``workbench.retrain_trn`` (its head fitted on the full training
-    split) → (optional) INT8 quantization with a 10% calibration split →
-    (optional) serialisation.
+    Steps: Algorithm 1 (one retrain per feasible base network) →
+    measured-latency validation (:attr:`NetCutResult.best_measured`) →
+    that candidate's TRN, with the measured latency and accuracy it was
+    scored with → (optional) INT8 quantization with a 10% calibration
+    split → (optional) serialisation.
+    ``deadline_ms=None`` uses the workbench's configured deadline.
     The artifact's ``builder`` tag stays empty.
 
     Raises ``RuntimeError`` when no candidate's *measured* latency meets
     the deadline.
     """
-    deadline = (deadline_ms if deadline_ms is not None
-                else workbench.config.deadline_ms)
-    result = workbench.netcut(estimator, deadline_ms=deadline)
-    validated = [c for c in result.candidates
-                 if c.feasible and c.measured_latency_ms is not None
-                 and c.measured_latency_ms <= deadline]
-    if not validated:
-        raise RuntimeError(
-            f"no candidate's measured latency meets {deadline} ms")
-    best = max(validated, key=lambda c: c.accuracy)
-
-    trn, _ = workbench.retrain_trn(workbench.base(best.base_name),
-                                   best.cutpoint)
-    train_data, test_data = workbench.hands()
-    measured = measure_latency(trn, workbench.device).mean_ms
-    accuracy = evaluate(trn, test_data)
-
-    artifact = DeploymentArtifact(trn, best.trn_name, best.base_name,
-                                  measured, accuracy, deadline)
+    result = workbench.netcut(estimator, deadline_ms=deadline_ms)
+    best = result.best_measured
+    artifact = DeploymentArtifact(best.trn, best.trn_name, best.base_name,
+                                  best.measured_latency_ms, best.accuracy,
+                                  result.deadline_ms)
     if quantize:
+        train_data, test_data = workbench.hands()
         calib_idx = calibration_split(len(train_data), 0.1,
                                       rng=workbench.config.seed)
-        artifact.quantized = QuantizedNetwork(trn, train_data.x[calib_idx])
+        artifact.quantized = QuantizedNetwork(best.trn,
+                                              train_data.x[calib_idx])
         q_pred = artifact.quantized.forward(test_data.x)
         artifact.int8_accuracy = mean_angular_similarity(q_pred,
                                                          test_data.y)

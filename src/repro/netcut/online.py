@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,13 +65,6 @@ class OnlineFit:
     rebuilt: bool                    # did the serving rung change?
     from_rung: str
     to_rung: str
-
-    def as_dict(self) -> dict:
-        return {"time_ms": self.time_ms, "method": self.method,
-                "scales": dict(self.scales),
-                "previous": dict(self.previous),
-                "samples": self.samples, "rebuilt": self.rebuilt,
-                "from_rung": self.from_rung, "to_rung": self.to_rung}
 
 
 def _median(values: list[float]) -> float:
@@ -105,16 +98,18 @@ def fit_scales(samples: dict[str, list[tuple[int, float, float]]],
     """
     if method not in ("ratio", "svr"):
         raise ValueError(f"unknown re-estimation method {method!r}")
-    ratios: dict[str, list[float]] = {}
-    pooled: list[float] = []
+    # each rung's usable (predicted, observed) pairs, in arrival order
+    pairs: dict[str, list[tuple[float, float]]] = {}
     for name, triples in samples.items():
-        for _batch, predicted, observed in triples:
-            if predicted <= 0 or not math.isfinite(predicted) \
-                    or not math.isfinite(observed) or observed <= 0:
-                continue
-            r = observed / predicted
-            ratios.setdefault(name, []).append(r)
-            pooled.append(r)
+        kept = [(predicted, observed)
+                for _batch, predicted, observed in triples
+                if predicted > 0 and observed > 0
+                and math.isfinite(predicted) and math.isfinite(observed)]
+        if kept:
+            pairs[name] = kept
+    ratios = {name: [observed / predicted for predicted, observed in kept]
+              for name, kept in pairs.items()}
+    pooled = [r for rung_ratios in ratios.values() for r in rung_ratios]
     if not pooled:
         return dict(current)
     fallback = _median(pooled)
@@ -124,20 +119,12 @@ def fit_scales(samples: dict[str, list[tuple[int, float, float]]],
 
     if method == "svr" and len(pooled) >= 4:
         from repro.estimators.svr import SVR
-        x, y, query = [], [], {}
-        for name, triples in samples.items():
-            logs = []
-            for _batch, predicted, observed in triples:
-                if predicted <= 0 or observed <= 0 \
-                        or not math.isfinite(predicted) \
-                        or not math.isfinite(observed):
-                    continue
-                lp = math.log(predicted)
-                logs.append(lp)
-                x.append([lp])
-                y.append(math.log(observed / predicted))
-            if logs:
-                query[name] = sum(logs) / len(logs)
+        logs = {name: [math.log(predicted) for predicted, _ in kept]
+                for name, kept in pairs.items()}
+        x = [[lp] for rung_logs in logs.values() for lp in rung_logs]
+        y = [math.log(r) for r in pooled]
+        query = {name: sum(rung_logs) / len(rung_logs)
+                 for name, rung_logs in logs.items()}
         svr = SVR(c=10.0, gamma=0.5, epsilon=1e-3, max_iter=200)
         svr.fit(np.asarray(x), np.asarray(y))
         out = {}
@@ -295,7 +282,7 @@ class ReestimationController:
                 "method": self.method,
                 "counters": dict(self.counters),
                 "pending_samples": self._fresh,
-                "fits": [f.as_dict() for f in self.fits]}
+                "fits": [asdict(f) for f in self.fits]}
 
     def report(self) -> str:
         c = self.counters

@@ -92,8 +92,7 @@ class Network:
 
     def build(self, rng: np.random.Generator | int = 0) -> "Network":
         """Infer shapes and allocate all parameters. Returns ``self``."""
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
+        rng = np.random.default_rng(rng)
         self._shapes = {}
         for node in self.nodes.values():
             in_shapes = [self._shapes[d] for d in node.inputs]

@@ -24,7 +24,7 @@ recorded as :class:`AlertEvent`\\ s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["BurnRateRule", "AlertEvent", "AlertEngine",
            "default_slo_rules"]
@@ -82,11 +82,6 @@ class AlertEvent:
     fast: float
     slow: float
     threshold: float
-
-    def as_dict(self) -> dict:
-        return {"time_ms": self.time_ms, "rule": self.rule,
-                "state": self.state, "fast": self.fast, "slow": self.slow,
-                "threshold": self.threshold}
 
 
 @dataclass
@@ -161,7 +156,7 @@ class AlertEngine:
                        "slow_ms": r.slow_ms, "burn_factor": r.burn_factor}
                       for r in self.rules],
             "active": self.active,
-            "events": [e.as_dict() for e in self.events],
+            "events": [asdict(e) for e in self.events],
         }
 
     def report(self) -> str:

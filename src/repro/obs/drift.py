@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["DriftEvent", "DriftMonitor"]
 
@@ -33,11 +33,6 @@ class DriftEvent:
     bias: float                 # windowed mean signed error (sign = direction)
     window: int                 # observations in the window at firing time
     threshold: float
-
-    def as_dict(self) -> dict:
-        return {"time_ms": self.time_ms, "rung": self.rung,
-                "rel_error": self.rel_error, "bias": self.bias,
-                "window": self.window, "threshold": self.threshold}
 
 
 class DriftMonitor:
@@ -189,7 +184,7 @@ class DriftMonitor:
                 "threshold": self.threshold,
                 "drifting": self.drifting,
                 "events_total": self.events_total,
-                "events": [e.as_dict() for e in self.events]}
+                "events": [asdict(e) for e in self.events]}
 
     def report(self) -> str:
         s = self.snapshot()

@@ -195,12 +195,10 @@ class MetricFamily:
     event.
     """
 
-    __slots__ = ("name", "kind", "help", "labelnames", "_children",
-                 "_hist_kwargs")
+    __slots__ = ("name", "kind", "help", "labelnames", "_children")
 
     def __init__(self, name: str, kind: str, help: str = "",
-                 labelnames: tuple[str, ...] = (),
-                 hist_kwargs: dict | None = None):
+                 labelnames: tuple[str, ...] = ()):
         if kind not in ("counter", "gauge", "histogram"):
             raise ValueError(f"unknown metric kind {kind!r}")
         self.name = name
@@ -208,14 +206,13 @@ class MetricFamily:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._children: dict[tuple[str, ...], object] = {}
-        self._hist_kwargs = dict(hist_kwargs or {})
 
     def _make(self):
         if self.kind == "counter":
             return Counter(self.name)
         if self.kind == "gauge":
             return Gauge(self.name)
-        return LatencyHistogram(**self._hist_kwargs)
+        return LatencyHistogram()
 
     def labels(self, **labelvalues):
         """The child for this label combination (created on first use)."""
@@ -520,12 +517,11 @@ class Telemetry:
 
     # -- family creation (idempotent, schema-checked) ------------------------
     def _family(self, name: str, kind: str, help: str,
-                labelnames: tuple[str, ...],
-                hist_kwargs: dict | None = None) -> MetricFamily:
+                labelnames: tuple[str, ...]) -> MetricFamily:
         fam = self.families.get(name)
         if fam is None:
             fam = self.families[name] = MetricFamily(
-                name, kind, help, labelnames, hist_kwargs)
+                name, kind, help, labelnames)
         elif fam.kind != kind or fam.labelnames != tuple(labelnames):
             raise ValueError(
                 f"metric {name!r} already registered as {fam.kind} with "
@@ -542,9 +538,8 @@ class Telemetry:
         return self._family(name, "gauge", help, labelnames)
 
     def histogram(self, name: str, help: str = "",
-                  labelnames: tuple[str, ...] = (),
-                  **hist_kwargs) -> MetricFamily:
-        return self._family(name, "histogram", help, labelnames, hist_kwargs)
+                  labelnames: tuple[str, ...] = ()) -> MetricFamily:
+        return self._family(name, "histogram", help, labelnames)
 
     # -- collectors ----------------------------------------------------------
     def collector(self, key: str, fn) -> None:

@@ -50,12 +50,6 @@ __all__ = [
 ]
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng
-
-
 class ArrivalProcess:
     """An arrival intensity over virtual time (milliseconds).
 
@@ -93,7 +87,7 @@ class ArrivalProcess:
         """
         if horizon_ms <= 0:
             raise ValueError("horizon_ms must be positive")
-        rng = _as_rng(rng)
+        rng = np.random.default_rng(rng)
         self.prepare(horizon_ms, rng)
         peak = self.peak_rate_rps
         if peak <= 0:
@@ -365,7 +359,7 @@ def generate_trace(process: ArrivalProcess, horizon_ms: float,
 
     if tenants is None and deadline_ms is None:
         raise ValueError("need deadline_ms or a TenantMix with deadlines")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     arrivals = process.arrival_times_ms(horizon_ms, rng)
     n = len(arrivals)
     names = [None] * n
@@ -397,7 +391,7 @@ def poisson_trace(n: int, rate_rps: float, deadline_ms: float,
 
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     mean_gap_ms = 1e3 / rate_rps
     gaps = rng.exponential(mean_gap_ms, size=n)
     if burst is not None:
@@ -423,7 +417,7 @@ def uniform_trace(n: int, rate_rps: float, deadline_ms: float,
 
     if rate_rps <= 0:
         raise ValueError("rate_rps must be positive")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     gap_ms = 1e3 / rate_rps
     xs = _payloads(n, image_size, rng, render)
     return [Request(rid=i, arrival_ms=float((i + 1) * gap_ms),

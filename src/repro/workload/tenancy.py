@@ -95,8 +95,7 @@ class TenantMix:
     def draw(self, n: int, rng: np.random.Generator | int = 0
              ) -> list[TenantClass]:
         """Assign ``n`` arrivals to tenants by traffic share (seeded)."""
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
+        rng = np.random.default_rng(rng)
         idx = rng.choice(len(self.tenants), size=n, p=self.shares)
         return [self.tenants[int(i)] for i in idx]
 

@@ -69,6 +69,30 @@ class TestDeploy:
         assert art.path is None
         assert np.isnan(art.int8_accuracy)
 
+    def test_ships_the_trn_algorithm1_retrained(self, wb, monkeypatch):
+        """One retrain per feasible base network, none for the winner:
+        the artifact carries the picked candidate's TRN."""
+        retrained, results = [], []
+        retrain_trn, netcut = wb.retrain_trn, wb.netcut
+
+        def counting_retrain(base, cutpoint):
+            retrained.append(base.name)
+            return retrain_trn(base, cutpoint)
+
+        def recording_netcut(*args, **kwargs):
+            results.append(netcut(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(wb, "retrain_trn", counting_retrain)
+        monkeypatch.setattr(wb, "netcut", recording_netcut)
+        art = deploy(wb, quantize=False)
+        (result,) = results
+        assert retrained == list(wb.config.networks)
+        assert result.networks_trained == 2
+        assert art.network is result.best_measured.trn
+        assert art.measured_latency_ms == \
+            result.best_measured.measured_latency_ms
+
 
 class TestDeployBuilderRefactor:
     """The pipeline's saved bytes are pinned: a refactor of deploy() must

@@ -71,6 +71,16 @@ class TestDesign:
         assert len(listed) > 60
         for path in listed:
             assert os.path.exists(os.path.join(src, path)), path
+        # and in every package the map lists file by file, it lists every
+        # module
+        for pkg in sorted({path.split("/")[0] for path in listed
+                           if "/" in path}):
+            unlisted = [
+                f"{pkg}/{name}"
+                for name in sorted(os.listdir(os.path.join(src, pkg)))
+                if name.endswith(".py") and name != "__init__.py"
+                and f"{pkg}/{name}" not in listed]
+            assert not unlisted, unlisted
 
 
 class TestExperimentsDoc:

@@ -122,6 +122,55 @@ class TestAlgorithm:
                             base_latencies_ms={tiny_net.name: 5.0})
         assert result.candidates[0].blocks_removed == 0
 
+    def test_candidate_keeps_the_retrained_trn(self):
+        returned = {}
+
+        def retrain(base, cutpoint):
+            trn, accuracy = dummy_retrain(base, cutpoint)
+            returned[base.name] = trn
+            return trn, accuracy
+
+        fast, slow = make_tiny_net("fast"), make_tiny_net("slow")
+        result = run_netcut(
+            [fast, slow], deadline_ms=1.0, estimator=FixedEstimator(5.0, 0.01),
+            retrain=retrain, base_latencies_ms={"fast": 0.5})
+        kept, infeasible = result.candidates
+        assert kept.trn is returned["fast"]
+        assert not infeasible.feasible and infeasible.trn is None
+        assert list(returned) == ["fast"]
+
+
+class TestBestMeasured:
+    """NetCutResult.best_measured: the most accurate candidate whose
+    measured latency meets the deadline."""
+
+    def _result(self, *scripted):
+        result = NetCutResult(1.0, "stub")
+        for i, (accuracy, measured) in enumerate(scripted):
+            result.candidates.append(NetCutCandidate(
+                f"n{i}", f"n{i}/1", None, 0.9, accuracy,
+                measured_latency_ms=measured))
+        return result
+
+    def test_prefers_measured_fit_over_more_accurate_miss(self):
+        result = self._result((0.9, 1.2), (0.7, 0.95), (0.6, 0.5))
+        assert result.best.trn_name == "n0/1"
+        assert result.best_measured.trn_name == "n1/1"
+
+    def test_skips_candidates_without_measurement(self):
+        result = self._result((0.9, None), (0.5, 0.8))
+        assert result.best_measured.trn_name == "n1/1"
+
+    def test_skips_infeasible_candidates(self):
+        result = self._result((0.9, 0.8), (0.5, 0.8))
+        result.candidates[0].feasible = False
+        assert result.best_measured.trn_name == "n1/1"
+
+    def test_raises_when_no_measurement_meets_deadline(self):
+        result = self._result((0.9, 1.5), (0.8, None))
+        with pytest.raises(RuntimeError, match="measured latency meets 1.0"):
+            _ = result.best_measured
+
 
 class TestAdapters:
     def test_oracle_adapter_monotone(self, tiny_net, tiny_device):

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -637,8 +638,8 @@ class TestBurnRateAlerts:
     def test_alert_timeline_is_deterministic(self, ladder):
         _, a = self.storm_run(ladder)
         _, b = self.storm_run(ladder)
-        assert [e.as_dict() for e in a.events] \
-            == [e.as_dict() for e in b.events]
+        assert [asdict(e) for e in a.events] \
+            == [asdict(e) for e in b.events]
 
     def test_rules_validate_their_shape(self):
         from repro.obs import AlertEngine, BurnRateRule
