@@ -23,7 +23,7 @@ def main() -> None:
         with open(path, "w") as fh:
             fh.write(net.to_dot())
         print(f"wrote {path:36s} ({len(net.nodes):4d} nodes, "
-              f"{len(net.block_ids()):3d} blocks)")
+              f"{len(net.block_members()):3d} blocks)")
 
     print("\nTRN trade-off space (Fig. 6), deadline marked with '|':\n")
     wb = Workbench()

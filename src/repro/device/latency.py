@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.nn.compile import KernelGroup, fuse_kernels
 from repro.nn.graph import Network
-from repro.nn.layers import Input
 
 from .spec import DeviceSpec
 
@@ -109,10 +108,7 @@ def _group_cost(net: Network, group: KernelGroup, precision: str,
         weight_elems += node.layer.param_count()
         for dep in node.inputs:
             if dep not in member:
-                dep_shape = (net.input_shape
-                             if isinstance(net.nodes[dep].layer, Input)
-                             else net.shape_of(dep))
-                in_elems += int(np.prod(dep_shape))
+                in_elems += int(np.prod(net.shape_of(dep)))
     out_elems = int(np.prod(net.shape_of(group.node_names[-1])))
     bytes_moved = int(db * batch_size * (in_elems + out_elems)
                       + db * weight_cache_factor * weight_elems)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.graph import Network
-from repro.nn.layers import Conv2D, Dense, DepthwiseConv2D, Input
+from repro.nn.layers import WEIGHTED_TYPES, Input
 
 __all__ = ["quantize_tensor", "calibration_split", "QuantizedNetwork"]
 
@@ -71,7 +71,7 @@ class QuantizedNetwork:
 
     def _quantize_weights(self) -> None:
         for node in self.net.nodes.values():
-            if isinstance(node.layer, (Conv2D, Dense, DepthwiseConv2D)):
+            if isinstance(node.layer, WEIGHTED_TYPES):
                 w = node.layer.params["w"]
                 scales = _weight_scales(w.value)
                 self._weight_scales[node.name] = scales
@@ -79,7 +79,7 @@ class QuantizedNetwork:
 
     def _calibrate(self, calibration_x: np.ndarray) -> None:
         quant_nodes = [n.name for n in self.net.nodes.values()
-                       if isinstance(n.layer, (Conv2D, Dense, DepthwiseConv2D))]
+                       if isinstance(n.layer, WEIGHTED_TYPES)]
         _, acts = self.float_net.forward(calibration_x, capture=quant_nodes)
         for name, act in acts.items():
             # percentile calibration: the paper selects "scaling factors

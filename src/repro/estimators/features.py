@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.graph import Network
-from repro.nn.layers import Conv2D, Dense, DepthwiseConv2D
+from repro.nn.layers import WEIGHTED_TYPES, Conv2D, Dense, DepthwiseConv2D
 
 __all__ = ["FEATURE_NAMES", "NetworkFeatures", "extract_features"]
 
@@ -64,7 +64,7 @@ def extract_features(net: Network, base_latency_ms: float) -> NetworkFeatures:
     weighted = 0
     filter_size = 0
     for node in net.nodes.values():
-        if isinstance(node.layer, (Conv2D, DepthwiseConv2D, Dense)):
+        if isinstance(node.layer, WEIGHTED_TYPES):
             weighted += 1
             filter_size += _filter_size(node.layer)
     return NetworkFeatures(

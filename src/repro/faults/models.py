@@ -166,8 +166,9 @@ class QueueSaturation(FaultModel):
     """Memory pressure: only ``factor`` of the queue capacity is usable.
 
     While active, the engine treats the bounded EDF queue as if its
-    capacity were ``ceil(capacity * factor)`` — arrivals beyond that are
-    rejected as ``queue-full`` instead of silently growing the backlog.
+    capacity were ``max(1, floor(capacity * factor))`` — arrivals beyond
+    that are rejected as ``queue-full`` instead of silently growing the
+    backlog.
     """
 
     factor: float = 0.25

@@ -321,13 +321,13 @@ class DPDepthBuilder(LadderBuilder):
         total = max(1, feature_flops(trn))
         breakdown = network_latency(trn, spec)
         costs = []
+        block_members = trn.block_members()
         for block in skippable_blocks(trn):
-            members = {n.name for n in trn.nodes.values()
-                       if n.role == "feature" and n.block_id == block}
+            members = block_members[block]
             ms = sum(k.latency_ms
-                     for k in breakdown.kernels_for_nodes(members))
-            flops = sum(n.layer.flops(trn.in_shapes(n.name))
-                        for n in trn.nodes.values() if n.name in members)
+                     for k in breakdown.kernels_for_nodes(set(members)))
+            flops = sum(trn.nodes[n].layer.flops(trn.in_shapes(n))
+                        for n in members)
             costs.append((block, ms, flops / total))
         return costs
 

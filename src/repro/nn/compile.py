@@ -99,11 +99,7 @@ def fuse_kernels(net, enabled: bool = True) -> list[KernelGroup]:
     consumer (otherwise the intermediate tensor must be materialised
     anyway).
     """
-    consumers: dict[str, int] = {name: 0 for name in net.nodes}
-    for node in net.nodes.values():
-        for dep in node.inputs:
-            consumers[dep] += 1
-
+    consumers = net.consumers()
     groups: list[KernelGroup] = []
     group_of: dict[str, KernelGroup] = {}
     for node in net.nodes.values():
@@ -112,7 +108,7 @@ def fuse_kernels(net, enabled: bool = True) -> list[KernelGroup]:
         if (enabled and isinstance(node.layer, FUSABLE_TYPES)
                 and len(node.inputs) == 1
                 and node.inputs[0] in group_of
-                and consumers[node.inputs[0]] == 1):
+                and len(consumers[node.inputs[0]]) == 1):
             group = group_of[node.inputs[0]]
             group.node_names.append(node.name)
             group_of[node.name] = group

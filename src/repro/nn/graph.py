@@ -18,6 +18,11 @@ schedule (:mod:`repro.nn.compile`) that ``forward``/``forward_batch``
 route through transparently whenever neither ``training`` nor ``capture``
 is requested. The plan invalidates itself on structural edits and weight
 mutation, and ``copy()``/``subgraph()`` clones always start uncompiled.
+
+The network is the one home of its structural facts: :meth:`Network.consumers`
+(who reads each node), :meth:`Network.ancestors` (what a node depends on,
+which is what a cut keeps) and :meth:`Network.block_members` (the feature
+blocks layer removal works on).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Input, Layer
+from .layers import WEIGHTED_TYPES, Input, Layer
 
 __all__ = ["Node", "Network"]
 
@@ -179,17 +184,7 @@ class Network:
             return out[0] if single else out
         if single:
             x = x[None]
-        acts: dict[str, np.ndarray] = {}
-        consumers = self._consumer_counts()
-        wanted = set(capture or [])
-        for node in self.nodes.values():
-            ins = [acts[d] for d in node.inputs] if node.inputs else [x]
-            acts[node.name] = node.layer.forward(ins, training=training)
-            # free activations no longer needed to bound memory
-            for d in node.inputs:
-                consumers[d] -= 1
-                if consumers[d] == 0 and d not in wanted and d != self.output_name:
-                    acts.pop(d, None)
+        acts = self._walk(x, training, capture or ())
         out = acts[self.output_name]
         if single:
             out = out[0]
@@ -233,12 +228,26 @@ class Network:
         return self.forward(np.stack([np.asarray(s) for s in samples]),
                             training=training)
 
-    def _consumer_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in self.nodes}
+    def _walk(self, x: np.ndarray, training: bool,
+              keep=()) -> dict[str, np.ndarray]:
+        """The interpreted node-by-node forward pass.
+
+        Returns the activations of the output node and of ``keep``; every
+        other activation is freed once its last consumer has run, which
+        bounds memory (backward reads the layers' own caches).
+        """
+        acts: dict[str, np.ndarray] = {}
+        pending = {name: len(users)
+                   for name, users in self.consumers().items()}
+        keep = {*keep, self.output_name}
         for node in self.nodes.values():
+            ins = [acts[d] for d in node.inputs] if node.inputs else [x]
+            acts[node.name] = node.layer.forward(ins, training=training)
             for d in node.inputs:
-                counts[d] += 1
-        return counts
+                pending[d] -= 1
+                if pending[d] == 0 and d not in keep:
+                    acts.pop(d, None)
+        return acts
 
     def forward_backward(self, x: np.ndarray, grad_out: np.ndarray | None = None,
                          loss_fn=None, y: np.ndarray | None = None,
@@ -253,19 +262,14 @@ class Network:
         """
         if not self._shapes:
             raise RuntimeError("network is not built; call build() first")
-        acts: dict[str, np.ndarray] = {}
-        order = list(self.nodes.values())
-        for node in order:
-            ins = [acts[d] for d in node.inputs] if node.inputs else [x]
-            acts[node.name] = node.layer.forward(ins, training=training)
-        out = acts[self.output_name]
+        out = self._walk(x, training)[self.output_name]
         loss = None
         if grad_out is None:
             if loss_fn is None or y is None:
                 raise ValueError("need grad_out or (loss_fn, y)")
             loss, grad_out = loss_fn(out, y)
         grads: dict[str, np.ndarray] = {self.output_name: grad_out}
-        for node in reversed(order):
+        for node in reversed(self.nodes.values()):
             g = grads.pop(node.name, None)
             if g is None:
                 continue
@@ -322,21 +326,45 @@ class Network:
 
     def layer_count(self, roles: tuple[str, ...] = ("stem", "feature", "head")) -> int:
         """Number of weighted layers (conv/dense), the paper's depth metric."""
-        count = 0
-        for node in self.nodes.values():
-            if node.role in roles and type(node.layer).__name__ in (
-                    "Conv2D", "DepthwiseConv2D", "Dense"):
-                count += 1
-        return count
+        return sum(1 for node in self.nodes.values()
+                   if node.role in roles
+                   and isinstance(node.layer, WEIGHTED_TYPES))
 
-    def block_ids(self) -> list[str]:
-        """Distinct feature block ids in topological order."""
-        seen: list[str] = []
+    def consumers(self) -> dict[str, list[str]]:
+        """Each node's consumers in topological order: the nodes that list
+        it as an input, once per listing."""
+        users: dict[str, list[str]] = {name: [] for name in self.nodes}
         for node in self.nodes.values():
-            if node.role == "feature" and node.block_id is not None \
-                    and node.block_id not in seen:
-                seen.append(node.block_id)
-        return seen
+            for dep in node.inputs:
+                users[dep].append(node.name)
+        return users
+
+    def ancestors(self, name: str) -> set[str]:
+        """``name`` and every node it transitively depends on.
+
+        This is the node set a cut at ``name`` keeps (:meth:`subgraph`);
+        its complement is what the cut removes.
+        """
+        if name not in self.nodes:
+            raise KeyError(f"no node named {name!r}")
+        kept: set[str] = set()
+        stack = [name]
+        while stack:
+            cur = stack.pop()
+            if cur not in kept:
+                kept.add(cur)
+                stack.extend(self.nodes[cur].inputs)
+        return kept
+
+    def block_members(self) -> dict[str, list[str]]:
+        """Feature nodes grouped by ``block_id``: blocks in topological
+        order of their first node, members in topological order (so a
+        block's last member carries its output)."""
+        members: dict[str, list[str]] = {}
+        for node in self.nodes.values():
+            if node.role == "feature" and node.block_id is not None:
+                members.setdefault(node.block_id, []).append(node.name)
+        return members
 
     def describe(self) -> str:
         """Human-readable layer table (name, type, block, shape, params)."""
@@ -394,48 +422,30 @@ class Network:
     # -- structural edits & persistence --------------------------------------
     def copy(self) -> "Network":
         """Deep copy: new layer objects, independent parameters."""
-        clone = Network.__new__(Network)
-        clone.name = self.name
-        clone.input_shape = self.input_shape
-        clone.output_name = self.output_name
-        clone._shapes = dict(self._shapes)
-        clone._mutation_version = 0
-        clone._compiled = None
-        clone.nodes = {}
-        for name, node in self.nodes.items():
-            clone.nodes[name] = Node(node.name, copy.deepcopy(node.layer),
-                                     list(node.inputs), node.block_id, node.role)
-        return clone
+        return self._clone(self.nodes, self.name, self.output_name)
 
     def subgraph(self, upto: str, name: str | None = None) -> "Network":
         """Deep-copied prefix of the network ending at node ``upto``.
 
-        Only nodes that ``upto`` (transitively) depends on are retained. Used
-        by layer removal to build trimmed feature extractors.
+        Only :meth:`ancestors` of ``upto`` are retained. Used by layer
+        removal to build trimmed feature extractors.
         """
-        if upto not in self.nodes:
-            raise KeyError(f"no node named {upto!r}")
-        needed: set[str] = set()
-        stack = [upto]
-        while stack:
-            cur = stack.pop()
-            if cur in needed:
-                continue
-            needed.add(cur)
-            stack.extend(self.nodes[cur].inputs)
+        return self._clone(self.ancestors(upto),
+                           name or f"{self.name}[:{upto}]", upto)
+
+    def _clone(self, keep, name: str, output_name: str) -> "Network":
+        """An uncompiled deep copy of the nodes in ``keep``."""
         clone = Network.__new__(Network)
-        clone.name = name or f"{self.name}[:{upto}]"
+        clone.name = name
         clone.input_shape = self.input_shape
+        clone.output_name = output_name
         clone._mutation_version = 0
         clone._compiled = None
-        clone.nodes = {}
-        for nname, node in self.nodes.items():
-            if nname in needed:
-                clone.nodes[nname] = Node(node.name, copy.deepcopy(node.layer),
-                                          list(node.inputs), node.block_id,
-                                          node.role)
-        clone.output_name = upto
-        clone._shapes = {k: v for k, v in self._shapes.items() if k in needed}
+        clone.nodes = {
+            n: Node(n, copy.deepcopy(node.layer), list(node.inputs),
+                    node.block_id, node.role)
+            for n, node in self.nodes.items() if n in keep}
+        clone._shapes = {k: v for k, v in self._shapes.items() if k in keep}
         return clone
 
     def state_dict(self) -> dict[str, np.ndarray]:

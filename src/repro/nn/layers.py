@@ -13,6 +13,9 @@ Every layer follows the same contract:
   and their cost modelled without running data through them.
 - ``flops(in_shapes)`` counts multiply-accumulate work (2 ops per MAC) for
   the device latency model and the analytical estimator features.
+- ``config()`` returns the constructor arguments, so ``type(layer)(**
+  layer.config())`` rebuilds an unbuilt copy; :mod:`repro.nn.serialize`
+  persists exactly this dictionary.
 
 Layers are intentionally stateful between ``forward`` and ``backward`` (they
 cache activations); a layer instance therefore belongs to exactly one
@@ -44,6 +47,7 @@ __all__ = [
     "Softmax",
     "Add",
     "Concat",
+    "WEIGHTED_TYPES",
 ]
 
 Shape = tuple[int, ...]
@@ -57,12 +61,30 @@ class Parameter:
     mutation and invalidate cached execution plans. Augmented updates
     (``p.value -= g``) go through the setter too; only raw in-place writes
     into the array (``p.value[...] = x``) escape it.
+
+    The gradient buffer is allocated on first read of :attr:`grad`, and a
+    copy starts without one (every training step zeroes it first), so a
+    network that never trains carries only its weights, even when it was
+    cut from one that did.
     """
 
     def __init__(self, value: np.ndarray):
         self.version = 0
         self.value = np.asarray(value, dtype=np.float32)
-        self.grad = np.zeros_like(self.value)
+        self._grad: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_grad": None}
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self._value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray) -> None:
+        self._grad = g
 
     @property
     def value(self) -> np.ndarray:
@@ -79,8 +101,9 @@ class Parameter:
         return int(self.value.size)
 
     def zero_grad(self) -> None:
-        """Reset the accumulated gradient to zero."""
-        self.grad.fill(0.0)
+        """Reset the accumulated gradient to zero (if one was allocated)."""
+        if self._grad is not None:
+            self._grad.fill(0.0)
 
 
 class Layer:
@@ -134,6 +157,10 @@ class Layer:
         for p in self.params.values():
             p.zero_grad()
 
+    def config(self) -> dict:
+        """Constructor arguments (JSON-serialisable); none by default."""
+        return {}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -144,6 +171,9 @@ class Input(Layer):
     def __init__(self, shape: Shape):
         super().__init__()
         self.shape = tuple(shape)
+
+    def config(self) -> dict:
+        return {"shape": list(self.shape)}
 
     def forward(self, inputs: list[np.ndarray],
                 training: bool = False) -> np.ndarray:
@@ -176,6 +206,11 @@ class Conv2D(Layer):
         self.padding = padding
         self.use_bias = use_bias
         self._cache: tuple | None = None
+
+    def config(self) -> dict:
+        return {"filters": self.filters, "kernel": list(self.kernel),
+                "stride": self.stride, "padding": self.padding,
+                "use_bias": self.use_bias}
 
     def build(self, in_shapes: list[Shape], rng: np.random.Generator) -> None:
         if self.built:
@@ -268,6 +303,10 @@ class DepthwiseConv2D(Layer):
         self.use_bias = use_bias
         self._cache: tuple | None = None
 
+    def config(self) -> dict:
+        return {"kernel": list(self.kernel), "stride": self.stride,
+                "padding": self.padding, "use_bias": self.use_bias}
+
     def build(self, in_shapes: list[Shape], rng: np.random.Generator) -> None:
         if self.built:
             return
@@ -343,6 +382,9 @@ class Dense(Layer):
         self.use_bias = use_bias
         self._cache: np.ndarray | None = None
 
+    def config(self) -> dict:
+        return {"units": self.units, "use_bias": self.use_bias}
+
     def build(self, in_shapes: list[Shape], rng: np.random.Generator) -> None:
         if self.built:
             return
@@ -395,6 +437,9 @@ class BatchNorm(Layer):
         #: bumped whenever the running statistics move (plan invalidation)
         self.stats_version = 0
         self._cache: tuple | None = None
+
+    def config(self) -> dict:
+        return {"momentum": self.momentum, "eps": self.eps}
 
     def build(self, in_shapes: list[Shape], rng: np.random.Generator) -> None:
         if self.built:
@@ -488,6 +533,10 @@ class _Pool2D(Layer):
         if padding not in ("same", "valid"):
             raise ValueError(f"unknown padding {padding!r}")
         self.padding = padding
+
+    def config(self) -> dict:
+        return {"pool": self.pool, "stride": self.stride,
+                "padding": self.padding}
 
     def _pad(self, x: np.ndarray, fill: float) -> tuple[np.ndarray, tuple[int, int]]:
         if self.padding == "valid":
@@ -608,6 +657,9 @@ class Dropout(Layer):
         self._rng = np.random.default_rng(seed)
         self._mask: np.ndarray | None = None
 
+    def config(self) -> dict:
+        return {"rate": self.rate}  # the mask seed is not persisted
+
     def forward(self, inputs, training=False):
         x = inputs[0]
         if not training or self.rate == 0.0:
@@ -690,3 +742,8 @@ class Concat(Layer):
             if tuple(s[:-1]) != tuple(base):
                 raise ValueError(f"Concat spatial shapes disagree: {in_shapes}")
         return base + (sum(s[-1] for s in in_shapes),)
+
+
+#: Layer types with weights: the paper's depth axis (``layer_count``,
+#: removed-layer counts) and the quantizer's targets.
+WEIGHTED_TYPES = (Conv2D, DepthwiseConv2D, Dense)

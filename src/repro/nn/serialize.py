@@ -44,69 +44,11 @@ __all__ = ["save_network", "load_network", "load_archive",
            "architecture_dict", "network_from_dict"]
 
 
-def _conv_config(layer: Conv2D) -> dict:
-    return {"filters": layer.filters, "kernel": list(layer.kernel),
-            "stride": layer.stride, "padding": layer.padding,
-            "use_bias": layer.use_bias}
-
-
-def _dw_config(layer: DepthwiseConv2D) -> dict:
-    return {"kernel": list(layer.kernel), "stride": layer.stride,
-            "padding": layer.padding, "use_bias": layer.use_bias}
-
-
-def _dense_config(layer: Dense) -> dict:
-    return {"units": layer.units, "use_bias": layer.use_bias}
-
-
-def _bn_config(layer: BatchNorm) -> dict:
-    return {"momentum": layer.momentum, "eps": layer.eps}
-
-
-def _pool_config(layer) -> dict:
-    return {"pool": layer.pool, "stride": layer.stride,
-            "padding": layer.padding}
-
-
-def _dropout_config(layer: Dropout) -> dict:
-    return {"rate": layer.rate}
-
-
-_CONFIG_EXTRACTORS = {
-    Conv2D: _conv_config,
-    DepthwiseConv2D: _dw_config,
-    Dense: _dense_config,
-    BatchNorm: _bn_config,
-    MaxPool2D: _pool_config,
-    AvgPool2D: _pool_config,
-    Dropout: _dropout_config,
-}
-
-_PARAMLESS = {cls.__name__: cls for cls in
-              (ReLU, ReLU6, GlobalAvgPool, Flatten, Softmax, Add, Concat)}
-
-
-def _build_layer(type_name: str, config: dict):
-    if type_name in _PARAMLESS:
-        return _PARAMLESS[type_name]()
-    if type_name == "Conv2D":
-        return Conv2D(config["filters"], tuple(config["kernel"]),
-                      config["stride"], config["padding"],
-                      config["use_bias"])
-    if type_name == "DepthwiseConv2D":
-        return DepthwiseConv2D(tuple(config["kernel"]), config["stride"],
-                               config["padding"], config["use_bias"])
-    if type_name == "Dense":
-        return Dense(config["units"], config["use_bias"])
-    if type_name == "BatchNorm":
-        return BatchNorm(config["momentum"], config["eps"])
-    if type_name == "MaxPool2D":
-        return MaxPool2D(config["pool"], config["stride"], config["padding"])
-    if type_name == "AvgPool2D":
-        return AvgPool2D(config["pool"], config["stride"], config["padding"])
-    if type_name == "Dropout":
-        return Dropout(config["rate"])
-    raise ValueError(f"unknown layer type {type_name!r}")
+#: Serialisable layer types by name; each rebuilds as ``cls(**config)``
+#: from its :meth:`~repro.nn.layers.Layer.config`.
+_LAYER_TYPES = {cls.__name__: cls for cls in (
+    Conv2D, DepthwiseConv2D, Dense, BatchNorm, MaxPool2D, AvgPool2D,
+    Dropout, ReLU, ReLU6, GlobalAvgPool, Flatten, Softmax, Add, Concat)}
 
 
 def architecture_dict(net: Network) -> dict:
@@ -116,14 +58,13 @@ def architecture_dict(net: Network) -> dict:
         if isinstance(node.layer, Input):
             continue
         type_name = type(node.layer).__name__
-        extractor = _CONFIG_EXTRACTORS.get(type(node.layer))
-        if extractor is None and type_name not in _PARAMLESS:
+        if _LAYER_TYPES.get(type_name) is not type(node.layer):
             raise ValueError(
                 f"layer type {type_name!r} is not serialisable")
         nodes.append({
             "name": node.name,
             "type": type_name,
-            "config": extractor(node.layer) if extractor else {},
+            "config": node.layer.config(),
             "inputs": list(node.inputs),
             "block_id": node.block_id,
             "role": node.role,
@@ -153,7 +94,9 @@ def network_from_dict(arch: dict, state: dict[str, np.ndarray]) -> Network:
     """
     net = Network(arch["name"], tuple(arch["input_shape"]))
     for spec in arch["nodes"]:
-        net.add(spec["name"], _build_layer(spec["type"], spec["config"]),
+        if spec["type"] not in _LAYER_TYPES:
+            raise ValueError(f"unknown layer type {spec['type']!r}")
+        net.add(spec["name"], _LAYER_TYPES[spec["type"]](**spec["config"]),
                 inputs=spec["inputs"], block_id=spec["block_id"],
                 role=spec["role"])
     net.output_name = arch["output"]

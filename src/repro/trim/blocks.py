@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn.graph import Network
+from repro.nn.layers import WEIGHTED_TYPES
 
 __all__ = ["BlockBoundary", "block_boundaries", "stem_output"]
 
@@ -25,10 +26,6 @@ class BlockBoundary:
     weighted_layers: int  # conv/dense layers inside the block
 
 
-def _weighted(layer) -> bool:
-    return type(layer).__name__ in ("Conv2D", "DepthwiseConv2D", "Dense")
-
-
 def block_boundaries(net: Network) -> list[BlockBoundary]:
     """Ordered feature blocks of a network with their output nodes.
 
@@ -36,18 +33,10 @@ def block_boundaries(net: Network) -> list[BlockBoundary]:
     by construction of the zoo builders is the node every later block
     consumes.
     """
-    last_node: dict[str, str] = {}
-    weighted: dict[str, int] = {}
-    order: list[str] = []
-    for node in net.nodes.values():
-        if node.role != "feature" or node.block_id is None:
-            continue
-        if node.block_id not in last_node:
-            order.append(node.block_id)
-        last_node[node.block_id] = node.name
-        if _weighted(node.layer):
-            weighted[node.block_id] = weighted.get(node.block_id, 0) + 1
-    return [BlockBoundary(b, last_node[b], weighted.get(b, 0)) for b in order]
+    return [BlockBoundary(block, members[-1],
+                          sum(isinstance(net.nodes[n].layer, WEIGHTED_TYPES)
+                              for n in members))
+            for block, members in net.block_members().items()]
 
 
 def stem_output(net: Network) -> str:

@@ -55,14 +55,6 @@ def _layer_type(net: Network, name: str) -> str:
     return type(net.nodes[name].layer).__name__
 
 
-def _consumers(net: Network) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {name: [] for name in net.nodes}
-    for node in net.nodes.values():
-        for dep in node.inputs:
-            out[dep].append(node.name)
-    return out
-
-
 def channel_importance(net: Network, conv: str) -> np.ndarray:
     """L1 norm of each output channel's kernel slice (+ bias if present).
 
@@ -116,7 +108,7 @@ def prunable_channel_convs(net: Network) -> list[str]:
     contract). Stem and head convs are left alone: the stem is the
     network's retina and heads are replaced wholesale by transfer learning.
     """
-    consumers = _consumers(net)
+    consumers = net.consumers()
     return [node.name for node in net.nodes.values()
             if node.role == "feature"
             and type(node.layer).__name__ == "Conv2D"
@@ -180,7 +172,7 @@ def prune_channels(net: Network, keep: dict[str, "np.ndarray | list[int]"],
     """
     if not net.built:
         raise RuntimeError("network must be built before pruning")
-    consumers = _consumers(net)
+    consumers = net.consumers()
     norm: dict[str, np.ndarray] = {}
     for conv, idx in keep.items():
         node = net.nodes.get(conv)
@@ -235,22 +227,14 @@ def skippable_blocks(net: Network) -> list[str]:
     be rewired to the block input verbatim. These are exactly the
     shape-preserving (stride-1, equal-width, possibly residual) blocks.
     """
-    members: dict[str, list[str]] = {}
-    order: list[str] = []
-    for node in net.nodes.values():
-        if node.role != "feature" or node.block_id is None:
-            continue
-        if node.block_id not in members:
-            order.append(node.block_id)
-        members.setdefault(node.block_id, []).append(node.name)
-    consumers = _consumers(net)
+    consumers = net.consumers()
     out: list[str] = []
-    for block in order:
-        names = set(members[block])
-        entries = {dep for n in members[block]
+    for block, members in net.block_members().items():
+        names = set(members)
+        entries = {dep for n in members
                    for dep in net.nodes[n].inputs if dep not in names}
-        exit_node = members[block][-1]
-        exits = {n for n in members[block]
+        exit_node = members[-1]
+        exits = {n for n in members
                  if any(c not in names for c in consumers[n])}
         if len(entries) != 1 or exits != {exit_node}:
             continue
@@ -280,9 +264,9 @@ def remove_blocks(net: Network, blocks: "list[str] | set[str]",
                          "(see skippable_blocks)")
     removed_nodes: set[str] = set()
     replace: dict[str, str] = {}
+    block_members = net.block_members()
     for block in wanted:
-        members = [n.name for n in net.nodes.values()
-                   if n.role == "feature" and n.block_id == block]
+        members = block_members[block]
         names = set(members)
         entry = next(dep for n in members
                      for dep in net.nodes[n].inputs if dep not in names)

@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import Dense, GlobalAvgPool, Network, ReLU, Softmax
-
-from .blocks import _weighted
+from repro.nn.layers import WEIGHTED_TYPES
 
 __all__ = ["DEFAULT_HEAD_HIDDEN", "attach_head", "build_trn",
            "trn_node_count", "removed_weighted_layers", "removed_node_set"]
@@ -82,17 +81,10 @@ def removed_node_set(base: Network, cut_node: str) -> set[str]:
     """Names of all base-network nodes a cut at ``cut_node`` removes.
 
     This is what the profiler-based estimator consumes: kernels anchored at
-    any of these nodes no longer execute in the TRN.
+    any of these nodes no longer execute in the TRN. It is the complement
+    of the nodes :func:`build_trn` keeps, ``base.ancestors(cut_node)``.
     """
-    kept: set[str] = set()
-    stack = [cut_node]
-    while stack:
-        cur = stack.pop()
-        if cur in kept:
-            continue
-        kept.add(cur)
-        stack.extend(base.nodes[cur].inputs)
-    return {name for name in base.nodes if name not in kept}
+    return set(base.nodes) - base.ancestors(cut_node)
 
 
 def removed_weighted_layers(base: Network, cut_node: str) -> int:
@@ -103,4 +95,5 @@ def removed_weighted_layers(base: Network, cut_node: str) -> int:
     """
     nodes = [base.nodes[name] for name in removed_node_set(base, cut_node)]
     return sum(1 for node in nodes
-               if node.role == "feature" and _weighted(node.layer))
+               if node.role == "feature"
+               and isinstance(node.layer, WEIGHTED_TYPES))

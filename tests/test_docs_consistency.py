@@ -155,3 +155,35 @@ class TestApiDoc:
             for name in re.split(r"[,\s]+", names.strip()):
                 if name:
                     assert hasattr(mod, name), f"{module}.{name}"
+
+
+class TestDocAttributes:
+    def test_named_class_attributes_exist(self):
+        """Every backticked `Class.attr` in docs/API.md, README.md and
+        DESIGN.md resolves, where Class is a class a repro package
+        exports."""
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro
+
+        classes = {}
+        packages = ["repro"] + [f"repro.{info.name}" for info in
+                                pkgutil.iter_modules(repro.__path__)
+                                if info.ispkg]
+        for package in packages:
+            mod = importlib.import_module(package)
+            for name, cls in inspect.getmembers(mod, inspect.isclass):
+                if cls.__module__.startswith("repro"):
+                    classes.setdefault(name, []).append(cls)
+        checked, missing = 0, []
+        for doc in (os.path.join("docs", "API.md"), "README.md",
+                    "DESIGN.md"):
+            for cls, attr in re.findall(r"`([A-Z]\w*)\.(\w+)", read(doc)):
+                if cls in classes:
+                    checked += 1
+                    if not any(hasattr(c, attr) for c in classes[cls]):
+                        missing.append(f"{doc}: {cls}.{attr}")
+        assert checked > 20
+        assert not missing, missing

@@ -180,6 +180,7 @@ class TestFaultInjector:
         inj.tick(0.0)
         assert inj.capacity_factor() == 0.25
         assert inj.effective_capacity(100) == 25
+        assert inj.effective_capacity(10) == 2     # 2.5 floors to 2
         assert inj.effective_capacity(1) == 1      # never below one slot
 
     def test_tick_reports_activation_edges_once(self):

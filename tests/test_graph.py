@@ -1,5 +1,7 @@
 """Tests for the Network DAG: construction, execution, edits, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ class TestAnalysis:
         assert tiny_net.layer_count(roles=("feature",)) == 3
 
     def test_block_ids_in_order(self, tiny_net):
-        assert tiny_net.block_ids() == ["b1", "b2", "b3"]
+        assert list(tiny_net.block_members()) == ["b1", "b2", "b3"]
 
     def test_describe_contains_nodes(self, tiny_net):
         text = tiny_net.describe()
@@ -125,6 +127,53 @@ class TestAnalysis:
         manual = sum(node.layer.flops(tiny_net.in_shapes(node.name))
                      for node in tiny_net.nodes.values())
         assert tiny_net.total_flops() == manual
+
+
+class TestStructuralQueries:
+    def test_consumers_list_each_reader(self, tiny_net):
+        users = tiny_net.consumers()
+        assert users["b1_relu"] == ["b2_conv", "b2_add"]
+        assert users["probs"] == []
+        assert set(users) == set(tiny_net.nodes)
+
+    def test_block_members_group_feature_nodes(self, tiny_net):
+        members = tiny_net.block_members()
+        assert members["b2"] == ["b2_conv", "b2_bn", "b2_relu", "b2_add"]
+        assert members["b3"][-1] == "pool"
+        assert "stem" not in members  # stem-role nodes are not blocks
+
+
+class TestGradientBuffers:
+    def test_build_allocates_no_gradient_memory(self):
+        def wide():
+            net = Network("wide", (256,))
+            net.add("fc", Dense(512, use_bias=False))
+            return net
+
+        wide().build(0)  # one-time allocations outside the measurement
+        net = wide()
+        tracemalloc.start()
+        try:
+            net.build(0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weight_bytes = 256 * 512 * 4
+        assert weight_bytes <= held < 1.5 * weight_bytes
+
+    def test_grad_allocated_on_first_read(self, tiny_net, small_images):
+        w = tiny_net.nodes["logits"].layer.params["w"]
+        tiny_net.zero_grad()  # nothing to reset: stays unallocated
+        assert all(p._grad is None for _, p in tiny_net.parameters())
+        np.testing.assert_array_equal(w.grad, np.zeros_like(w.value))
+        tiny_net.forward_backward(small_images, loss_fn=softmax_cross_entropy,
+                                  y=np.full((len(small_images), 5), 0.2,
+                                            np.float32))
+        assert np.abs(w.grad).sum() > 0
+        assert all(p._grad is None
+                   for _, p in tiny_net.subgraph("b2_add").parameters())
+        tiny_net.zero_grad()
+        assert not w.grad.any()
 
 
 class TestStructuralEdits:

@@ -14,6 +14,7 @@ from repro.nn import (
     Dropout,
     Flatten,
     GlobalAvgPool,
+    Input,
     MaxPool2D,
     ReLU6,
     Softmax,
@@ -253,3 +254,25 @@ class TestFrozen:
         (dx,) = conv.backward(np.ones_like(out))
         assert dx.shape == x.shape
         assert np.any(dx != 0.0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("layer", [
+        Input((4, 4, 2)),
+        Conv2D(3, (1, 2), stride=2, padding="valid", use_bias=False),
+        DepthwiseConv2D(5, stride=2, use_bias=True),
+        Dense(7, use_bias=False),
+        BatchNorm(momentum=0.5, eps=1e-2),
+        MaxPool2D(3, stride=1, padding="same"),
+        AvgPool2D(2, stride=1),
+        Dropout(0.2),
+        Add(),
+    ], ids=lambda layer: type(layer).__name__)
+    def test_config_rebuilds_the_layer(self, layer):
+        """A layer's config() is its constructor arguments: the layer it
+        rebuilds has the same public attributes."""
+        def public(obj):
+            return {k: v for k, v in vars(obj).items()
+                    if not k.startswith("_")}
+
+        assert public(type(layer)(**layer.config())) == public(layer)

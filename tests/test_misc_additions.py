@@ -75,4 +75,4 @@ class TestSerializeProperties:
         loaded = load_network(path)
         assert loaded.total_params() == net.total_params()
         assert loaded.total_flops() == net.total_flops()
-        assert loaded.block_ids() == net.block_ids()
+        assert loaded.block_members() == net.block_members()

@@ -3,7 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2D, Network
+from repro.nn import (
+    Add,
+    AvgPool2D,
+    BatchNorm,
+    Concat,
+    Conv2D,
+    Dense,
+    DepthwiseConv2D,
+    Dropout,
+    Flatten,
+    GlobalAvgPool,
+    MaxPool2D,
+    Network,
+    ReLU,
+    ReLU6,
+    Softmax,
+)
 from repro.nn.serialize import architecture_dict, load_network, save_network
 from repro.trim import build_trn
 from repro.zoo import build_network
@@ -43,7 +59,7 @@ class TestRoundTrip:
         x = rng.normal(size=(2, 32, 32, 3)).astype(np.float32)
         np.testing.assert_allclose(loaded.forward(x), net.forward(x),
                                    rtol=1e-5, atol=1e-6)
-        assert loaded.block_ids() == net.block_ids()
+        assert loaded.block_members() == net.block_members()
 
     def test_trn_roundtrip(self, tiny_net, small_images, tmp_path):
         trn = build_trn(tiny_net, "b2_add", 5)
@@ -63,6 +79,46 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             loaded.nodes["b1_bn"].layer.running_mean,
             tiny_net.nodes["b1_bn"].layer.running_mean, rtol=1e-6)
+
+    def test_non_default_arguments_roundtrip(self, tmp_path, rng):
+        """Every serialisable layer type, built with non-default
+        constructor arguments, comes back with the same configuration."""
+        net = Network("every-layer", (12, 12, 3))
+        net.add("conv", Conv2D(6, (3, 2), stride=2, padding="valid",
+                               use_bias=False))
+        net.add("dw", DepthwiseConv2D(3, stride=1, padding="valid",
+                                      use_bias=True))
+        net.add("bn", BatchNorm(momentum=0.8, eps=1e-3))
+        net.add("relu6", ReLU6())
+        net.add("maxpool", MaxPool2D(3, stride=1, padding="same"))
+        net.add("avgpool", AvgPool2D(2, stride=1, padding="same"))
+        net.add("branch", Conv2D(6, 1))
+        net.add("relu", ReLU())
+        net.add("add", Add(), inputs=["avgpool", "branch"])
+        net.add("concat", Concat(), inputs=["add", "relu"])
+        net.add("gap", GlobalAvgPool())
+        net.add("drop", Dropout(0.3), inputs="concat")
+        net.add("flat", Flatten())
+        net.add("features", Concat(), inputs=["gap", "flat"])
+        net.add("logits", Dense(7, use_bias=False))
+        net.add("probs", Softmax())
+        net.build(0)
+        path = str(tmp_path / "every.npz")
+        save_network(net, path)
+        loaded = load_network(path)
+        arch = architecture_dict(net)
+        assert architecture_dict(loaded) == arch
+        configs = {n["name"]: n["config"] for n in arch["nodes"]}
+        assert configs["conv"] == {"filters": 6, "kernel": [3, 2],
+                                   "stride": 2, "padding": "valid",
+                                   "use_bias": False}
+        assert configs["bn"] == {"momentum": 0.8, "eps": 1e-3}
+        assert configs["avgpool"] == {"pool": 2, "stride": 1,
+                                      "padding": "same"}
+        assert configs["drop"] == {"rate": 0.3}
+        x = rng.normal(size=(2, 12, 12, 3)).astype(np.float32)
+        np.testing.assert_allclose(loaded.forward(x), net.forward(x),
+                                   rtol=1e-6)
 
     def test_unbuilt_rejected(self, tmp_path):
         net = Network("u", (4, 4, 1))

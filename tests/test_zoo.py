@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.trim import enumerate_blockwise
+from repro.trim import build_trn, enumerate_blockwise, removed_node_set
 from repro.zoo import (
     NETWORKS,
     build_network,
@@ -64,7 +64,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_block_counts(self, built_networks, name):
-        assert len(built_networks[name].block_ids()) == EXPECTED_BLOCKS[name]
+        assert len(built_networks[name].block_members()) == EXPECTED_BLOCKS[name]
 
     def test_total_trn_candidates_is_148(self, built_networks):
         """The paper's blockwise search space: 148 TRNs over 7 networks."""
@@ -103,6 +103,20 @@ class TestStructure:
         for node in net.nodes.values():
             if node.role == "feature":
                 assert node.block_id is not None, node.name
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_profiler_prices_the_complement_of_each_trn(self, built_networks,
+                                                        name):
+        """Algorithm 1 retrains ``build_trn(base, cut)``; the profiler
+        estimator prices the kernels of ``removed_node_set(base, cut)``.
+        At every blockwise cutpoint the two partition the base network."""
+        base = built_networks[name]
+        for cut in enumerate_blockwise(base):
+            trn = build_trn(base, cut.cut_node, 5)
+            kept = {n for n, node in trn.nodes.items() if node.role != "head"}
+            assert kept == base.ancestors(cut.cut_node)
+            assert kept == set(base.nodes) - removed_node_set(base,
+                                                              cut.cut_node)
 
 
 class TestDeterminism:
