@@ -20,7 +20,10 @@ Three disciplines, in increasing awareness of what the replicas know:
   replica, whose admission control has the final word.
 
 All policies are deterministic: the only randomness is the P2C sampler's
-own generator, seeded via :func:`repro.device.stable_seed`.
+own generator, seeded via :func:`repro.device.stable_seed`. The sampler
+reads that generator's PCG64 words itself, and each pair it draws equals
+``Generator.choice(n, 2, replace=False)`` on the same seeded stream, so
+routing costs no NumPy call per request.
 """
 
 from __future__ import annotations
@@ -97,41 +100,81 @@ class DeadlineAwareP2C(RoutingPolicy):
     replica's estimate fits, the least-bad one is returned — serving a
     probable miss beats dropping outright, and the replica's own
     admission control still rejects truly unmeetable work.
+
+    The pair is ``Generator.choice(n, 2, replace=False)`` on the seeded
+    stream, drawn without calling it: the policy reads its generator's
+    raw 64-bit words in blocks and replays NumPy's 32-bit draws (low
+    word, then high), its Lemire bounded draw, its Floyd sampler and its
+    two-element shuffle. Nothing else draws from that generator, so
+    reading ahead is safe. With at most two candidates nothing is drawn.
     """
 
     name = "p2c-deadline"
 
+    #: raw 64-bit words read from the generator per refill
+    _BLOCK = 1024
+
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(
             stable_seed("cluster-router", self.name, seed))
+        self._next_word = iter(()).__next__    # the first draw refills
+
+    def _word(self) -> int:
+        """The stream's next 32-bit word, in PCG64's ``next_uint32`` order."""
+        try:
+            return self._next_word()
+        except StopIteration:
+            raw = self._rng.bit_generator.random_raw(self._BLOCK)
+            self._next_word = iter(np.column_stack(
+                (raw & 0xFFFFFFFF, raw >> 32)).ravel().tolist()).__next__
+            return self._next_word()
+
+    def _draw(self, top: int) -> int:
+        """A uniform integer in ``[0, top]``, by NumPy's 32-bit Lemire rule."""
+        n = top + 1
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0xFFFFFFFF - top) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
+
+    def _pair(self, n: int) -> tuple[int, int]:
+        """Two distinct indices below ``n`` (``n >= 3``), in the order
+        ``Generator.choice(n, 2, replace=False)`` returns them."""
+        i = self._draw(n - 2)
+        j = self._draw(n - 1)
+        if j == i:
+            j = n - 1
+        return (j, i) if self._draw(1) == 0 else (i, j)
 
     def choose(self, candidates: list[Replica], request: Request,
                now_ms: float) -> Replica | None:
-        if not candidates:
+        n = len(candidates)
+        if n == 0:
             return None
-        if len(candidates) <= 2:
-            sampled = list(enumerate(candidates))
-        else:
-            i, j = self._rng.choice(len(candidates), size=2, replace=False)
-            sampled = [(int(i), candidates[int(i)]),
-                       (int(j), candidates[int(j)])]
-        estimates = {idx: rep.estimate_finish_ms(now_ms)
-                     for idx, rep in sampled}
-        idx, best = min(sampled, key=lambda p: (estimates[p[0]], p[0]))
-        if estimates[idx] <= request.abs_deadline_ms:
+        a, b = (0, n - 1) if n <= 2 else self._pair(n)
+        idx, best = a, candidates[a]
+        est = best.estimate_finish_ms(now_ms)
+        if b != a:
+            other = candidates[b]
+            est_b = other.estimate_finish_ms(now_ms)
+            # the lower estimate, ties to the lower candidate index
+            if est_b < est or (est_b == est and b < a):
+                idx, best, est = b, other, est_b
+        if est <= request.abs_deadline_ms:
             return best
         # both sampled estimates miss: reject onward through the rest of
         # the fleet, cheapest estimate first
-        ranked = sorted(
-            ((rep.estimate_finish_ms(now_ms), i, rep)
-             for i, rep in enumerate(candidates) if i not in estimates),
-            key=lambda t: (t[0], t[1]))
-        for est, _, rep in ranked:
-            if est <= request.abs_deadline_ms:
+        ranked = sorted((rep.estimate_finish_ms(now_ms), k, rep)
+                        for k, rep in enumerate(candidates)
+                        if k != a and k != b)
+        for est_k, _, rep in ranked:
+            if est_k <= request.abs_deadline_ms:
                 return rep
         # every estimate misses: fall back to the least-bad replica
-        ranked.append((estimates[idx], idx, best))
-        return min(ranked, key=lambda t: (t[0], t[1]))[2]
+        ranked.append((est, idx, best))
+        return min(ranked)[2]
 
 
 #: Policy factories by CLI name: name -> (seed) -> policy.

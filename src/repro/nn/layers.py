@@ -654,11 +654,12 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
+        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._mask: np.ndarray | None = None
 
     def config(self) -> dict:
-        return {"rate": self.rate}  # the mask seed is not persisted
+        return {"rate": self.rate, "seed": self.seed}
 
     def forward(self, inputs, training=False):
         x = inputs[0]

@@ -32,11 +32,12 @@ imports telemetry, never the reverse.
 
 from __future__ import annotations
 
+import inspect
 import math
-from bisect import bisect_right
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 
 __all__ = [
     "ChildSum",
@@ -152,8 +153,16 @@ class LatencyHistogram:
             raise ValueError(f"quantile {q} outside [0, 1]")
         if self.count == 0:
             return float("nan")
-        # the first bin whose cumulative count passes the rank
-        i = bisect_right(list(accumulate(self.counts)), q * (self.count - 1))
+        # the first bin whose cumulative count passes the rank: walk down
+        # from the highest occupied bin (the one holding max_ms) while
+        # the count below the bin still passes it
+        rank = q * (self.count - 1)
+        counts = self.counts
+        i = self._bin(self.max_ms)
+        below = self.count - counts[i]
+        while below > rank:
+            i -= 1
+            below -= counts[i]
         if i == 0:                              # underflow: all < lo_ms
             return min(self.lo_ms, self.max_ms)
         if i > self.n_bins:                     # overflow: clamp to max
@@ -547,9 +556,12 @@ class Telemetry:
 
         Keyed replacement is what keeps repeated runs sane: a fresh
         engine registering under the same key supersedes the dead one
-        instead of piling up stale closures.
+        instead of piling up stale closures. A bound method is held
+        weakly, so a collector never keeps a finished run's engine or
+        router alive: once its owner is freed, the collector is dropped.
         """
-        self._collectors[key] = fn
+        self._collectors[key] = weakref.WeakMethod(fn) \
+            if inspect.ismethod(fn) else lambda: fn
 
     # -- alerting ------------------------------------------------------------
     def attach_alerts(self, engine) -> None:
@@ -603,7 +615,11 @@ class Telemetry:
         them its series.
         """
         for key in sorted(self._collectors):
-            self._collectors[key](now_ms)
+            fn = self._collectors[key]()
+            if fn is None:
+                del self._collectors[key]
+            else:
+                fn(now_ms)
         for fam in self.families.values():
             children = fam._children
             appends = self._bound.get(fam)

@@ -99,6 +99,29 @@ class ServerConfig:
                 f"max_retries must be >= 0, got {self.max_retries}")
 
 
+def _breaker_listener(metrics: ServerMetrics, tracer):
+    """The breakers' hook: count and trace one transition.
+
+    Like the batcher's hook below, it holds only what it writes, not the
+    engine, so an engine and its components form no reference cycle and
+    a finished run is freed as soon as its last reference goes.
+    """
+    def on_event(event) -> None:
+        metrics.record_breaker(event.to_state, event.rung)
+        if tracer is not None:
+            tracer.instant("breaker", "faults", event.time_ms,
+                           rung=event.rung, frm=event.from_state,
+                           to=event.to_state, reason=event.reason)
+    return on_event
+
+
+def _batch_stop_counter(metrics: ServerMetrics):
+    """The batcher's hook: count why micro-batch growth stopped."""
+    def on_form(size: int, stop: str) -> None:
+        metrics.child("serve_batch_stops_total", stop).increment()
+    return on_form
+
+
 def admission_rung(ladder, adaptive: bool):
     """The rung whose batch-1 estimate admission prices.
 
@@ -145,7 +168,7 @@ class Engine:
                 rung.name: CircuitBreaker(
                     rung.name, threshold=config.breaker_threshold,
                     cooldown_ms=config.breaker_cooldown_ms,
-                    listener=self._on_breaker_event)
+                    listener=_breaker_listener(metrics, tracer))
                 for rung in ladder.rungs}
         # the metrics' families live in a telemetry either way; only a
         # caller-supplied one is sampled, so only then does the engine
@@ -159,7 +182,8 @@ class Engine:
             else metrics.child("serve_queue_depth"))
         self.batcher = MicroBatcher(
             config.max_batch, tracer=tracer,
-            on_form=None if telemetry is None else self._count_batch_stop)
+            on_form=None if telemetry is None
+            else _batch_stop_counter(metrics))
         self.controller = (HysteresisController(
             config.deadline_ms, window=config.window,
             min_observations=config.min_observations,
@@ -296,10 +320,6 @@ class Engine:
         ordered = sorted(self._recent)
         return ordered[int(0.99 * (len(ordered) - 1))]
 
-    def _count_batch_stop(self, size: int, stop: str) -> None:
-        """Batcher hook: count why micro-batch growth stopped."""
-        self.metrics.child("serve_batch_stops_total", stop).increment()
-
     def _record_kernel_times(self, rung) -> None:
         """Drain one executed batch's per-kernel wall-clock times.
 
@@ -396,14 +416,6 @@ class Engine:
                                 to=self.ladder.current.name)
 
     # -- resilience ----------------------------------------------------------
-    def _on_breaker_event(self, event) -> None:
-        """Count and trace one circuit-breaker transition."""
-        self.metrics.record_breaker(event.to_state, event.rung)
-        if self.tracer is not None:
-            self.tracer.instant("breaker", "faults", event.time_ms,
-                                rung=event.rung, frm=event.from_state,
-                                to=event.to_state, reason=event.reason)
-
     def _tick_faults(self, now_ms: float) -> None:
         """Advance the injector clock; trace fault windows opening/closing."""
         for event in self.faults.tick(now_ms):

@@ -110,4 +110,8 @@ def get_pretrained(name: str, config: PretrainConfig | None = None,
         print(f"pretraining {name} (cache miss: {path})")
     pretrain(net, config, verbose=verbose)
     np.savez_compressed(path, **net.state_dict())
+    # release the gradient buffers training allocated, so a miss returns
+    # the same network a hit loads
+    for _, param in net.parameters(trainable_only=False):
+        param.grad = None
     return net

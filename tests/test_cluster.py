@@ -9,6 +9,7 @@ conservation law ``completed + dropped == admitted`` holds fleet-wide.
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_tiny_net
@@ -23,7 +24,7 @@ from repro.cluster import (
     homogeneous_replicas,
     make_policy,
 )
-from repro.device.spec import DeviceSpec
+from repro.device.spec import DeviceSpec, stable_seed
 from repro.faults import FaultInjector, RungFailure
 from repro.obs import Tracer
 from repro.serve import (
@@ -128,6 +129,57 @@ class TestPolicies:
         for rid in range(32):
             assert policy.choose(reps, request(rid, 0.0, 5.0),
                                  0.0).name == "a"
+
+    @staticmethod
+    def numpy_stream(seed):
+        """The generator ``DeadlineAwareP2C(seed)`` is seeded with."""
+        return np.random.default_rng(
+            stable_seed("cluster-router", DeadlineAwareP2C.name, seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_p2c_pairs_are_numpys_choice(self, seed):
+        # Generator.choice is the reference: a NumPy release that changes
+        # its sampler fails here instead of silently moving routes
+        for n in range(3, 17):
+            policy, ref = DeadlineAwareP2C(seed), self.numpy_stream(seed)
+            for _ in range(200):
+                assert policy._pair(n) == tuple(
+                    ref.choice(n, 2, replace=False).tolist())
+
+    def test_p2c_pairs_follow_a_changing_fleet_across_refills(self):
+        # a scaling fleet changes n from one request to the next
+        sizes = np.random.default_rng(1).integers(3, 17, size=3000)
+        policy, ref = DeadlineAwareP2C(0), self.numpy_stream(0)
+        for n in sizes.tolist():
+            assert policy._pair(n) == tuple(
+                ref.choice(n, 2, replace=False).tolist())
+        # the policy read its generator in whole blocks, and more than
+        # one of them: the sequence crossed a refill
+        fresh = self.numpy_stream(0).bit_generator
+        blocks = 0
+        while fresh.state != policy._rng.bit_generator.state:
+            fresh.advance(DeadlineAwareP2C._BLOCK)
+            blocks += 1
+            assert blocks <= 32
+        assert blocks >= 2
+
+    def test_p2c_probes_the_sampled_pair(self):
+        probed = []
+
+        class Probe(StubReplica):
+            def estimate_finish_ms(self, now_ms):
+                probed.append(self.name)
+                return self._estimate
+
+        reps = [Probe(i) for i in range(5)]
+        policy, ref = DeadlineAwareP2C(3), self.numpy_stream(3)
+        for rid in range(200):
+            probed.clear()
+            chosen = policy.choose(reps, request(rid, 0.0, 9.0), 0.0)
+            pair = ref.choice(5, 2, replace=False).tolist()
+            assert probed == pair
+            # equal estimates: the tie goes to the lower index
+            assert chosen.name == min(pair)
 
     def test_make_policy_rejects_unknown_names(self):
         with pytest.raises(KeyError, match="unknown routing policy"):

@@ -6,12 +6,16 @@ labeled telemetry families and their exposition, alerting, the run store,
 and the histogram/snapshot regressions in repro.serve.metrics.
 """
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
+from bisect import bisect_right
 from dataclasses import asdict
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -50,6 +54,23 @@ def device():
 @pytest.fixture(scope="module")
 def ladder(device):
     return TRNLadder.from_base(make_tiny_net(), device, num_classes=5)
+
+
+def left_alive(run) -> list[str]:
+    """What ``run`` built that outlives it with the cyclic collector off.
+
+    ``run`` returns ``{name: weakref}`` for the objects it built and
+    dropped; with ``gc`` disabled only reference counting can free them,
+    so any name returned is held by a reference cycle (or a leak).
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        refs = run()
+        return sorted(name for name, ref in refs.items()
+                      if ref() is not None)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +381,44 @@ class TestHistogramClamps:
             float(np.quantile(samples, 0.5)), rel=0.15)
 
 
+class TestHistogramQuantile:
+    @staticmethod
+    def cumulative_bisection(h, q):
+        """The reference: bisect the rank into the cumulative counts."""
+        if h.count == 0:
+            return float("nan")
+        i = bisect_right(list(accumulate(h.counts)), q * (h.count - 1))
+        if i == 0:
+            return min(h.lo_ms, h.max_ms)
+        if i > h.n_bins:
+            return h.max_ms
+        lo = h.lo_ms * h._ratio ** (i - 1)
+        return min(max(lo * math.sqrt(h._ratio), h.min_ms), h.max_ms)
+
+    @staticmethod
+    def random_histogram(rng):
+        n = int(rng.choice([0, 1, 2, 7, 60, 400]))
+        samples = 10.0 ** rng.uniform(-3.0, 4.0, size=n)
+        kind = rng.random(n)
+        samples[kind < 0.1] = rng.uniform(0.0, 1e-3)        # underflow
+        samples[(kind >= 0.1) & (kind < 0.2)] = rng.uniform(1e4, 1e6)
+        samples[kind > 0.97] = 0.0
+        h = LatencyHistogram()
+        for ms in samples.tolist():
+            h.observe(ms)
+        return h
+
+    def test_quantile_equals_the_cumulative_bisection(self):
+        rng = np.random.default_rng(0)
+        for _ in range(600):
+            h = self.random_histogram(rng)
+            if rng.random() < 0.4:
+                h.merge(self.random_histogram(rng))
+            for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
+                got, want = h.quantile(q), self.cumulative_bisection(h, q)
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestSnapshotIsolation:
     def test_mutating_snapshot_leaves_live_metrics_intact(self):
         m = ServerMetrics(deadline_ms=1.0)
@@ -514,6 +573,28 @@ class TestTelemetrySampling:
         tele.sample(4.0)
         assert calls == [3.0]
         assert tele.store.latest("depth") == -1.0
+
+    def test_a_method_collector_does_not_keep_its_owner_alive(self):
+        from repro.obs import Telemetry
+
+        class Owner:
+            def __init__(self, gauge):
+                self.gauge = gauge
+
+            def collect(self, now_ms):
+                self.gauge.set(now_ms)
+
+        tele = Telemetry()
+        owner = Owner(tele.gauge("g").child(()))
+        tele.collector("owner", owner.collect)
+        tele.sample(1.0)
+        assert tele.store.latest("g") == 1.0
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is None
+        # a freed owner's collector is dropped, not called
+        tele.sample(2.0)
+        assert tele.store.latest("g") == 1.0
 
     def test_histograms_sample_as_count_mean_p99(self):
         from repro.obs import Telemetry
@@ -798,6 +879,24 @@ class TestServeTelemetry:
         m.record_breaker("open")
         assert m.counters["breaker_opens"].value == 1
 
+    def test_finished_resilient_server_is_freed_without_gc(self, ladder):
+        # the breakers' listener, the batcher's hook and the telemetry's
+        # collector must not reach back into the engine
+        from repro.obs import Telemetry
+
+        def run():
+            telemetry = Telemetry(sample_interval_ms=1.0)
+            config = ServerConfig(deadline_ms=1.0, execute=False, seed=0,
+                                  resilience=True)
+            server = Server(ladder, config, telemetry=telemetry)
+            server.run_trace(poisson_trace(200, 2e3, 1.0, rng=0))
+            assert server.engine.breakers
+            return {"server": weakref.ref(server),
+                    "engine": weakref.ref(server.engine),
+                    "telemetry": weakref.ref(telemetry)}
+
+        assert left_alive(run) == []
+
     def test_rerun_on_shared_telemetry_restarts_its_series(self, ladder):
         # the families are the metrics store, so a second run on the same
         # telemetry binds fresh children: each run's snapshot stays its
@@ -887,6 +986,27 @@ class TestClusterTelemetry:
                 continue
             for labels, child in fam.children():
                 assert tele.store.latest(name, labels) == child.value
+
+    def test_finished_fleet_is_freed_without_gc(self, device):
+        from repro.cluster import Router, homogeneous_replicas, make_policy
+        from repro.obs import Telemetry
+
+        def run():
+            tele = Telemetry(sample_interval_ms=1.0)
+            config = ServerConfig(deadline_ms=1.0, execute=False, seed=0)
+            replicas = homogeneous_replicas(make_tiny_net(), device, 3,
+                                            config, num_classes=5,
+                                            telemetry=tele)
+            router = Router(replicas, make_policy("p2c-deadline", 0),
+                            telemetry=tele)
+            router.run(poisson_trace(300, 3e4, 1.0, rng=0))
+            refs = {"router": weakref.ref(router),
+                    "telemetry": weakref.ref(tele)}
+            for r in replicas:
+                refs[f"engine {r.name}"] = weakref.ref(r.engine)
+            return refs
+
+        assert left_alive(run) == []
 
     def test_merged_series_requires_telemetry(self, device):
         from repro.cluster import ClusterMetrics, Replica

@@ -54,6 +54,10 @@ class TestCache:
         x = np.random.default_rng(0).normal(size=(1, 32, 32, 3)).astype(
             np.float32)
         np.testing.assert_allclose(a.forward(x), b.forward(x), rtol=1e-5)
+        # the miss returns what the hit loads: weights, no gradient buffers
+        for net in (a, b):
+            assert all(p._grad is None
+                       for _, p in net.parameters(trainable_only=False))
 
     def test_cache_includes_running_stats(self, tmp_path):
         cache = str(tmp_path)

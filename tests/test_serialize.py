@@ -97,7 +97,7 @@ class TestRoundTrip:
         net.add("add", Add(), inputs=["avgpool", "branch"])
         net.add("concat", Concat(), inputs=["add", "relu"])
         net.add("gap", GlobalAvgPool())
-        net.add("drop", Dropout(0.3), inputs="concat")
+        net.add("drop", Dropout(0.3, seed=7), inputs="concat")
         net.add("flat", Flatten())
         net.add("features", Concat(), inputs=["gap", "flat"])
         net.add("logits", Dense(7, use_bias=False))
@@ -115,9 +115,13 @@ class TestRoundTrip:
         assert configs["bn"] == {"momentum": 0.8, "eps": 1e-3}
         assert configs["avgpool"] == {"pool": 2, "stride": 1,
                                       "padding": "same"}
-        assert configs["drop"] == {"rate": 0.3}
+        assert configs["drop"] == {"rate": 0.3, "seed": 7}
         x = rng.normal(size=(2, 12, 12, 3)).astype(np.float32)
         np.testing.assert_allclose(loaded.forward(x), net.forward(x),
+                                   rtol=1e-6)
+        # the reload draws the same dropout masks: its seed came along
+        np.testing.assert_allclose(loaded.forward(x, training=True),
+                                   net.forward(x, training=True),
                                    rtol=1e-6)
 
     def test_unbuilt_rejected(self, tmp_path):
