@@ -6,8 +6,9 @@
 # 148-TRN exploration — minutes of work with tight tolerances — so they
 # stay out of the smoke run; this covers the serve, cluster, obs and
 # faults and workload benchmarks, all seeded and wall-clock-independent,
-# then emits BENCH_serve.json, BENCH_workload.json and BENCH_forward.json
-# at the repo root so the perf trajectory accumulates commit over commit.
+# then emits BENCH_serve.json, BENCH_workload.json, BENCH_forward.json and
+# BENCH_builders.json at the repo root so the perf trajectory accumulates
+# commit over commit.
 # (BENCH_forward.json is real wall-clock NumPy compute — its speedup and
 # parity columns are the stable signals, not the absolute samples/sec.)
 #
@@ -15,9 +16,12 @@
 # REPRO_RUNSTORE), so two bench runs can be diffed with
 # `python -m repro obs compare A B --store RUNSTORE.sqlite`.
 #
-# Heavy rung construction (bench_builders.py) reuses the same on-disk
-# workbench cache examples_smoke.sh warms — ~/.cache/repro-netcut,
-# override with REPRO_CACHE_DIR — so CI's cache step makes reruns cheap.
+# The builder bake-off (bench_builders.py) builds its rungs cold
+# (--no-cache): its rung cache is keyed by net, device and rung count,
+# not by the code that builds them, and CI restores the workbench cache
+# by prefix, so a cached run could serve rungs an older commit built.
+# BENCH_builders.json then pins builder and serving outcomes like the
+# other virtual-time payloads.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,7 +44,7 @@ PYTHONHASHSEED=random PYTHONPATH=src python -m pytest \
 PYTHONPATH=src python scripts/bench_serve.py --store "$REPRO_RUNSTORE"
 PYTHONPATH=src python scripts/bench_workload.py
 PYTHONPATH=src python scripts/bench_forward.py
-PYTHONPATH=src python scripts/bench_builders.py
+PYTHONPATH=src python scripts/bench_builders.py --no-cache
 
 # archive every BENCH payload as one run-store row: regressions become a
 # `repro obs compare` query instead of a JSON diff

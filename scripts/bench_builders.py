@@ -15,8 +15,9 @@ Rung construction (the expensive part: each pruned/cut rung is a full
 network rebuild) is cached per ``(net, device, max_rungs)`` under the
 same ``~/.cache/repro-netcut`` workbench cache ``examples_smoke.sh``
 warms (override with ``REPRO_CACHE_DIR``), as round-trippable
-deployment artifacts — a CI cache hit skips straight to the frontier
-math and the serve replay.
+deployment artifacts — a cache hit skips straight to the frontier math
+and the serve replay. ``scripts/bench.sh`` builds cold (``--no-cache``):
+the key does not cover the code that builds the rungs.
 
 Run via scripts/bench.sh, or directly:
 

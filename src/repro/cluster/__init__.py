@@ -3,10 +3,10 @@
 One replica of the deadline-aware serving stack (:mod:`repro.serve`)
 tops out at whatever its device plus its fastest TRN can sustain; this
 subpackage scales the same stack *out*: a :class:`Router` dispatches
-admitted requests across N :class:`Replica` shards — each wrapping its
-own engine, TRN ladder and device spec, so heterogeneous fleets (a
-Xavier-class replica next to two slower Nano-class ones) are first-class
-— under pluggable routing policies (:class:`RoundRobin`,
+admitted requests across N :class:`Replica` shards — each an engine
+with a name, over its own TRN ladder and device spec, so heterogeneous
+fleets (a Xavier-class replica next to two slower Nano-class ones) are
+first-class — under pluggable routing policies (:class:`RoundRobin`,
 :class:`JoinShortestQueue`, and the deadline-aware power-of-two-choices
 :class:`DeadlineAwareP2C`, which consults each replica's latency
 estimate before committing, exactly the estimate-then-commit discipline

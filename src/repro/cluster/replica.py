@@ -1,13 +1,13 @@
 """One serving shard: an engine, a TRN ladder and a device of its own.
 
-A :class:`Replica` wraps the single-node serving engine
-(:class:`repro.serve.Engine`) behind the push interface a cluster router
-needs: requests are :meth:`submit`-ted at their true virtual arrival
-times and the replica :meth:`advance`-s its private clock between global
-events, serving batches exactly as the single-node engine would — the
-engine's steppable ``run_until`` core is the same code path
-:meth:`repro.serve.Engine.run` uses, so a one-replica cluster reproduces
-a plain :class:`repro.serve.Server` run bit for bit.
+A :class:`Replica` is the single-node serving engine
+(:class:`repro.serve.Engine`) with a name and the push interface a
+cluster router needs: requests are :meth:`submit`-ted at their true
+virtual arrival times and the replica :meth:`advance`-s its own clock
+between global events, serving batches exactly as the single-node engine
+would — ``advance`` is the engine's steppable ``run_until`` core, the
+same code path :meth:`repro.serve.Engine.run` uses, so a one-replica
+cluster reproduces a plain :class:`repro.serve.Server` run bit for bit.
 
 Each replica owns its ladder, its device spec and (optionally) its own
 fault injector, which is what makes heterogeneous fleets first-class: a
@@ -18,13 +18,11 @@ scoped to that replica alone.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 
 from repro.serve.engine import Engine, ServerConfig
 from repro.serve.ladder import TRNLadder
-from repro.serve.metrics import ServerMetrics
-from repro.serve.request import Request, Response
+from repro.serve.request import Request
 
 __all__ = ["Replica", "ReplicaTracer", "homogeneous_replicas"]
 
@@ -52,16 +50,17 @@ class ReplicaTracer:
         self.emit(name, cat, ts_ms, 0.0, rid, args)
 
 
-class Replica:
+class Replica(Engine):
     """A single serving shard driven by a cluster router.
 
-    Like :class:`repro.serve.Engine`, a replica is single-use: one
-    instance serves one routed workload deterministically (the ladder is
-    parked and reseeded from the config seed at construction). Build
-    fresh replicas per run.
+    A :class:`repro.serve.Engine` with a name: the router
+    :meth:`submit`-s requests into its ``pending`` arrivals, steps it with
+    :meth:`advance` and reads its ``clock_ms`` and ``responses``. Like
+    the engine, it is single-use: build fresh replicas per run.
 
     ``tracer`` is wrapped in a :class:`ReplicaTracer` so this replica's
-    spans are attributable in a shared buffer; ``faults`` (a
+    spans are attributable in a shared buffer, and ``telemetry`` sees its
+    series under a ``replica=<name>`` label; ``faults`` (a
     :class:`repro.faults.FaultInjector`) wraps *this replica's* ladder
     only — the cluster's other replicas stay healthy.
     """
@@ -69,23 +68,13 @@ class Replica:
     def __init__(self, name: str, ladder: TRNLadder,
                  config: ServerConfig | None = None,
                  tracer=None, drift=None, faults=None, telemetry=None):
+        super().__init__(
+            ladder, config or ServerConfig(),
+            tracer=None if tracer is None else ReplicaTracer(name, tracer),
+            drift=drift, faults=faults, telemetry=telemetry,
+            labels=None if telemetry is None else {"replica": name})
         self.name = name
-        self.config = config or ServerConfig()
-        self.tracer = None if tracer is None else ReplicaTracer(name, tracer)
-        ladder.restore()
-        self.ladder = ladder if faults is None else faults.wrap(ladder)
-        # the shared telemetry sees this replica's series under a
-        # replica=<name> label, the cluster analogue of ReplicaTracer
-        self.metrics = ServerMetrics(self.config.deadline_ms,
-                                     telemetry=telemetry,
-                                     labels=None if telemetry is None
-                                     else {"replica": name})
-        self.engine = Engine(self.ladder, self.config, self.metrics,
-                             tracer=self.tracer, drift=drift, faults=faults)
-        self.clock_ms = 0.0
         self.draining = False
-        self.responses: dict[int, Response] = {}
-        self._pending: deque[Request] = deque()
 
     @property
     def spec(self):
@@ -95,7 +84,7 @@ class Replica:
     @property
     def load(self) -> int:
         """Requests routed here but not yet executed (pending + queued)."""
-        return len(self._pending) + len(self.engine.queue)
+        return len(self.pending) + len(self.queue)
 
     def healthy(self, now_ms: float) -> bool:
         """Whether new traffic should be routed here at ``now_ms``.
@@ -108,7 +97,7 @@ class Replica:
         """
         if self.draining:
             return False
-        return self.engine.available_rung(now_ms) is not None
+        return self.available_rung(now_ms) is not None
 
     def estimate_finish_ms(self, now_ms: float) -> float:
         """When one more routed request would plausibly finish.
@@ -121,7 +110,7 @@ class Replica:
         latency model admission control trusts. Unhealthy replicas
         estimate with the fastest rung — the engine's own last resort.
         """
-        rung = self.engine.available_rung(now_ms) or self.ladder.fastest
+        rung = self.available_rung(now_ms) or self.ladder.fastest
         backlog = self.load + 1
         max_batch = self.config.max_batch
         batches = -(-backlog // max_batch)           # ceil division
@@ -130,32 +119,30 @@ class Replica:
 
     def submit(self, request: Request) -> None:
         """Accept one routed request (dispatched in global arrival order)."""
-        self._pending.append(request)
+        self.pending.append(request)
 
     def advance(self, until_ms: float) -> None:
         """Serve admitted work, never starting a batch at or past the horizon.
 
-        The router calls this for every replica before each global event
-        (the next arrival, or the end of the trace with an infinite
-        horizon), so all replicas observe fault windows and serve batches
-        in one consistent virtual timeline.
+        The router steps a replica to each arrival instant at which it
+        can start work (its clock is behind and it has load), so all
+        replicas observe fault windows and serve batches in one
+        consistent virtual timeline.
         """
-        self.clock_ms = self.engine.run_until(
-            self._pending, self.responses, self.clock_ms, until_ms)
+        self.run_until(until_ms)
 
     def finish(self) -> None:
         """Drain everything: serve the backlog, then end the run.
 
-        After an infinite-horizon :meth:`advance` the queue is empty
-        unless every rung hard-failed; :meth:`repro.serve.Engine.drain`
-        converts any leftovers to ``DROPPED`` responses so the
-        conservation law ``completed + dropped == admitted`` holds. The
-        replica takes no closing telemetry sample: the router takes the
-        fleet's one, after every replica has finished.
+        After the infinite-horizon step the queue is empty unless every
+        rung hard-failed; :meth:`repro.serve.Engine.drain` converts any
+        leftovers to ``DROPPED`` responses so the conservation law
+        ``completed + dropped == admitted`` holds. The replica takes no
+        closing telemetry sample: the router takes the fleet's one, after
+        every replica has finished.
         """
-        self.advance(float("inf"))
-        for resp in self.engine.drain(self.clock_ms):
-            self.responses[resp.rid] = resp
+        self.run_until()
+        self.drain()
 
 
 def homogeneous_replicas(base, spec, n: int,

@@ -1,14 +1,16 @@
 """The cluster router: deadline-aware dispatch over a replica fleet.
 
 One global event loop over the shared virtual clock: arrivals are taken
-in time order, every replica is advanced to the arrival instant (so
-queue depths, breaker states and fault windows are exactly what a real
-dispatcher would observe at that moment), the autoscaler gets a chance
-to act, and the routing policy commits the request to one replica — or
-to nothing, in which case the request is dropped at cluster level with a
-``no-replica`` reason instead of crashing the loop. After the last
-arrival every replica drains to completion, so the conservation law
-``completed + dropped == admitted`` holds fleet-wide at shutdown.
+in time order, and every replica that can start work before an arrival
+(its clock is behind and it has load) is advanced to the arrival
+instant, so queue depths, breaker states and fault windows are exactly
+what a real dispatcher would observe at that moment; stepping an idle
+replica, or one still mid-batch, would do nothing. Then the autoscaler
+gets a chance to act, and the routing policy commits the request to one
+replica — or to nothing, in which case the request is dropped at cluster
+level with a ``no-replica`` reason instead of crashing the loop. After
+the last arrival every replica drains to completion, so the conservation
+law ``completed + dropped == admitted`` holds fleet-wide at shutdown.
 """
 
 from __future__ import annotations
@@ -147,7 +149,10 @@ class Router:
         for req in sorted(trace, key=lambda r: (r.arrival_ms, r.rid)):
             now = req.arrival_ms
             for replica in self.replicas:
-                replica.advance(now)
+                # routed requests never arrive after `now`: an idle
+                # replica, or one at or past `now`, would do nothing
+                if replica.clock_ms < now and replica.load:
+                    replica.advance(now)
             self._autoscale(now)
             if self.telemetry is not None:
                 self.telemetry.maybe_sample(now)

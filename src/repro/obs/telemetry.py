@@ -1,9 +1,8 @@
 """Labeled time-series telemetry over the serving stack's virtual clock.
 
 This module is the one store of the serving stack's metrics: the
-primitives (:class:`Counter`, :class:`Gauge`, :class:`LatencyHistogram`
-— re-exported by :mod:`repro.serve.metrics`), the label model and the
-time dimension:
+primitives (:class:`Counter`, :class:`Gauge`, :class:`LatencyHistogram`),
+the label model and the time dimension:
 
 - :class:`MetricFamily` — one named metric with a fixed label schema
   (``serve_requests_total{event=...,tenant=...}``); children are created

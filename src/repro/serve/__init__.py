@@ -20,7 +20,7 @@ request tracing and estimator-drift monitoring — plugs in through
 from .batcher import MicroBatcher
 from .engine import Engine, ServerConfig
 from .ladder import HysteresisController, TRNLadder, TRNRung
-from .metrics import Counter, LatencyHistogram, ServerMetrics
+from .metrics import ServerMetrics
 from .queue import EDFQueue
 from .request import COMPLETED, REJECTED, Request, Response
 from .server import Server, ServingResult
@@ -47,8 +47,6 @@ __all__ = [
     "Response",
     "COMPLETED",
     "REJECTED",
-    "Counter",
-    "LatencyHistogram",
     "ServerMetrics",
     "poisson_trace",
     "uniform_trace",

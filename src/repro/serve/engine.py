@@ -133,7 +133,14 @@ def admission_rung(ladder, adaptive: bool):
 
 
 class Engine:
-    """Runs one trace through the queue/batcher/ladder pipeline.
+    """One serving run through the queue/batcher/ladder pipeline.
+
+    The engine owns the run's ``pending`` arrivals, its terminal
+    ``responses`` by request id and its ``clock_ms``. It restores the
+    ladder, wraps it in ``faults`` proxies and keeps its
+    :class:`~repro.serve.metrics.ServerMetrics` in ``telemetry`` under
+    ``labels``. A :class:`repro.cluster.Replica` is an engine a router
+    steps with :meth:`run_until`. Single-use, like the run it holds.
 
     ``tracer`` and ``drift`` are optional observability hooks
     (:class:`repro.obs.Tracer` / :class:`repro.obs.DriftMonitor`, or
@@ -147,11 +154,19 @@ class Engine:
     """
 
     def __init__(self, ladder: TRNLadder, config: ServerConfig,
-                 metrics: ServerMetrics, tracer=None, drift=None,
-                 faults=None):
-        self.ladder = ladder
+                 tracer=None, drift=None, faults=None, telemetry=None,
+                 labels: dict | None = None):
+        # restore before wrapping: the fault proxies' ladder is sorted by
+        # the estimates it sees at construction
+        ladder.restore()
+        self.ladder = ladder = ladder if faults is None \
+            else faults.wrap(ladder)
         self.config = config
-        self.metrics = metrics
+        self.metrics = metrics = ServerMetrics(
+            config.deadline_ms, telemetry=telemetry, labels=labels)
+        self.pending: deque[Request] = deque()
+        self.responses: dict[int, Response] = {}
+        self.clock_ms = 0.0
         self.tracer = tracer
         # bound-method cache for the per-request spans; rare spans (ladder
         # transitions, drift events) go through self.tracer directly
@@ -174,7 +189,7 @@ class Engine:
         # caller-supplied one is sampled, so only then does the engine
         # feed the gauges, batch-stop counts and recent-latency window
         # that nothing else reads
-        self._telemetry = telemetry = metrics.telemetry
+        self._telemetry = telemetry
         self._recent = None if telemetry is None else deque(maxlen=256)
         self.queue = EDFQueue(
             config.queue_capacity, tracer=tracer,
@@ -197,11 +212,9 @@ class Engine:
             # admissions must start from a clean slate
             self.admission_policy.reset()
         # record the rung inventory (names, builder tags, deployment-time
-        # estimates) on the metrics surface; Server and Replica restore
-        # the ladder's beliefs before building the engine, so every run's
-        # snapshot reports the same deployment ladder
-        if hasattr(ladder, "snapshot"):
-            metrics.ladder = ladder.snapshot()
+        # estimates) on the metrics surface; the ladder was restored
+        # above, so every run's snapshot reports the same deployment ladder
+        metrics.ladder = ladder.snapshot()
         self.reestimator = None
         if config.online_reestimation:
             # lazy import: the engine must not pull the netcut package
@@ -237,8 +250,8 @@ class Engine:
                                 self._collect_telemetry)
 
     # -- admission -----------------------------------------------------------
-    def _admit(self, pending: deque, now_ms: float,
-               responses: dict[int, Response]) -> None:
+    def _admit(self, now_ms: float) -> None:
+        pending, responses = self.pending, self.responses
         while pending and pending[0].arrival_ms <= now_ms:
             req: Request = pending.popleft()
             self.metrics.record_arrival(req.tenant)
@@ -514,29 +527,27 @@ class Engine:
             breaker.record_success(t)
             return rung, service_ms, t
 
-    def _drop_batch(self, batch: list, now_ms: float,
-                    reason: str) -> list[Response]:
+    def _drop_batch(self, batch: list, now_ms: float, reason: str) -> None:
         """Drop requests: the one place a request ends ``DROPPED``, is
-        counted and emits its ``drop`` span. Returns the responses."""
-        dropped = []
+        counted and emits its ``drop`` span."""
+        responses = self.responses
         for req in batch:
-            dropped.append(Response(
+            responses[req.rid] = Response(
                 req.rid, DROPPED, req.arrival_ms, req.abs_deadline_ms,
-                reject_reason=reason, tenant=req.tenant))
+                reject_reason=reason, tenant=req.tenant)
             self.metrics.record_drop(req.tenant)
             if self._emit is not None:
                 self._emit("drop", "serve", now_ms, 0.0, req.rid,
                            {"reason": reason})
-        return dropped
 
-    def drain(self, now_ms: float) -> list[Response]:
-        """End a run at ``now_ms``: drop every queued request (counted,
+    def drain(self) -> None:
+        """End the run at ``clock_ms``: drop every queued request (counted,
         never lost, so ``completed + dropped == admitted`` holds through
-        shutdown, even behind an open breaker). Returns the ``DROPPED``
-        responses. The closing telemetry sample belongs to the loop that
-        owns the run (:meth:`run`, or the cluster router), taken after
+        shutdown, even behind an open breaker) into ``responses``. The
+        closing telemetry sample belongs to the loop that owns the
+        sampling clock (:meth:`run`, or the cluster router), taken after
         the drain so the series end at the final counter values."""
-        return self._drop_batch(self.queue.drain(), now_ms, "drained")
+        self._drop_batch(self.queue.drain(), self.clock_ms, "drained")
 
     # -- the event loop ------------------------------------------------------
     def available_rung(self, now_ms: float):
@@ -555,7 +566,7 @@ class Engine:
         return self._breaker_walk(self.ladder.current_index, now_ms,
                                   CircuitBreaker.would_allow)
 
-    def _serve_step(self, now: float, responses: dict[int, Response]) -> float:
+    def _serve_step(self, now: float) -> float:
         """Form, execute and respond to one micro-batch; returns the clock.
 
         The queue must be non-empty. The returned time is the batch finish
@@ -567,8 +578,7 @@ class Engine:
         rung, service_ms, exec_start = self._execute(batch, rung, now)
         if service_ms is None:
             # even the fastest rung hard-failed: shed the batch
-            for resp in self._drop_batch(batch, exec_start, "rung-failed"):
-                responses[resp.rid] = resp
+            self._drop_batch(batch, exec_start, "rung-failed")
             return max(now, exec_start)
         finish = exec_start + service_ms
         outputs = None
@@ -597,6 +607,7 @@ class Engine:
                                     service_ms)
             if event is not None:
                 self._apply_reestimation(event, finish)
+        responses = self.responses
         for i, req in enumerate(batch):
             # start_ms stays the batch-formation time: service_ms and
             # latency_ms then include cancelled-attempt overhead, so
@@ -620,36 +631,36 @@ class Engine:
             self._apply_policy(resp.latency_ms, finish)
         return finish
 
-    def run_until(self, pending: deque, responses: dict[int, Response],
-                  now_ms: float, until_ms: float = float("inf")) -> float:
+    def run_until(self, until_ms: float = float("inf")) -> float:
         """Advance the admit/batch/execute loop as far as ``until_ms`` allows.
 
-        The steppable core of :meth:`run`, and the hook
-        :class:`repro.cluster.Replica` drives: ``pending`` holds routed
-        requests sorted by arrival, and the loop admits and serves them
-        exactly as the single-node engine would — but never *starts* work
-        at or past ``until_ms``, so an external dispatcher can interleave
-        new arrivals at their true virtual times. Returns the engine
-        clock (the time the last batch finished, or ``now_ms`` untouched
-        when there was nothing to do before the horizon).
+        The steppable core of :meth:`run`, and the step a cluster router
+        takes on a :class:`repro.cluster.Replica`: requests in ``pending``
+        are admitted and served exactly as in a whole-trace run, but no
+        work *starts* at or past ``until_ms``, so an external dispatcher
+        can interleave new arrivals at their true virtual times. Returns
+        ``clock_ms``: the time the last batch finished, or unchanged when
+        there was nothing to do before the horizon.
         """
-        now = now_ms
-        while pending or len(self.queue):
-            if not len(self.queue) and pending \
-                    and pending[0].arrival_ms > now:
+        pending = self.pending
+        queue = self.queue
+        now = self.clock_ms
+        while pending or len(queue):
+            if not len(queue) and pending and pending[0].arrival_ms > now:
                 now = pending[0].arrival_ms      # idle until the next arrival
             if now >= until_ms:
                 break
             if self.faults is not None:
                 self._tick_faults(now)
-            self._admit(pending, now, responses)
-            if not len(self.queue):
+            self._admit(now)
+            if not len(queue):
                 if self._telemetry is not None:
                     self._telemetry.maybe_sample(now)
                 continue
-            now = self._serve_step(now, responses)
+            now = self._serve_step(now)
             if self._telemetry is not None:
                 self._telemetry.maybe_sample(now)
+        self.clock_ms = now
         return now
 
     def run(self, trace: list[Request],
@@ -664,16 +675,15 @@ class Engine:
         A telemetry's sampling gate restarts here, and the run ends with
         one closing sample at its final clock.
         """
-        responses: dict[int, Response] = {}
-        pending = deque(sorted(trace, key=lambda r: (r.arrival_ms, r.rid)))
-        until = float("inf") if stop_ms is None else stop_ms
+        self.pending.extend(sorted(trace,
+                                   key=lambda r: (r.arrival_ms, r.rid)))
         if self._telemetry is not None:
             self._telemetry.start_run()
-        now = self.run_until(pending, responses, 0.0, until)
-        for resp in self.drain(now):
-            responses[resp.rid] = resp
+        self.run_until(float("inf") if stop_ms is None else stop_ms)
+        self.drain()
         if self._telemetry is not None:
-            self._telemetry.sample(now)
+            self._telemetry.sample(self.clock_ms)
+        responses = self.responses
         return [responses[r.rid] for r in trace if r.rid in responses]
 
     def _observe_drift(self, predicted_ms: float, observed_ms: float,

@@ -2,8 +2,7 @@
 
 Every recording lands in exactly one place, a child of a labeled family
 in a :class:`repro.obs.Telemetry`; every read-out of
-:class:`ServerMetrics` queries those children. :class:`Counter` and
-:class:`LatencyHistogram` are re-exported from :mod:`repro.obs.telemetry`.
+:class:`ServerMetrics` queries those children.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from repro.obs.telemetry import (ChildSum, Counter, FamilyView,
-                                 LatencyHistogram, Telemetry)
+from repro.obs.telemetry import ChildSum, FamilyView, Telemetry
 
-__all__ = ["Counter", "LatencyHistogram", "ServerMetrics"]
+__all__ = ["ServerMetrics"]
 
 
 @dataclass

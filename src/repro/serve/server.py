@@ -103,21 +103,14 @@ class Server:
         """
         config = replace(self.config, **overrides) if overrides \
             else self.config
-        # restore before wrapping: the fault proxies' ladder is sorted by
-        # the estimates it sees at construction
-        self.ladder.restore()
-        ladder = self.ladder if self.faults is None \
-            else self.faults.wrap(self.ladder)
-        metrics = ServerMetrics(config.deadline_ms,
-                                telemetry=self.telemetry)
-        engine = Engine(ladder, config, metrics,
-                        tracer=self.tracer, drift=self.drift,
-                        faults=self.faults)
+        engine = Engine(self.ladder, config, tracer=self.tracer,
+                        drift=self.drift, faults=self.faults,
+                        telemetry=self.telemetry)
         # kept for post-run inspection (e.g. the online-NetCut
         # re-estimation controller's fit history on engine.reestimator)
         self.engine = engine
         responses = engine.run(trace, stop_ms=stop_ms)
         # read the cursor off the engine's ladder: under fault injection it
         # is a wrapped copy whose cursor the original never sees
-        return ServingResult(responses, metrics,
+        return ServingResult(responses, engine.metrics,
                              engine.ladder.current.name, config)

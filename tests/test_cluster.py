@@ -26,7 +26,7 @@ from repro.cluster import (
 )
 from repro.device.spec import DeviceSpec, stable_seed
 from repro.faults import FaultInjector, RungFailure
-from repro.obs import Tracer
+from repro.obs import Counter, LatencyHistogram, Tracer
 from repro.serve import (
     Request,
     Server,
@@ -34,7 +34,7 @@ from repro.serve import (
     TRNLadder,
     poisson_trace,
 )
-from repro.serve.metrics import Counter, LatencyHistogram, ServerMetrics
+from repro.serve.metrics import ServerMetrics
 
 
 def tiny_spec(name="test-device", speed=1.0):
@@ -298,6 +298,58 @@ class TestRouterEdgeCases:
         # engine-side spans are tagged by the replica that emitted them
         assert {s.args["replica"] for s in tracer.spans("respond")} \
             == {"r0", "r1"}
+
+
+class TestRunOwnership:
+    """Each replica is an engine that owns its share of the run."""
+
+    @pytest.mark.parametrize("dead", [(0,), (0, 1, 2)])
+    def test_replicas_hold_one_response_per_routed_request(
+            self, base, spec, feasible_rate, dead):
+        # dead replicas drop their batches until their breakers open for
+        # good; with the whole fleet dead the router rejects the rest
+        config = ServerConfig(deadline_ms=2.0, execute=False, seed=0,
+                              queue_capacity=16, resilience=True,
+                              breaker_cooldown_ms=1e9)
+        faults = {i: FaultInjector([RungFailure(start_ms=0.0,
+                                                duration_ms=1e9)], seed=0)
+                  for i in dead}
+        trace = poisson_trace(400, 6.0 * feasible_rate, 2.0, rng=0)
+        replicas = homogeneous_replicas(base, spec, 3, config, faults=faults)
+        result = Router(replicas, make_policy("p2c-deadline", 0)).run(trace)
+
+        assert all(not r.pending for r in replicas)
+        held = [rid for r in replicas for rid in r.responses]
+        assert len(held) == len(set(held))
+        cluster = [r.rid for r in result.responses
+                   if r.reject_reason == "no-replica"]
+        assert bool(cluster) == (len(dead) == len(replicas))
+        assert sorted(held + cluster) == sorted(t.rid for t in trace)
+
+    def test_router_steps_only_replicas_that_can_start_work(
+            self, monkeypatch):
+        # a replica that is idle, or still mid-batch at the arrival,
+        # would admit, serve, tick and sample nothing there
+        from repro.device import xavier
+        from repro.zoo import build_network
+
+        steps = []
+        advance = Replica.advance
+
+        def spy(replica, until_ms):
+            if until_ms != float("inf"):
+                steps.append((replica.clock_ms < until_ms, replica.load > 0))
+            advance(replica, until_ms)
+
+        monkeypatch.setattr(Replica, "advance", spy)
+        base = build_network("mobilenet_v1_0.25").build(0)
+        replicas = homogeneous_replicas(base, xavier(), 3,
+                                        ServerConfig(execute=False),
+                                        max_rungs=3)
+        Router(replicas, make_policy("p2c-deadline", 0)).run(
+            poisson_trace(600, 2e4, 0.9, rng=0))
+        assert steps
+        assert all(behind and loaded for behind, loaded in steps)
 
 
 class ScalerStub:

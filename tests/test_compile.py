@@ -93,6 +93,30 @@ class TestZooParity:
         np.testing.assert_allclose(compiled, interp, rtol=RTOL, atol=ATOL)
 
 
+class TestBuilderParity:
+    """Compiled output == interpreted output on every rung a builder emits:
+    greedy cuts, pruned channels, HALP and DP-depth selections."""
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_every_rung_matches_its_interpreted_copy(self, name):
+        from repro.device import xavier
+        from repro.netcut import build_rungs
+
+        base = build_network(name).build(0)
+        rungs = build_rungs(base, xavier(), max_rungs=4)
+        for builder, artifacts in rungs.items():
+            assert artifacts, builder
+            for artifact in artifacts:
+                net = artifact.network
+                x = _batch(net, 2)
+                interp = net.copy().forward(x)
+                net.compile()
+                assert net.compiled
+                np.testing.assert_allclose(
+                    net.forward(x), interp, rtol=RTOL, atol=ATOL,
+                    err_msg=f"{builder} rung {artifact.trn_name}")
+
+
 class TestCompiledExecution:
     def test_forward_batch_routes_through_plan(self, tiny_net):
         samples = list(_batch(tiny_net, 4))

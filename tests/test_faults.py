@@ -474,15 +474,16 @@ class TestDrain:
 
     def test_engine_drain_is_idempotent(self, ladder):
         from repro.serve.engine import Engine
-        from repro.serve.metrics import ServerMetrics
         from repro.serve.request import Request
 
         config = ServerConfig(deadline_ms=5.0, execute=False, seed=0)
-        engine = Engine(ladder, config, ServerMetrics(5.0))
+        engine = Engine(ladder, config)
         engine.queue.push(Request(0, 0.0, 5.0))
-        first = engine.drain(1.0)
-        assert [r.rid for r in first] == [0]
-        assert engine.drain(1.0) == []
+        engine.drain()
+        first = dict(engine.responses)
+        assert list(first) == [0]
+        engine.drain()
+        assert engine.responses == first
         assert engine.metrics.counters["dropped"].value == 1
 
 

@@ -297,9 +297,8 @@ def make_closed_loop(ladder, **overrides):
 class TestEngineIntegration:
     def test_default_config_leaves_loop_open(self, ladder):
         from repro.serve.engine import Engine
-        from repro.serve.metrics import ServerMetrics
         config = ServerConfig()
-        engine = Engine(ladder, config, ServerMetrics(config.deadline_ms))
+        engine = Engine(ladder, config)
         assert engine.reestimator is None
 
     def test_closed_loop_reestimates_and_recovers(self, ladder):
@@ -351,8 +350,7 @@ class TestEngineIntegration:
         # the engine provisions a default DriftMonitor when the loop is
         # closed without one
         from repro.serve.engine import Engine
-        from repro.serve.metrics import ServerMetrics
         config = ServerConfig(online_reestimation=True)
-        engine = Engine(ladder, config, ServerMetrics(config.deadline_ms))
+        engine = Engine(ladder, config)
         assert engine.drift is not None
         assert engine.reestimator is not None

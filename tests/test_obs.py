@@ -23,6 +23,7 @@ import pytest
 from conftest import make_tiny_net
 from repro.obs import (
     DriftMonitor,
+    LatencyHistogram,
     Span,
     TraceBuffer,
     Tracer,
@@ -32,7 +33,6 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.serve import (
-    LatencyHistogram,
     Server,
     ServerConfig,
     ServerMetrics,
@@ -1003,7 +1003,7 @@ class TestClusterTelemetry:
             refs = {"router": weakref.ref(router),
                     "telemetry": weakref.ref(tele)}
             for r in replicas:
-                refs[f"engine {r.name}"] = weakref.ref(r.engine)
+                refs[f"engine {r.name}"] = weakref.ref(r)
             return refs
 
         assert left_alive(run) == []

@@ -548,6 +548,20 @@ class TestServingEndToEnd:
         b = server.run_trace(trace).metrics.snapshot()
         assert a == b
 
+    def test_engine_owns_the_run(self, ladder, scenario):
+        # one owner: the engine consumed its arrivals, holds exactly one
+        # terminal response per request and its clock ends the run
+        trace, deadline = scenario
+        server = Server(ladder, ServerConfig(
+            deadline_ms=deadline, execute=False, seed=1, queue_capacity=16))
+        result = server.run_trace(trace)
+        engine = server.engine
+        assert not engine.pending
+        assert sorted(engine.responses) == sorted(r.rid for r in trace)
+        assert result.responses == [engine.responses[r.rid] for r in trace]
+        assert result.rejected and result.completed
+        assert max(r.finish_ms for r in result.completed) <= engine.clock_ms
+
     def test_new_server_reuses_latency_tables(self, ladder, scenario,
                                               latency_table_builds):
         """Each Server reseeds the rungs' samplers but keeps their
@@ -647,7 +661,7 @@ class TestMetricsSnapshot:
             assert needle in text
 
     def test_histogram_quantile_accuracy(self):
-        from repro.serve import LatencyHistogram
+        from repro.obs import LatencyHistogram
 
         hist = LatencyHistogram()
         rng = np.random.default_rng(0)
