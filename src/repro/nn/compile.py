@@ -20,6 +20,13 @@ Compilation (:func:`compile_network`, or :meth:`Network.compile
    forwards),
 3. every step gets a fused kernel from :mod:`repro.nn.kernels`.
 
+Each batch size's arena is built once: an input slot (the network input,
+value 0), the output slots and every kernel's scratch are allocated, and
+each kernel is *bound* to its buffers as a few zero-argument NumPy calls.
+A forward copies the batch into the input slot, calls the arena's flat
+list of bound calls in order and returns a copy of the output slot; it
+does no per-kernel dispatch, view building or allocation.
+
 The plan is validated against a cheap state signature (structure version +
 parameter/batch-norm-statistic version counters) on every use; weight
 mutation through ``Parameter.value`` or ``load_state_dict`` triggers a
@@ -148,8 +155,8 @@ class _Step:
     node_names: list[str]
     input_ids: list[int]
     out_id: int
-    slot: int | None          # arena slot for the output (None = fallback)
     out_shape: Shape          # per-sample
+    slot: int = -1            # arena slot for the output (_assign_slots)
 
     @property
     def name(self) -> str:
@@ -157,38 +164,40 @@ class _Step:
 
 
 class _Arena:
-    """One batch size's bound execution program: slots, states, buffers.
+    """One batch size's bound execution program: buffers, states and calls.
 
-    Binding resolves, once, everything ``run`` would otherwise look up per
-    step: each step's output arena slot, its per-batch kernel state
-    (padding borders, patch matrices), and its input buffer list — every
-    input that lives in an arena slot is wired in directly, so the hot
-    loop only patches in dynamic values (the network input, fallback-
-    kernel outputs).
+    Built once per batch size: the input slot (value 0, which ``run``
+    fills), one buffer per arena slot and each step's per-batch kernel
+    state (padding borders, patch matrices) are allocated, and every
+    kernel is bound to its input, output and state buffers. ``ops`` is the
+    resulting flat list of zero-argument calls a forward makes in order;
+    ``steps`` holds the same calls as ``(step name, calls)`` pairs for
+    per-kernel timing. ``output`` is the buffer holding the result.
     """
 
     def __init__(self, batch: int, plan: "ExecutionPlan"):
         self.batch = batch
+        self.input = np.empty((batch,) + plan.input_shape, dtype=np.float32)
         self._slots = {sid: np.empty((batch,) + shape, dtype=np.float32)
                        for sid, shape in plan.slot_shapes.items()}
         value_buf = {vid: self._slots[sid]
                      for vid, sid in plan.value_slot.items()}
-        self.program = []
+        value_buf[0] = self.input
         self._states = []
+        self.steps = []
         for step in plan.steps:
             state = step.kernel.make_state(batch)
             self._states.append(state)
-            out = None if step.slot is None else self._slots[step.slot]
-            ins: list = [value_buf.get(vid) for vid in step.input_ids]
-            dynamic = tuple((pos, vid)
-                            for pos, vid in enumerate(step.input_ids)
-                            if vid not in value_buf)
-            self.program.append(
-                (step.kernel, ins, dynamic, out, state, step.out_id))
+            ins = [value_buf[vid] for vid in step.input_ids]
+            self.steps.append((step.name, step.kernel.bind(
+                ins, value_buf[step.out_id], state)))
+        self.ops = [op for _, ops in self.steps for op in ops]
+        self.output = value_buf[plan.out_value]
 
     @property
     def nbytes(self) -> int:
-        total = sum(b.nbytes for b in self._slots.values())
+        total = self.input.nbytes
+        total += sum(b.nbytes for b in self._slots.values())
         seen = set()
         for state in self._states:
             bufs = state if isinstance(state, tuple) else (state,)
@@ -231,7 +240,7 @@ class ExecutionPlan:
             self.num_values += 1
             node_value[group.node_names[-1]] = out_id
             self.steps.append(_Step(kernel, list(group.node_names),
-                                    input_ids, out_id, None, out_shape))
+                                    input_ids, out_id, out_shape))
         self.out_value = node_value.get(net.output_name, 0)
         self._assign_slots()
 
@@ -246,16 +255,15 @@ class ExecutionPlan:
         free: dict[Shape, list[int]] = {}
         next_slot = 0
         for step in self.steps:
-            if step.kernel.fused:
-                pool = free.get(step.out_shape)
-                if pool:
-                    sid = pool.pop()
-                else:
-                    sid = next_slot
-                    next_slot += 1
-                    slot_shapes[sid] = step.out_shape
-                step.slot = sid
-                value_slot[step.out_id] = sid
+            pool = free.get(step.out_shape)
+            if pool:
+                sid = pool.pop()
+            else:
+                sid = next_slot
+                next_slot += 1
+                slot_shapes[sid] = step.out_shape
+            step.slot = sid
+            value_slot[step.out_id] = sid
             for vid in step.input_ids:
                 refs[vid] -= 1
                 if refs[vid] == 0 and vid in value_slot:
@@ -270,7 +278,7 @@ class ExecutionPlan:
                  f"slots for {self.num_values} values"]
         for step in self.steps:
             lines.append(
-                f"  [{step.slot if step.slot is not None else '-':>3}] "
+                f"  [{step.slot:>3}] "
                 f"{type(step.kernel).__name__:22s} "
                 f"{'+'.join(step.node_names)}")
         return "\n".join(lines)
@@ -294,7 +302,6 @@ class CompiledNetwork:
         self.signature = state_signature(net)
         self._arenas: dict[int, _Arena] = {}
         self._times: dict[str, list] | None = None
-        self._step_names = tuple(step.name for step in self.plan.steps)
 
     @property
     def valid(self) -> bool:
@@ -311,52 +318,50 @@ class CompiledNetwork:
         return arena
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """Execute the plan on a batch ``(N,) + input_shape``."""
-        x = np.ascontiguousarray(x, dtype=np.float32)
+        """Execute the plan on a batch ``(N,) + input_shape``.
+
+        The batch is copied into the arena's input slot, cast to float32
+        the way ``astype`` casts, so any dtype and memory layout is
+        accepted.
+        """
         if x.shape[1:] != self.plan.input_shape:
             raise ValueError(
                 f"expected batched input (N,)+{self.plan.input_shape}, "
                 f"got {x.shape}")
         arena = self._arena(x.shape[0])
-        values: list = [None] * self.plan.num_values
-        values[0] = x
+        np.copyto(arena.input, x, casting="unsafe")
         if self._times is not None:
-            return self._run_timed(arena, values)
-        for kernel, ins, dynamic, out, state, out_id in arena.program:
-            for pos, vid in dynamic:
-                ins[pos] = values[vid]
-            values[out_id] = kernel.run(ins, out, state)
+            self._run_timed(arena)
+        else:
+            for op in arena.ops:
+                op()
         # the output lives in a reused arena slot; hand the caller a copy
         # so the next forward cannot overwrite it behind their back
-        return values[self.out_value].copy()
+        return arena.output.copy()
 
     __call__ = run
 
-    def _run_timed(self, arena: _Arena, values: list) -> np.ndarray:
+    def _run_timed(self, arena: _Arena) -> None:
         """The instrumented twin of the hot loop: one clock read per step.
 
-        Numerically identical to :meth:`run` (same kernels, same arenas);
-        the only extra work is two ``perf_counter`` calls and a dict
-        update per step, accumulated into ``{step name: [calls,
+        Makes the same bound calls as :meth:`run`, in the same order,
+        grouped by step; the only extra work is two ``perf_counter`` calls
+        and a dict update per step, accumulated into ``{step name: [calls,
         total_ms]}`` until :meth:`drain_kernel_times` collects them.
         """
         perf = time.perf_counter
         times = self._times
-        names = self._step_names
-        for i, (kernel, ins, dynamic, out, state, out_id) \
-                in enumerate(arena.program):
-            for pos, vid in dynamic:
-                ins[pos] = values[vid]
+        for name, ops in arena.steps:
             t0 = perf()
-            values[out_id] = kernel.run(ins, out, state)
+            for op in ops:
+                op()
             dt_ms = (perf() - t0) * 1e3
-            rec = times.get(names[i])
+            rec = times.get(name)
             if rec is None:
-                times[names[i]] = [1, dt_ms]
+                times[name] = [1, dt_ms]
             else:
                 rec[0] += 1
                 rec[1] += dt_ms
-        return values[self.out_value].copy()
 
     # -- per-kernel timing ---------------------------------------------------
     @property
@@ -413,10 +418,6 @@ class CompiledNetwork:
             network=getattr(self.net, "name", "network"),
             device=device, records=tuple(records),
             end_to_end_ms=sum(r.recorded_ms for r in records))
-
-    @property
-    def out_value(self) -> int:
-        return self.plan.out_value
 
     @property
     def arena_bytes(self) -> int:

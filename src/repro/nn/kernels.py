@@ -1,15 +1,21 @@
 """Fused NumPy compute kernels for the compiled forward path.
 
-Each kernel executes one :class:`~repro.nn.compile.KernelGroup` — an anchor
-layer plus the element-wise layers fused behind it — as a single call with
-no per-layer Python dispatch and (almost) no allocation:
+Each kernel computes one :class:`~repro.nn.compile.KernelGroup` — an anchor
+layer plus the element-wise layers fused behind it. A kernel is bound, not
+run: :meth:`Kernel.bind` turns it, once per arena, into a short list of
+zero-argument NumPy calls (``functools.partial`` objects) whose input,
+output and scratch buffers, and every view over them, are fixed at bind
+time. A compiled forward is then a flat walk over those calls, with no
+per-kernel Python dispatch and no allocation:
 
 - Convolutions run as im2col/GEMM with the patch matrix written into a
   preallocated scratch buffer and the GEMM accumulating straight into the
   output arena slot. 1x1 convolutions skip im2col entirely (a reshape is
   already the GEMM operand). When a bias exists (or a batch norm folded
-  into one), the patch matrix grows a constant ones column and the bias
-  becomes an extra weight row, so the GEMM emits ``x @ w + b`` in one call.
+  into one), the im2col patch matrix grows a constant ones column and the
+  bias becomes an extra weight row, so the GEMM emits ``x @ w + b`` in one
+  call; the 1x1, dense and einsum-depthwise kernels, which have no patch
+  matrix to grow, add the bias as a separate in-place call.
 - Depthwise convolutions pick their algorithm per layer at compile time:
   narrow layers (few channels) run as an im2col GEMM against a
   block-diagonal weight matrix — more FLOPs, but BLAS-speed FLOPs — while
@@ -26,15 +32,19 @@ no per-layer Python dispatch and (almost) no allocation:
   strided patch tensor.
 
 Kernels are *stateless across batch sizes*: all scratch (padding borders,
-patch matrices) lives in the per-batch-size state object built once by
-:meth:`Kernel.make_state` and owned by the arena, so a steady-state
-forward pass performs no heap allocation and no cache lookups. Kernels
-never mutate their inputs — only the output buffer and their own state —
-so arena slots can be shared between steps safely. All buffers are
-float32; the compiled path is an inference path.
+patch matrices, softmax row reductions) lives in the per-batch-size state
+object built by :meth:`Kernel.make_state` and owned by the arena, which
+passes it to :meth:`Kernel.bind`. Bound calls never write their inputs —
+only the output buffer and the kernel's own state — so arena slots can be
+shared between steps safely. Every buffer a kernel is bound to is a
+C-contiguous float32 arena array, so each reshape taken at bind time is a
+view of it; the compiled path is an inference path.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +69,8 @@ from .layers import (
 __all__ = ["Kernel", "KERNEL_TYPES", "build_kernel"]
 
 Shape = tuple[int, ...]
+#: one bound call of a compiled forward: every operand is fixed
+Op = Callable[[], object]
 
 #: Channel cutoff below which a depthwise convolution runs as a
 #: block-diagonal GEMM instead of a patch einsum. The GEMM does ``C``
@@ -68,21 +80,23 @@ Shape = tuple[int, ...]
 DEPTHWISE_GEMM_MAX_CHANNELS = 8
 
 
-# -- post-ops (element-wise tails applied in place on the output) -----------
+# -- post-ops (element-wise tails bound in place on the output) --------------
+# Each post-op takes the step's output buffer and returns the calls that
+# apply it in place.
 
-def _relu_op(out: np.ndarray) -> None:
-    np.maximum(out, 0.0, out=out)
-
-
-def _relu6_op(out: np.ndarray) -> None:
-    np.clip(out, 0.0, 6.0, out=out)
+def _relu_ops(out: np.ndarray) -> list[Op]:
+    return [partial(np.maximum, out, 0.0, out=out)]
 
 
-def _make_affine_op(scale: np.ndarray, shift: np.ndarray):
-    def op(out: np.ndarray) -> None:
-        out *= scale
-        out += shift
-    return op
+def _relu6_ops(out: np.ndarray) -> list[Op]:
+    return [partial(np.clip, out, 0.0, 6.0, out=out)]
+
+
+def _affine_ops(scale: np.ndarray, shift: np.ndarray):
+    def bind(out: np.ndarray) -> list[Op]:
+        return [partial(np.multiply, out, scale, out=out),
+                partial(np.add, out, shift, out=out)]
+    return bind
 
 
 def _bn_affine(layer: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +112,9 @@ def _tail_ops(layers: list, foldable: bool):
     """Split a group's element-wise tail into (folded BN, runtime post-ops).
 
     ``foldable`` anchors (conv/dense) absorb any leading batch norms into
-    their weights; everything else becomes an in-place runtime op, in
-    order. Returns ``(scale, shift, postops)`` where ``scale``/``shift``
-    are ``None`` when nothing folded.
+    their weights; everything else becomes an in-place post-op, in order
+    (see :meth:`Kernel._tail`). Returns ``(scale, shift, postops)`` where
+    ``scale``/``shift`` are ``None`` when nothing folded.
     """
     scale = shift = None
     postops = []
@@ -113,11 +127,11 @@ def _tail_ops(layers: list, foldable: bool):
                 else:
                     scale, shift = scale * s, shift * s + t
             else:
-                postops.append(_make_affine_op(s, t))
+                postops.append(_affine_ops(s, t))
         elif isinstance(lay, ReLU):
-            postops.append(_relu_op)
+            postops.append(_relu_ops)
         elif isinstance(lay, ReLU6):
-            postops.append(_relu6_op)
+            postops.append(_relu6_ops)
         elif isinstance(lay, Dropout):
             continue  # identity at inference
         else:  # pragma: no cover - fuse_kernels only groups known types
@@ -169,19 +183,24 @@ class _PadPlan:
         self.needed = self.ph != (0, 0) or self.pw != (0, 0)
         self.in_hw = (h, w)
         self.padded_shape = (h + sum(self.ph), w + sum(self.pw), c)
-        hp, wp, _ = self.padded_shape
-        self.out_hw = ((hp - kh) // stride + 1, (wp - kw) // stride + 1)
 
     def make_buf(self, n: int, fill: float) -> np.ndarray | None:
         if not self.needed:
             return None
         return np.full((n,) + self.padded_shape, fill, dtype=np.float32)
 
-    def apply(self, x: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
+    def source(self, x: np.ndarray, buf: np.ndarray | None,
+               ops: list[Op]) -> np.ndarray:
+        """The array a kernel reads: ``x`` itself, or the padding buffer
+        after appending to ``ops`` the copy of ``x`` into its interior (the
+        border keeps its fill)."""
         if buf is None:
             return x
         h, w = self.in_hw
-        buf[:, self.ph[0]:self.ph[0] + h, self.pw[0]:self.pw[0] + w, :] = x
+        ops.append(partial(
+            np.copyto,
+            buf[:, self.ph[0]:self.ph[0] + h, self.pw[0]:self.pw[0] + w, :],
+            x))
         return buf
 
 
@@ -194,6 +213,9 @@ class Kernel:
     #: per-layer fallback, used only for layer types outside the zoo set)
     fused = True
 
+    #: post-op binders of the fused element-wise tail (see ``_tail_ops``)
+    postops = ()
+
     def __init__(self, step: int, out_shape: Shape):
         self.step = step
         self.out_shape = out_shape
@@ -202,8 +224,20 @@ class Kernel:
         """Per-batch-size scratch, built once per arena. Default: none."""
         return None
 
-    def run(self, ins: list[np.ndarray], out: np.ndarray, state):
+    def bind(self, ins: list[np.ndarray], out: np.ndarray,
+             state) -> list[Op]:
+        """The calls that compute this step from ``ins`` into ``out``.
+
+        ``ins`` and ``out`` are the arena buffers of one batch size and
+        ``state`` is :meth:`make_state`'s scratch for it. Every view the
+        step reads or writes is taken here, once; calling the returned
+        functions in order performs the step.
+        """
         raise NotImplementedError
+
+    def _tail(self, out: np.ndarray) -> list[Op]:
+        """The fused post-ops, bound in place on ``out``, in order."""
+        return [op for bind in self.postops for op in bind(out)]
 
 
 class _GemmConvBase(Kernel):
@@ -233,19 +267,18 @@ class _GemmConvBase(Kernel):
         cols6 = _cols_view(cols2d, n, oh, ow, self.kh, self.kw, self.cin)
         return (self.pad.make_buf(n, 0.0), cols2d, cols6)
 
-    def run(self, ins, out, state):
-        x = ins[0]
+    def bind(self, ins, out, state):
         oh, ow, f = self.out_shape
         padbuf, cols2d, cols6 = state
-        xs = self.pad.apply(x, padbuf)
-        np.copyto(cols6, _patch_view(xs, self.kh, self.kw, self.stride,
-                                     oh, ow))
-        np.matmul(cols2d, self.wf, out=out.reshape(-1, f))
+        ops: list[Op] = []
+        xs = self.pad.source(ins[0], padbuf, ops)
+        ops.append(partial(np.copyto, cols6, _patch_view(
+            xs, self.kh, self.kw, self.stride, oh, ow)))
+        ops.append(partial(np.matmul, cols2d, self.wf,
+                           out=out.reshape(-1, f)))
         if self.bias is not None and not self.fold_bias:
-            out += self.bias
-        for op in self.postops:
-            op(out)
-        return out
+            ops.append(partial(np.add, out, self.bias, out=out))
+        return ops + self._tail(out)
 
 
 class ConvKernel(_GemmConvBase):
@@ -275,21 +308,21 @@ class ConvKernel(_GemmConvBase):
             return np.empty((n, oh, ow, self.cin), dtype=np.float32)
         return None
 
-    def run(self, ins, out, state):
+    def bind(self, ins, out, state):
         if not self.fast_1x1:
-            return _GemmConvBase.run(self, ins, out, state)
-        x = ins[0]
+            return _GemmConvBase.bind(self, ins, out, state)
         _, _, f = self.out_shape
-        src = x
+        src = ins[0]
+        ops: list[Op] = []
         if self.stride > 1:
-            np.copyto(state, x[:, ::self.stride, ::self.stride, :])
+            s = self.stride
+            ops.append(partial(np.copyto, state, src[:, ::s, ::s, :]))
             src = state
-        np.matmul(src.reshape(-1, self.cin), self.wf, out=out.reshape(-1, f))
+        ops.append(partial(np.matmul, src.reshape(-1, self.cin), self.wf,
+                           out=out.reshape(-1, f)))
         if self.bias is not None:
-            out += self.bias
-        for op in self.postops:
-            op(out)
-        return out
+            ops.append(partial(np.add, out, self.bias, out=out))
+        return ops + self._tail(out)
 
 
 class DepthwiseConvKernel(Kernel):
@@ -334,22 +367,21 @@ class DepthwiseConvKernel(Kernel):
         cols = np.empty((n, oh, ow, self.kh * self.kw, c), dtype=np.float32)
         return (self.pad.make_buf(n, 0.0), cols)
 
-    def run(self, ins, out, state):
+    def bind(self, ins, out, state):
         if self.as_gemm:
-            return _GemmConvBase.run(self, ins, out, state)
-        x = ins[0]
+            return _GemmConvBase.bind(self, ins, out, state)
         oh, ow, c = self.out_shape
         padbuf, cols = state
-        xs = self.pad.apply(x, padbuf)
-        n = x.shape[0]
-        np.copyto(cols.reshape(n, oh, ow, self.kh, self.kw, c),
-                  _patch_view(xs, self.kh, self.kw, self.stride, oh, ow))
-        np.einsum("nhwkc,kc->nhwc", cols, self.wf, out=out)
+        ops: list[Op] = []
+        xs = self.pad.source(ins[0], padbuf, ops)
+        cols6 = cols.reshape(cols.shape[0], oh, ow, self.kh, self.kw, c)
+        ops.append(partial(np.copyto, cols6, _patch_view(
+            xs, self.kh, self.kw, self.stride, oh, ow)))
+        ops.append(partial(np.einsum, "nhwkc,kc->nhwc", cols, self.wf,
+                           out=out))
         if self.bias is not None:
-            out += self.bias
-        for op in self.postops:
-            op(out)
-        return out
+            ops.append(partial(np.add, out, self.bias, out=out))
+        return ops + self._tail(out)
 
 
 class DenseKernel(Kernel):
@@ -366,15 +398,12 @@ class DenseKernel(Kernel):
                                        dtype=np.float32)
         self.bias = _fold_bias(layer, scale, shift)
 
-    def run(self, ins, out, state):
-        x = ins[0]
-        np.matmul(x.reshape(-1, self.d), self.wf,
-                  out=out.reshape(-1, self.units))
+    def bind(self, ins, out, state):
+        ops: list[Op] = [partial(np.matmul, ins[0].reshape(-1, self.d),
+                                 self.wf, out=out.reshape(-1, self.units))]
         if self.bias is not None:
-            out += self.bias
-        for op in self.postops:
-            op(out)
-        return out
+            ops.append(partial(np.add, out, self.bias, out=out))
+        return ops + self._tail(out)
 
 
 class PoolKernel(Kernel):
@@ -393,23 +422,20 @@ class PoolKernel(Kernel):
     def make_state(self, n: int):
         return self.pad.make_buf(n, -np.inf if self.is_max else 0.0)
 
-    def run(self, ins, out, state):
-        xs = self.pad.apply(ins[0], state)
+    def bind(self, ins, out, state):
+        ops: list[Op] = []
+        xs = self.pad.source(ins[0], state, ops)
         oh, ow, _ = self.out_shape
         p, s = self.pool, self.stride
         he, we = (oh - 1) * s + 1, (ow - 1) * s + 1
-        np.copyto(out, xs[:, 0:he:s, 0:we:s, :])
+        taps = [xs[:, i:i + he:s, j:j + we:s, :]
+                for i in range(p) for j in range(p)]
+        ops.append(partial(np.copyto, out, taps[0]))
         reduce = np.maximum if self.is_max else np.add
-        for i in range(p):
-            for j in range(p):
-                if i == 0 and j == 0:
-                    continue
-                reduce(out, xs[:, i:i + he:s, j:j + we:s, :], out=out)
+        ops += [partial(reduce, out, tap, out=out) for tap in taps[1:]]
         if not self.is_max:
-            out *= 1.0 / (p * p)
-        for op in self.postops:
-            op(out)
-        return out
+            ops.append(partial(np.multiply, out, 1.0 / (p * p), out=out))
+        return ops + self._tail(out)
 
 
 class GlobalAvgPoolKernel(Kernel):
@@ -417,11 +443,12 @@ class GlobalAvgPoolKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def run(self, ins, out, state):
-        ins[0].mean(axis=(1, 2), out=out)
-        for op in self.postops:
-            op(out)
-        return out
+    def bind(self, ins, out, state):
+        # ``ndarray.mean``'s own two calls, without its Python wrapper
+        x = ins[0]
+        return [partial(np.add.reduce, x, axis=(1, 2), out=out),
+                partial(np.true_divide, out, x.shape[1] * x.shape[2],
+                        out=out)] + self._tail(out)
 
 
 class FlattenKernel(Kernel):
@@ -429,12 +456,10 @@ class FlattenKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def run(self, ins, out, state):
-        n = ins[0].shape[0]
-        np.copyto(out.reshape(n, -1), ins[0].reshape(n, -1))
-        for op in self.postops:
-            op(out)
-        return out
+    def bind(self, ins, out, state):
+        n = out.shape[0]
+        return ([partial(np.copyto, out.reshape(n, -1), ins[0].reshape(n, -1))]
+                + self._tail(out))
 
 
 class SoftmaxKernel(Kernel):
@@ -442,14 +467,20 @@ class SoftmaxKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def run(self, ins, out, state):
+    def make_state(self, n: int):
+        # one keepdims row buffer: the row max, then the row sum
+        return np.empty((n,) + self.out_shape[:-1] + (1,), dtype=np.float32)
+
+    def bind(self, ins, out, state):
         x = ins[0]
-        np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-        np.exp(out, out=out)
-        out /= out.sum(axis=-1, keepdims=True)
-        for op in self.postops:
-            op(out)
-        return out
+        return [partial(np.maximum.reduce, x, axis=-1, keepdims=True,
+                        out=state),
+                partial(np.subtract, x, state, out=out),
+                partial(np.exp, out, out=out),
+                partial(np.add.reduce, out, axis=-1, keepdims=True,
+                        out=state),
+                partial(np.true_divide, out, state, out=out),
+                ] + self._tail(out)
 
 
 class AddKernel(Kernel):
@@ -457,16 +488,14 @@ class AddKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def run(self, ins, out, state):
+    def bind(self, ins, out, state):
         if len(ins) == 1:
-            np.copyto(out, ins[0])
+            ops: list[Op] = [partial(np.copyto, out, ins[0])]
         else:
-            np.add(ins[0], ins[1], out=out)
-            for extra in ins[2:]:
-                out += extra
-        for op in self.postops:
-            op(out)
-        return out
+            ops = [partial(np.add, ins[0], ins[1], out=out)]
+            ops += [partial(np.add, out, extra, out=out)
+                    for extra in ins[2:]]
+        return ops + self._tail(out)
 
 
 class ConcatKernel(Kernel):
@@ -474,11 +503,9 @@ class ConcatKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def run(self, ins, out, state):
-        np.concatenate(ins, axis=-1, out=out)
-        for op in self.postops:
-            op(out)
-        return out
+    def bind(self, ins, out, state):
+        return ([partial(np.concatenate, tuple(ins), axis=-1, out=out)]
+                + self._tail(out))
 
 
 class BatchNormKernel(Kernel):
@@ -489,12 +516,9 @@ class BatchNormKernel(Kernel):
         self.scale, self.shift = _bn_affine(layer)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def run(self, ins, out, state):
-        np.multiply(ins[0], self.scale, out=out)
-        out += self.shift
-        for op in self.postops:
-            op(out)
-        return out
+    def bind(self, ins, out, state):
+        return [partial(np.multiply, ins[0], self.scale, out=out),
+                partial(np.add, out, self.shift, out=out)] + self._tail(out)
 
 
 class ActivationKernel(Kernel):
@@ -510,17 +534,15 @@ class ActivationKernel(Kernel):
             self.mode = "copy"  # inference-time dropout
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def run(self, ins, out, state):
+    def bind(self, ins, out, state):
         x = ins[0]
         if self.mode == "relu":
-            np.maximum(x, 0.0, out=out)
+            op = partial(np.maximum, x, 0.0, out=out)
         elif self.mode == "relu6":
-            np.clip(x, 0.0, 6.0, out=out)
+            op = partial(np.clip, x, 0.0, 6.0, out=out)
         else:
-            np.copyto(out, x)
-        for op in self.postops:
-            op(out)
-        return out
+            op = partial(np.copyto, out, x)
+        return [op] + self._tail(out)
 
 
 class FallbackKernel(Kernel):
@@ -528,7 +550,9 @@ class FallbackKernel(Kernel):
 
     Only single-node groups can take this path (``fuse_kernels`` never
     groups unknown layer types), so interpreted and compiled execution
-    remain node-for-node identical for exotic layers.
+    remain node-for-node identical for exotic layers. The layer's own
+    ``forward`` runs on the step's input buffers and its result is copied
+    into the step's arena slot.
     """
 
     fused = False
@@ -539,9 +563,12 @@ class FallbackKernel(Kernel):
             raise TypeError("cannot fuse a tail behind an unknown anchor")
         self.layer = layer
 
-    def run(self, ins, out, state):
-        return np.asarray(self.layer.forward(list(ins), training=False),
-                          dtype=np.float32)
+    def bind(self, ins, out, state):
+        layer = self.layer
+
+        def op():
+            np.copyto(out, layer.forward(list(ins), training=False))
+        return [op]
 
 
 #: anchor layer type -> kernel class (the compute half of the fusion

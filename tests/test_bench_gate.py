@@ -6,10 +6,7 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.obs import (
-    DEFAULT_RULES,
     GateRule,
     evaluate_gate,
     load_bench_dir,

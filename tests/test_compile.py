@@ -4,7 +4,9 @@ Covers the three contracts the compiled forward path makes: numerical
 parity with the interpreter (every zoo network, batched and single
 sample), transparent plan invalidation (weight reassignment, structure
 edits, clones), and the fallback conditions (training, capture) under
-which forwards must route through the interpreted walk.
+which forwards must route through the interpreted walk. It also pins the
+bound arena program: layers without a fused kernel, per-step timing over
+the flat call list, input casting and arena rebuilds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_tiny_net
+from repro.nn import (
+    Add,
+    BatchNorm,
+    Conv2D,
+    Dense,
+    GlobalAvgPool,
+    Layer,
+    Network,
+    ReLU,
+    Softmax,
+)
 from repro.nn.compile import (
     ANCHOR_TYPES,
     FUSABLE_TYPES,
@@ -31,6 +43,32 @@ RTOL, ATOL = 1e-4, 1e-5
 def _batch(net, n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n,) + net.input_shape).astype(np.float32)
+
+
+class Negate(Layer):
+    """A layer type with no fused kernel: compiles to a FallbackKernel."""
+
+    def forward(self, inputs, training=False):
+        return -inputs[0]
+
+    def out_shape(self, in_shapes):
+        return in_shapes[0]
+
+
+def _net_with_fallback() -> Network:
+    """A tiny CNN with a ``Negate`` mid-network whose output fans out."""
+    net = Network("fallback", (8, 8, 3))
+    net.add("stem_conv", Conv2D(4, 3))
+    net.add("stem_relu", ReLU())
+    net.add("neg", Negate())
+    net.add("b1_conv", Conv2D(4, 3))
+    net.add("b1_bn", BatchNorm())
+    net.add("b1_relu", ReLU())
+    net.add("b1_add", Add(), inputs=["neg", "b1_relu"])
+    net.add("gap", GlobalAvgPool())
+    net.add("logits", Dense(5))
+    net.add("probs", Softmax())
+    return net.build(0)
 
 
 class TestFusionDuality:
@@ -154,11 +192,73 @@ class TestCompiledExecution:
         with pytest.raises(ValueError, match="batched"):
             plan.run(np.zeros(tiny_net.input_shape, dtype=np.float32))
 
+    def test_evicted_arena_rebuilds_correct_output(self, tiny_net):
+        plan = tiny_net.compile()
+        x = _batch(tiny_net, 2)
+        first = plan.run(x)
+        for n in range(3, CompiledNetwork.MAX_ARENAS + 4):
+            plan.run(_batch(tiny_net, n))
+        assert 2 not in plan._arenas               # MAX_ARENAS newer sizes
+        np.testing.assert_array_equal(plan.run(x), first)
+        tiny_net.uncompile()
+        np.testing.assert_allclose(first, tiny_net.forward(x),
+                                   rtol=RTOL, atol=ATOL)
+
+    def test_input_dtype_and_layout_are_cast_like_astype(self, tiny_net):
+        plan = tiny_net.compile()
+        rng = np.random.default_rng(3)
+        x64 = rng.standard_normal((3,) + tiny_net.input_shape)
+        expected = plan.run(x64.astype(np.float32))
+        np.testing.assert_array_equal(plan.run(x64), expected)
+        wide = np.zeros((3, 8, 16, 3), dtype=np.float32)
+        wide[:, :, ::2] = x64
+        strided = wide[:, :, ::2]                  # non-contiguous view
+        assert not strided.flags.c_contiguous
+        np.testing.assert_array_equal(plan.run(strided), expected)
+        fortran = np.asfortranarray(x64.astype(np.float32))
+        np.testing.assert_array_equal(plan.run(fortran), expected)
+
     def test_describe_lists_every_step(self, tiny_net):
         plan = tiny_net.compile()
         text = plan.describe()
         for step in plan.plan.steps:
             assert step.name in text
+
+
+class TestBoundProgram:
+    """The per-arena program of bound calls that a compiled forward runs."""
+
+    def test_fallback_layer_runs_in_an_arena_slot(self):
+        net = _net_with_fallback()
+        x = _batch(net, 3)
+        interp = net.forward(x)
+        plan = net.compile()
+        step = next(s for s in plan.plan.steps if s.name == "neg")
+        assert isinstance(step.kernel, FallbackKernel)
+        assert step.slot in plan.plan.slot_shapes
+        assert plan.plan.value_slot[step.out_id] == step.slot
+        assert f"[{step.slot:>3}] FallbackKernel" in plan.describe()
+        np.testing.assert_allclose(net.forward(x), interp,
+                                   rtol=RTOL, atol=ATOL)
+        ops = dict(plan._arenas[3].steps)["neg"]
+        assert len(ops) == 1                       # one copy-out call
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_timed_forward_matches_untimed(self, name):
+        net = build_network(name).build(0)
+        plan = net.compile()
+        for n in (1, 3):
+            x = _batch(net, n, seed=n)
+            untimed = plan.run(x)
+            plan.enable_timing()
+            timed = plan.run(x)
+            times = plan.kernel_times_ms()
+            plan.disable_timing()
+            np.testing.assert_array_equal(timed, untimed)
+            assert set(times) == {step.name for step in plan.plan.steps}
+            assert all(calls == 1 for calls, _ in times.values())
+            arena = plan._arenas[n]
+            assert [op for _, ops in arena.steps for op in ops] == arena.ops
 
 
 class TestPlanInvalidation:
