@@ -18,6 +18,11 @@ Untimed and kernel-timed windows alternate and each side keeps its
 fastest window, so the host's speed drift lands on both sides alike
 instead of in the residual.
 
+``arena_bytes`` is the compiled plan's activation memory after a forward
+at every batch size in BATCHES: one buffer set (input slot, arena slots
+and kernel scratch) sized for the largest batch, on whose prefixes every
+smaller batch runs.
+
 Unlike the serving benchmarks this one is real wall-clock compute
 (NumPy kernels), so absolute numbers vary across machines; the
 *speedup* column and the parity verdicts are the stable signals. The
@@ -137,6 +142,9 @@ def bench_network(name: str) -> dict:
             end_to_end_ms = 1e3 / compiled_sps
             out["end_to_end_ms"] = round(end_to_end_ms, 6)
             out["unattributed_ms"] = round(end_to_end_ms - table.end_to_end_ms, 6)
+    for batch in BATCHES:
+        plan.run(np.zeros((batch,) + net.input_shape, dtype=np.float32))
+    out["arena_bytes"] = plan.arena_bytes
     out["allclose"] = allclose
     out["speedup"] = out["batches"]["1"]["speedup"]  # real-time headline
     out["plan_steps"] = len(plan.plan.steps)
@@ -153,6 +161,7 @@ def main() -> None:
             f"{name:22s} b1 {b1['interpreted_sps']:>8.1f} -> "
             f"{b1['compiled_sps']:>8.1f} sps  ({b1['speedup']:.2f}x)  "
             f"unattributed {nets[name]['unattributed_ms']:.3f} ms  "
+            f"arenas {nets[name]['arena_bytes'] / 2**20:.1f} MiB  "
             f"allclose={nets[name]['allclose']}"
         )
 

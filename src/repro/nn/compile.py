@@ -16,16 +16,19 @@ Compilation (:func:`compile_network`, or :meth:`Network.compile
    schedule with precomputed consumer counts and a liveness-based *arena*
    assignment, so activation buffers are reused both across steps (a slot
    freed by its last consumer is recycled for a later output of the same
-   shape) and across calls (per-batch-size arenas persist between
-   forwards),
+   shape) and across calls (one buffer set persists between forwards),
 3. every step gets a fused kernel from :mod:`repro.nn.kernels`.
 
-Each batch size's arena is built once: an input slot (the network input,
-value 0), the output slots and every kernel's scratch are allocated, and
-each kernel is *bound* to its buffers as a few zero-argument NumPy calls.
-A forward copies the batch into the input slot, calls the arena's flat
-list of bound calls in order and returns a copy of the output slot; it
-does no per-kernel dispatch, view building or allocation.
+A compiled network keeps one buffer set, sized for the largest batch it
+has run: an input slot (the network input, value 0), the output slots
+and every kernel's scratch. Batch is the leading axis of each buffer, so
+the arena for a batch of ``n`` binds on ``[:n]`` prefixes: each kernel is
+*bound* to its buffers once as a few zero-argument NumPy calls. A larger
+batch allocates a new set at its size and drops every binding of the old
+one; they rebind on their next use. A forward copies the batch into the
+input slot, calls the arena's flat list of bound calls in order and
+returns a copy of the output slot; it does no per-kernel dispatch, view
+building or allocation.
 
 The plan is validated against a cheap state signature (structure version +
 parameter/batch-norm-statistic version counters) on every use; weight
@@ -163,50 +166,60 @@ class _Step:
         return self.node_names[0]
 
 
-class _Arena:
-    """One batch size's bound execution program: buffers, states and calls.
+def _prefix(state, batch: int):
+    """A kernel state cut to its first ``batch`` rows (``None`` stays)."""
+    if isinstance(state, tuple):
+        return tuple(None if buf is None else buf[:batch] for buf in state)
+    return None if state is None else state[:batch]
 
-    Built once per batch size: the input slot (value 0, which ``run``
-    fills), one buffer per arena slot and each step's per-batch kernel
-    state (padding borders, patch matrices) are allocated, and every
-    kernel is bound to its input, output and state buffers. ``ops`` is the
-    resulting flat list of zero-argument calls a forward makes in order;
-    ``steps`` holds the same calls as ``(step name, calls)`` pairs for
-    per-kernel timing. ``output`` is the buffer holding the result.
+
+class _Buffers:
+    """A plan's one buffer set, sized for a batch of ``batch``.
+
+    The input slot (value 0, which ``run`` fills), one buffer per arena
+    slot and each step's kernel state (padding borders, patch matrices).
+    Batch is the leading axis of every one, so a smaller batch runs on
+    their prefixes.
     """
 
     def __init__(self, batch: int, plan: "ExecutionPlan"):
         self.batch = batch
         self.input = np.empty((batch,) + plan.input_shape, dtype=np.float32)
-        self._slots = {sid: np.empty((batch,) + shape, dtype=np.float32)
-                       for sid, shape in plan.slot_shapes.items()}
-        value_buf = {vid: self._slots[sid]
-                     for vid, sid in plan.value_slot.items()}
-        value_buf[0] = self.input
-        self._states = []
-        self.steps = []
-        for step in plan.steps:
-            state = step.kernel.make_state(batch)
-            self._states.append(state)
-            ins = [value_buf[vid] for vid in step.input_ids]
-            self.steps.append((step.name, step.kernel.bind(
-                ins, value_buf[step.out_id], state)))
-        self.ops = [op for _, ops in self.steps for op in ops]
-        self.output = value_buf[plan.out_value]
+        self.slots = {sid: np.empty((batch,) + shape, dtype=np.float32)
+                      for sid, shape in plan.slot_shapes.items()}
+        self.states = [step.kernel.make_state(batch) for step in plan.steps]
 
     @property
     def nbytes(self) -> int:
-        total = self.input.nbytes
-        total += sum(b.nbytes for b in self._slots.values())
-        seen = set()
-        for state in self._states:
-            bufs = state if isinstance(state, tuple) else (state,)
-            for buf in bufs:
-                if (isinstance(buf, np.ndarray) and buf.base is None
-                        and id(buf) not in seen):
-                    seen.add(id(buf))
-                    total += buf.nbytes
-        return total
+        bufs = [self.input, *self.slots.values()]
+        for state in self.states:
+            bufs += state if isinstance(state, tuple) else [state]
+        return sum(buf.nbytes for buf in bufs if buf is not None)
+
+
+class _Arena:
+    """One batch size's bound execution program over a plan's buffers.
+
+    Every kernel is bound to the ``[:batch]`` prefixes of its input,
+    output and state buffers. ``ops`` is the resulting flat list of
+    zero-argument calls a forward makes in order; ``steps`` holds the same
+    calls as ``(step name, calls)`` pairs for per-kernel timing. ``input``
+    is the prefix ``run`` fills and ``output`` the one holding the result.
+    """
+
+    def __init__(self, batch: int, plan: "ExecutionPlan",
+                 buffers: _Buffers):
+        self.input = buffers.input[:batch]
+        slots = {sid: buf[:batch] for sid, buf in buffers.slots.items()}
+        value_buf = {vid: slots[sid] for vid, sid in plan.value_slot.items()}
+        value_buf[0] = self.input
+        self.steps = []
+        for step, state in zip(plan.steps, buffers.states):
+            ins = [value_buf[vid] for vid in step.input_ids]
+            self.steps.append((step.name, step.kernel.bind(
+                ins, value_buf[step.out_id], _prefix(state, batch))))
+        self.ops = [op for _, ops in self.steps for op in ops]
+        self.output = value_buf[plan.out_value]
 
 
 class ExecutionPlan:
@@ -285,13 +298,16 @@ class ExecutionPlan:
 
 
 class CompiledNetwork:
-    """A network frozen into an :class:`ExecutionPlan` plus its arenas.
+    """A network frozen into an :class:`ExecutionPlan` plus its buffers.
 
     Call it (or :meth:`run`) with a batched input; the underlying
     :class:`~repro.nn.graph.Network` routes ``forward``/``forward_batch``
-    here automatically while the plan is valid. Arenas are cached per
-    batch size (bounded LRU), so steady-state inference allocates nothing
-    but the returned output copy.
+    here automatically while the plan is valid. One buffer set, sized for
+    the largest batch run so far, serves every batch size; each size's
+    arena binds on its prefixes and is cached (an LRU of at most
+    ``MAX_ARENAS`` sizes, which holds bound calls and views, never
+    buffers), so steady-state inference allocates nothing but the
+    returned output copy.
     """
 
     MAX_ARENAS = 8
@@ -300,6 +316,7 @@ class CompiledNetwork:
         self.net = net
         self.plan = ExecutionPlan(net)
         self.signature = state_signature(net)
+        self._buffers: _Buffers | None = None
         self._arenas: dict[int, _Arena] = {}
         self._times: dict[str, list] | None = None
 
@@ -309,12 +326,19 @@ class CompiledNetwork:
         return self.signature == state_signature(self.net)
 
     def _arena(self, batch: int) -> _Arena:
-        arena = self._arenas.get(batch)
+        # a hit moves to the end, so the first key is least recently used
+        arena = self._arenas.pop(batch, None)
         if arena is None:
-            if len(self._arenas) >= self.MAX_ARENAS:
+            if self._buffers is None or batch > self._buffers.batch:
+                # every binding views the old set: drop them with it
+                # before the larger set is allocated
+                self._arenas.clear()
+                self._buffers = None
+                self._buffers = _Buffers(batch, self.plan)
+            elif len(self._arenas) >= self.MAX_ARENAS:
                 self._arenas.pop(next(iter(self._arenas)))
-            arena = _Arena(batch, self.plan)
-            self._arenas[batch] = arena
+            arena = _Arena(batch, self.plan, self._buffers)
+        self._arenas[batch] = arena
         return arena
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -421,8 +445,10 @@ class CompiledNetwork:
 
     @property
     def arena_bytes(self) -> int:
-        """Total bytes currently held across all batch-size arenas."""
-        return sum(a.nbytes for a in self._arenas.values())
+        """Bytes of the plan's one buffer set: input slot, arena slots and
+        kernel scratch, sized for the largest batch run so far (0 before
+        the first forward). Every batch size runs on these buffers."""
+        return 0 if self._buffers is None else self._buffers.nbytes
 
     def describe(self) -> str:
         return self.plan.describe()

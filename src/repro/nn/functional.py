@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "pad_same",
     "conv_output_size",
+    "patch_view",
     "im2col",
     "col2im",
     "relu",
@@ -54,6 +55,23 @@ def pad_same(x: np.ndarray, kernel: tuple[int, int],
     return np.pad(x, ((0, 0), ph, pw, (0, 0)))
 
 
+def patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Zero-copy sliding-window view ``(N, OH, OW, kh, kw, C)`` of ``x``.
+
+    ``OH`` and ``OW`` are the VALID-padding output sizes; the caller is
+    responsible for padding. Overlapping windows share memory, so the
+    view is only ever read: :func:`im2col` copies it into a new patch
+    matrix, the compiled kernels into a preallocated one.
+    """
+    n, h, w, c = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n, oh, ow, kh, kw, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3))
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Extract sliding patches from an NHWC tensor.
 
@@ -71,14 +89,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     Array of shape ``(N, OH, OW, kh * kw * C)`` where ``OH`` and ``OW`` are
     the convolution output sizes for VALID padding.
     """
-    n, h, w, c = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    shape = (n, oh, ow, kh, kw, c)
-    strides = (s0, s1 * stride, s2 * stride, s1, s2, s3)
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    return np.ascontiguousarray(patches).reshape(n, oh, ow, kh * kw * c)
+    patches = patch_view(x, kh, kw, stride)
+    n, oh, ow = patches.shape[:3]
+    return np.ascontiguousarray(patches).reshape(n, oh, ow, -1)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],

@@ -32,13 +32,20 @@ per-kernel Python dispatch and no allocation:
   strided patch tensor.
 
 Kernels are *stateless across batch sizes*: all scratch (padding borders,
-patch matrices, softmax row reductions) lives in the per-batch-size state
-object built by :meth:`Kernel.make_state` and owned by the arena, which
-passes it to :meth:`Kernel.bind`. Bound calls never write their inputs —
-only the output buffer and the kernel's own state — so arena slots can be
-shared between steps safely. Every buffer a kernel is bound to is a
-C-contiguous float32 arena array, so each reshape taken at bind time is a
-view of it; the compiled path is an inference path.
+patch matrices, softmax row reductions) lives in the state built by
+:meth:`Kernel.make_state` and owned by the plan, which passes it to
+:meth:`Kernel.bind`. Bound calls never write their inputs — only the
+output buffer and the kernel's own state — so arena slots can be shared
+between steps safely.
+
+Batch is the leading axis of every buffer: the input and arena slots,
+and every array ``make_state`` returns. What a buffer holds beyond what
+a forward overwrites (a padding border of 0 or −inf, a patch matrix's
+ones column) is the same at every batch size. So a plan allocates one
+buffer set at the largest batch it has run, and binds a smaller batch
+``n`` on the ``[:n]`` prefixes of those buffers. A prefix of a
+C-contiguous float32 array is itself C-contiguous, so each reshape taken
+at bind time is a view of it; the compiled path is an inference path.
 """
 
 from __future__ import annotations
@@ -149,23 +156,15 @@ def _fold_bias(layer, scale, shift):
 
 # -- geometry helpers --------------------------------------------------------
 
-def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int,
-                oh: int, ow: int) -> np.ndarray:
-    """Zero-copy sliding-window view ``(N, OH, OW, kh, kw, C)``."""
-    s0, s1, s2, s3 = x.strides
+def _cols_view(cols: np.ndarray, oh: int, ow: int, kh: int, kw: int,
+               c: int) -> np.ndarray:
+    """A writable ``(N, OH, OW, kh, kw, C)`` view over the first
+    ``kh*kw*c`` columns of an ``(N, OH*OW, K[+1])`` patch matrix (the
+    trailing ones column is left alone)."""
+    sn, pitch, item = cols.strides
     return np.lib.stride_tricks.as_strided(
-        x, shape=(x.shape[0], oh, ow, kh, kw, x.shape[-1]),
-        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3))
-
-
-def _cols_view(cols2d: np.ndarray, n: int, oh: int, ow: int,
-               kh: int, kw: int, c: int) -> np.ndarray:
-    """A writable 6-D patch view over the first ``kh*kw*c`` columns of a
-    row-padded patch matrix (the trailing ones column is left alone)."""
-    pitch = cols2d.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        cols2d, shape=(n, oh, ow, kh, kw, c),
-        strides=(oh * ow * pitch, ow * pitch, pitch, kw * c * 4, c * 4, 4))
+        cols, shape=(cols.shape[0], oh, ow, kh, kw, c),
+        strides=(sn, ow * pitch, pitch, kw * c * item, c * item, item))
 
 
 class _PadPlan:
@@ -221,17 +220,24 @@ class Kernel:
         self.out_shape = out_shape
 
     def make_state(self, n: int):
-        """Per-batch-size scratch, built once per arena. Default: none."""
+        """Scratch for batches of up to ``n``: ``None``, an array, or a
+        tuple of arrays and ``None``. Default: none.
+
+        Every array has leading axis ``n``, and its contents beyond what
+        a forward overwrites do not depend on ``n``, so the ``[:m]``
+        prefix of each is the scratch for a batch of ``m``.
+        """
         return None
 
     def bind(self, ins: list[np.ndarray], out: np.ndarray,
              state) -> list[Op]:
         """The calls that compute this step from ``ins`` into ``out``.
 
-        ``ins`` and ``out`` are the arena buffers of one batch size and
-        ``state`` is :meth:`make_state`'s scratch for it. Every view the
-        step reads or writes is taken here, once; calling the returned
-        functions in order performs the step.
+        ``ins`` and ``out`` are the buffers of one batch size (prefixes
+        of the plan's buffers) and ``state`` is :meth:`make_state`'s
+        scratch cut to the same prefix. Every view the step reads or
+        writes is taken here, once; calling the returned functions in
+        order performs the step.
         """
         raise NotImplementedError
 
@@ -245,8 +251,10 @@ class _GemmConvBase(Kernel):
 
     Subclasses set ``self.wf`` (the ``(K[+1], F)`` weight matrix),
     ``self.bias`` and ``self.fold_bias`` (True = bias rides in the GEMM as
-    a ones column / extra weight row). ``state`` is
-    ``(padbuf, cols2d, cols6)``.
+    a ones column / extra weight row). ``state`` is ``(padbuf, cols)``:
+    the padding buffer (``None`` when unpadded) and the ``(N, OH*OW,
+    K[+1])`` patch matrix, whose 2-D GEMM view and 6-D patch view
+    :meth:`bind` takes.
     """
 
     def __init__(self, step: int, out_shape: Shape, layer, in_shape: Shape):
@@ -260,22 +268,22 @@ class _GemmConvBase(Kernel):
     def make_state(self, n: int):
         oh, ow, _ = self.out_shape
         k = self.kh * self.kw * self.cin
-        cols2d = np.empty((n * oh * ow, k + 1 if self.fold_bias else k),
-                          dtype=np.float32)
+        cols = np.empty((n, oh * ow, k + 1 if self.fold_bias else k),
+                        dtype=np.float32)
         if self.fold_bias:
-            cols2d[:, k] = 1.0
-        cols6 = _cols_view(cols2d, n, oh, ow, self.kh, self.kw, self.cin)
-        return (self.pad.make_buf(n, 0.0), cols2d, cols6)
+            cols[:, :, k] = 1.0
+        return (self.pad.make_buf(n, 0.0), cols)
 
     def bind(self, ins, out, state):
         oh, ow, f = self.out_shape
-        padbuf, cols2d, cols6 = state
+        padbuf, cols = state
         ops: list[Op] = []
         xs = self.pad.source(ins[0], padbuf, ops)
-        ops.append(partial(np.copyto, cols6, _patch_view(
-            xs, self.kh, self.kw, self.stride, oh, ow)))
-        ops.append(partial(np.matmul, cols2d, self.wf,
-                           out=out.reshape(-1, f)))
+        ops.append(partial(
+            np.copyto, _cols_view(cols, oh, ow, self.kh, self.kw, self.cin),
+            F.patch_view(xs, self.kh, self.kw, self.stride)))
+        ops.append(partial(np.matmul, cols.reshape(-1, cols.shape[-1]),
+                           self.wf, out=out.reshape(-1, f)))
         if self.bias is not None and not self.fold_bias:
             ops.append(partial(np.add, out, self.bias, out=out))
         return ops + self._tail(out)
@@ -375,8 +383,8 @@ class DepthwiseConvKernel(Kernel):
         ops: list[Op] = []
         xs = self.pad.source(ins[0], padbuf, ops)
         cols6 = cols.reshape(cols.shape[0], oh, ow, self.kh, self.kw, c)
-        ops.append(partial(np.copyto, cols6, _patch_view(
-            xs, self.kh, self.kw, self.stride, oh, ow)))
+        ops.append(partial(np.copyto, cols6, F.patch_view(
+            xs, self.kh, self.kw, self.stride)))
         ops.append(partial(np.einsum, "nhwkc,kc->nhwc", cols, self.wf,
                            out=out))
         if self.bias is not None:

@@ -6,10 +6,14 @@ sample), transparent plan invalidation (weight reassignment, structure
 edits, clones), and the fallback conditions (training, capture) under
 which forwards must route through the interpreted walk. It also pins the
 bound arena program: layers without a fused kernel, per-step timing over
-the flat call list, input casting and arena rebuilds.
+the flat call list, input casting and arena rebuilds. And it pins the one
+buffer set per plan: every batch size binds on prefixes of the largest
+batch's buffers, with outputs bit-identical to a fresh plan's.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +23,10 @@ from repro.nn import (
     BatchNorm,
     Conv2D,
     Dense,
+    DepthwiseConv2D,
     GlobalAvgPool,
     Layer,
+    MaxPool2D,
     Network,
     ReLU,
     Softmax,
@@ -68,6 +74,21 @@ def _net_with_fallback() -> Network:
     net.add("gap", GlobalAvgPool())
     net.add("logits", Dense(5))
     net.add("probs", Softmax())
+    return net.build(0)
+
+
+def _net_with_constant_scratch() -> Network:
+    """A net whose kernels keep batch-independent constants in scratch: a
+    conv with a folded bias (the patch matrix's ones column), an einsum
+    depthwise (a 0 padding border) and a SAME max-pool (a -inf border)."""
+    net = Network("scratch", (9, 9, 3))
+    net.add("conv", Conv2D(12, 3))
+    net.add("conv_relu", ReLU())
+    net.add("dw", DepthwiseConv2D(3))              # 12 channels: einsum
+    net.add("dw_bn", BatchNorm())
+    net.add("pool", MaxPool2D(3, stride=2, padding="same"))
+    net.add("gap", GlobalAvgPool())
+    net.add("logits", Dense(5))
     return net.build(0)
 
 
@@ -173,19 +194,37 @@ class TestCompiledExecution:
 
     def test_arenas_cached_per_batch_size(self, tiny_net):
         plan = tiny_net.compile()
-        plan.run(_batch(tiny_net, 2))
         plan.run(_batch(tiny_net, 3))
-        assert set(plan._arenas) == {2, 3}
+        buffers = plan._buffers
+        plan.run(_batch(tiny_net, 2))              # binds on 3's buffers
+        assert set(plan._arenas) == {3, 2}
+        assert plan._buffers is buffers
         assert plan.arena_bytes > 0
         a2 = plan._arenas[2]
         plan.run(_batch(tiny_net, 2))
         assert plan._arenas[2] is a2               # reused, not rebuilt
+        plan.run(_batch(tiny_net, 4))              # grows: drops bindings
+        assert set(plan._arenas) == {4}
+        assert plan._buffers is not buffers
 
     def test_arena_lru_is_bounded(self, tiny_net):
         plan = tiny_net.compile()
+        plan.run(_batch(tiny_net, CompiledNetwork.MAX_ARENAS + 2))
         for n in range(1, CompiledNetwork.MAX_ARENAS + 3):
             plan.run(_batch(tiny_net, n))
         assert len(plan._arenas) == CompiledNetwork.MAX_ARENAS
+
+    def test_arena_lru_keeps_the_recently_used_size(self, tiny_net):
+        cap = CompiledNetwork.MAX_ARENAS
+        plan = tiny_net.compile()
+        plan.run(_batch(tiny_net, cap + 2))        # every later size fits
+        for n in range(1, cap):
+            plan.run(_batch(tiny_net, n))
+        assert list(plan._arenas) == [cap + 2, *range(1, cap)]
+        plan.run(_batch(tiny_net, cap + 2))        # touch the oldest
+        plan.run(_batch(tiny_net, cap))            # evicts one to make room
+        assert cap + 2 in plan._arenas
+        assert 1 not in plan._arenas
 
     def test_run_rejects_unbatched_input(self, tiny_net):
         plan = tiny_net.compile()
@@ -198,7 +237,7 @@ class TestCompiledExecution:
         first = plan.run(x)
         for n in range(3, CompiledNetwork.MAX_ARENAS + 4):
             plan.run(_batch(tiny_net, n))
-        assert 2 not in plan._arenas               # MAX_ARENAS newer sizes
+        assert 2 not in plan._arenas               # dropped as buffers grew
         np.testing.assert_array_equal(plan.run(x), first)
         tiny_net.uncompile()
         np.testing.assert_allclose(first, tiny_net.forward(x),
@@ -242,6 +281,58 @@ class TestBoundProgram:
                                    rtol=RTOL, atol=ATOL)
         ops = dict(plan._arenas[3].steps)["neg"]
         assert len(ops) == 1                       # one copy-out call
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_every_state_array_leads_with_the_batch(self, name):
+        plan = compile_network(build_network(name).build(0))
+        for step in plan.plan.steps:
+            state = step.kernel.make_state(3)
+            bufs = state if isinstance(state, tuple) else (state,)
+            for buf in bufs:
+                if buf is not None:
+                    assert buf.shape[0] == 3, step.name
+                    assert buf.flags.c_contiguous, step.name
+
+    @pytest.mark.parametrize("sizes", [
+        [1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 1, 2, 6, 4, 5, 1]],
+        ids=["ascending", "descending", "interleaved"])
+    def test_prefix_outputs_match_a_fresh_plan(self, sizes):
+        net = _net_with_constant_scratch()
+        plan = net.compile()
+        conv, dw, pool = (s.kernel for s in plan.plan.steps[:3])
+        assert conv.fold_bias and not dw.as_gemm
+        assert pool.is_max and pool.pad.needed
+        for n in sizes:
+            x = _batch(net, n, seed=n)
+            np.testing.assert_array_equal(
+                plan.run(x), compile_network(net).run(x), err_msg=f"n={n}")
+
+    def test_arena_bytes_is_the_largest_batch_set(self):
+        net = build_network("mobilenet_v2_1.0").build(0)
+        plan = net.compile()
+        assert plan.arena_bytes == 0
+        for n in range(1, 9):
+            plan.run(_batch(net, n))
+        single = compile_network(net)
+        single.run(_batch(net, 8))
+        assert plan.arena_bytes == single.arena_bytes > 0
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_warm_forward_allocates_only_the_output(self, name):
+        # a NumPy ufunc call may buffer an operand (getbufsize() elements,
+        # freed on return): room for two float32 buffers and their headers
+        slack = 2 * np.getbufsize() * 4 + 4096
+        net = build_network(name).build(0)
+        plan = net.compile()
+        x = _batch(net, 8)
+        plan.run(x)                                # binds the arena
+        tracemalloc.start()
+        try:
+            out = plan.run(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + slack
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_timed_forward_matches_untimed(self, name):
