@@ -19,9 +19,12 @@ fastest window, so the host's speed drift lands on both sides alike
 instead of in the residual.
 
 ``arena_bytes`` is the compiled plan's activation memory after a forward
-at every batch size in BATCHES: one buffer set (input slot, arena slots
-and kernel scratch) sized for the largest batch, on whose prefixes every
-smaller batch runs.
+at every batch size in BATCHES: one buffer set (input slot, arena slots,
+kernel scratch and constant operands) sized for the largest batch, on
+whose prefixes every smaller batch runs. ``weight_bytes`` is what the
+plan's bound calls read besides activations on every forward, at any
+batch size: weights, separately added biases and per-channel affines.
+At batch 1 it is most of the bytes a forward moves.
 
 Unlike the serving benchmarks this one is real wall-clock compute
 (NumPy kernels), so absolute numbers vary across machines; the
@@ -145,6 +148,7 @@ def bench_network(name: str) -> dict:
     for batch in BATCHES:
         plan.run(np.zeros((batch,) + net.input_shape, dtype=np.float32))
     out["arena_bytes"] = plan.arena_bytes
+    out["weight_bytes"] = plan.weight_bytes
     out["allclose"] = allclose
     out["speedup"] = out["batches"]["1"]["speedup"]  # real-time headline
     out["plan_steps"] = len(plan.plan.steps)
@@ -162,6 +166,7 @@ def main() -> None:
             f"{b1['compiled_sps']:>8.1f} sps  ({b1['speedup']:.2f}x)  "
             f"unattributed {nets[name]['unattributed_ms']:.3f} ms  "
             f"arenas {nets[name]['arena_bytes'] / 2**20:.1f} MiB  "
+            f"weights {nets[name]['weight_bytes'] / 2**20:.2f} MiB  "
             f"allclose={nets[name]['allclose']}"
         )
 

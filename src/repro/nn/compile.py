@@ -30,13 +30,19 @@ input slot, calls the arena's flat list of bound calls in order and
 returns a copy of the output slot; it does no per-kernel dispatch, view
 building or allocation.
 
-The plan is validated against a cheap state signature (structure version +
-parameter/batch-norm-statistic version counters) on every use; weight
+The buffer set also holds the read-only constant operands activations
+clamp against (zeros, and sixes for ReLU6), one flat array per value the
+size of the largest slot.
+
+The plan is validated on every use against a state signature (structure
+version + parameter/batch-norm-statistic version counters); weight
 mutation through ``Parameter.value`` or ``load_state_dict`` triggers a
 transparent recompile, and ``copy()``/``subgraph()`` clones start
-uncompiled. Forward passes with ``training=True`` or ``capture=`` fall
-back to the interpreted node walk, which feature recording and gradient
-checks rely on.
+uncompiled. The check is O(1) while nothing was written: the signature
+walk over every node reruns only after the process-wide
+:func:`~repro.nn.layers.state_writes` count has moved. Forward passes
+with ``training=True`` or ``capture=`` fall back to the interpreted node
+walk, which feature recording and gradient checks rely on.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .layers import (
     ReLU,
     ReLU6,
     Softmax,
+    state_writes,
 )
 
 __all__ = [
@@ -177,9 +184,9 @@ class _Buffers:
     """A plan's one buffer set, sized for a batch of ``batch``.
 
     The input slot (value 0, which ``run`` fills), one buffer per arena
-    slot and each step's kernel state (padding borders, patch matrices).
-    Batch is the leading axis of every one, so a smaller batch runs on
-    their prefixes.
+    slot, each step's kernel state (padding borders, patch matrices) and
+    the read-only constant operands :meth:`const` hands out. Batch is the
+    leading axis of every one, so a smaller batch runs on their prefixes.
     """
 
     def __init__(self, batch: int, plan: "ExecutionPlan"):
@@ -188,10 +195,32 @@ class _Buffers:
         self.slots = {sid: np.empty((batch,) + shape, dtype=np.float32)
                       for sid, shape in plan.slot_shapes.items()}
         self.states = [step.kernel.make_state(batch) for step in plan.steps]
+        self._largest = max((buf.size for buf in self.slots.values()),
+                            default=0)
+        self.constants: dict[float, np.ndarray] = {}
+
+    def const(self, value: float, like: np.ndarray) -> np.ndarray:
+        """A read-only array shaped like ``like`` holding ``value``.
+
+        Activations clamp against these instead of a Python scalar, which
+        NumPy converts on every call and runs through a slower loop. One
+        flat array per value, the size of the largest slot, backs every
+        request as a prefix. The zeros come from ``np.zeros``, whose
+        large pages the OS maps lazily, so reading them adds little
+        resident memory.
+        """
+        flat = self.constants.get(value)
+        if flat is None:
+            flat = np.zeros(self._largest, dtype=np.float32)
+            if value:
+                flat.fill(value)
+            flat.flags.writeable = False
+            self.constants[value] = flat
+        return flat[:like.size].reshape(like.shape)
 
     @property
     def nbytes(self) -> int:
-        bufs = [self.input, *self.slots.values()]
+        bufs = [self.input, *self.slots.values(), *self.constants.values()]
         for state in self.states:
             bufs += state if isinstance(state, tuple) else [state]
         return sum(buf.nbytes for buf in bufs if buf is not None)
@@ -217,7 +246,8 @@ class _Arena:
         for step, state in zip(plan.steps, buffers.states):
             ins = [value_buf[vid] for vid in step.input_ids]
             self.steps.append((step.name, step.kernel.bind(
-                ins, value_buf[step.out_id], _prefix(state, batch))))
+                ins, value_buf[step.out_id], _prefix(state, batch),
+                buffers.const)))
         self.ops = [op for _, ops in self.steps for op in ops]
         self.output = value_buf[plan.out_value]
 
@@ -316,14 +346,33 @@ class CompiledNetwork:
         self.net = net
         self.plan = ExecutionPlan(net)
         self.signature = state_signature(net)
+        self._structure = self.signature[:3]
+        self._writes = state_writes()
         self._buffers: _Buffers | None = None
         self._arenas: dict[int, _Arena] = {}
         self._times: dict[str, list] | None = None
 
     @property
     def valid(self) -> bool:
-        """Whether the plan still matches the network's weights/structure."""
-        return self.signature == state_signature(self.net)
+        """Whether the plan still matches the network's weights/structure.
+
+        Checked on every routed forward, so it costs O(1) while nothing
+        moved: the structure triple is compared first, and the full
+        :func:`state_signature` walk runs only when the process-wide
+        :func:`~repro.nn.layers.state_writes` count moved since the last
+        check that confirmed the signature. The answer is the walk's.
+        """
+        net = self.net
+        if (net._mutation_version, len(net.nodes),
+                net.output_name) != self._structure:
+            return False
+        writes = state_writes()
+        if writes == self._writes:
+            return True
+        if state_signature(net) != self.signature:
+            return False
+        self._writes = writes
+        return True
 
     def _arena(self, batch: int) -> _Arena:
         # a hit moves to the end, so the first key is least recently used
@@ -445,10 +494,20 @@ class CompiledNetwork:
 
     @property
     def arena_bytes(self) -> int:
-        """Bytes of the plan's one buffer set: input slot, arena slots and
-        kernel scratch, sized for the largest batch run so far (0 before
-        the first forward). Every batch size runs on these buffers."""
+        """Bytes of the plan's one buffer set: input slot, arena slots,
+        kernel scratch and constant operands, sized for the largest batch
+        run so far (0 before the first forward). Every batch size runs on
+        these buffers."""
         return 0 if self._buffers is None else self._buffers.nbytes
+
+    @property
+    def weight_bytes(self) -> int:
+        """Bytes of the weight, bias and affine arrays the bound program
+        reads every forward, whatever the batch: what a batch-1 forward
+        streams besides its activations (a fallback layer's own
+        parameters are not counted)."""
+        return sum(w.nbytes for step in self.plan.steps
+                   for w in step.kernel.weights())
 
     def describe(self) -> str:
         return self.plan.describe()

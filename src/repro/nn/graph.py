@@ -131,8 +131,8 @@ class Network:
         in-place writes into a parameter's array bypass version tracking —
         call ``compile(force=True)`` (or :meth:`uncompile`) after those.
         """
-        from .compile import compile_network
         if force or self._compiled is None or not self._compiled.valid:
+            from .compile import compile_network
             self._compiled = compile_network(self)
         return self._compiled
 
@@ -149,10 +149,7 @@ class Network:
         """The compiled plan to route through, or None for the interpreter."""
         if self._compiled is None or training or capture is not None:
             return None
-        if not self._compiled.valid:
-            from .compile import compile_network
-            self._compiled = compile_network(self)
-        return self._compiled
+        return self.compile()
 
     # -- execution ---------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False,

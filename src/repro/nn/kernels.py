@@ -16,6 +16,9 @@ per-kernel Python dispatch and no allocation:
   bias becomes an extra weight row, so the GEMM emits ``x @ w + b`` in one
   call; the 1x1, dense and einsum-depthwise kernels, which have no patch
   matrix to grow, add the bias as a separate in-place call.
+- Dead taps are dropped: a SAME convolution on a 1x1 input map reads
+  data through one tap only (the one the padding aligns with the pixel),
+  so it is built as the 1x1 convolution of that tap's weights.
 - Depthwise convolutions pick their algorithm per layer at compile time:
   narrow layers (few channels) run as an im2col GEMM against a
   block-diagonal weight matrix — more FLOPs, but BLAS-speed FLOPs — while
@@ -25,8 +28,10 @@ per-kernel Python dispatch and no allocation:
   ``b' = beta + (b - mean) * gamma/sqrt(var+eps)``), so inference pays
   nothing for them. Batch norms that cannot fold (after pools, adds,
   concats, or behind an activation) become a two-pass in-place affine.
-- Activations (ReLU/ReLU6) are applied in place on the output buffer;
-  inference-time dropout disappears.
+- Activations (ReLU/ReLU6) are applied in place on the output buffer,
+  as ``np.maximum``/``np.minimum`` against read-only same-shape constant
+  arrays the plan owns (``const`` in :meth:`Kernel.bind`) rather than
+  Python scalars; inference-time dropout disappears.
 - Pooling runs as a short tap loop of ``np.maximum``/``np.add`` over
   shifted views — several times faster than an axis reduction over the
   strided patch tensor.
@@ -78,6 +83,9 @@ __all__ = ["Kernel", "KERNEL_TYPES", "build_kernel"]
 Shape = tuple[int, ...]
 #: one bound call of a compiled forward: every operand is fixed
 Op = Callable[[], object]
+#: ``const(value, like)``: a read-only array shaped like ``like`` holding
+#: ``value``, shared by every step of a plan (see ``Kernel.bind``)
+Const = Callable[[float, np.ndarray], np.ndarray]
 
 #: Channel cutoff below which a depthwise convolution runs as a
 #: block-diagonal GEMM instead of a patch einsum. The GEMM does ``C``
@@ -87,23 +95,34 @@ Op = Callable[[], object]
 DEPTHWISE_GEMM_MAX_CHANNELS = 8
 
 
-# -- post-ops (element-wise tails bound in place on the output) --------------
-# Each post-op takes the step's output buffer and returns the calls that
-# apply it in place.
+# -- element-wise ops (a fused tail in place on the output, or an anchor) ----
+# Each takes its source ``x``, the output ``out`` (``x`` itself for a
+# fused tail) and the plan's constant operands (see ``Kernel.bind``), and
+# returns the calls that compute ``out``.
 
-def _relu_ops(out: np.ndarray) -> list[Op]:
-    return [partial(np.maximum, out, 0.0, out=out)]
-
-
-def _relu6_ops(out: np.ndarray) -> list[Op]:
-    return [partial(np.clip, out, 0.0, 6.0, out=out)]
+def _relu(x: np.ndarray, out: np.ndarray, const: Const) -> list[Op]:
+    return [partial(np.maximum, x, const(0.0, out), out=out)]
 
 
-def _affine_ops(scale: np.ndarray, shift: np.ndarray):
-    def bind(out: np.ndarray) -> list[Op]:
-        return [partial(np.multiply, out, scale, out=out),
+def _relu6(x: np.ndarray, out: np.ndarray, const: Const) -> list[Op]:
+    # two ufuncs, not np.clip and its Python wrapper; the result differs
+    # from clip's only in the sign of a zero
+    return [partial(np.maximum, x, const(0.0, out), out=out),
+            partial(np.minimum, out, const(6.0, out), out=out)]
+
+
+class _Affine:
+    """Inference batch norm as a per-channel ``x * scale + shift``: a
+    tail behind an anchor it cannot fold into, or its own anchor."""
+
+    def __init__(self, scale: np.ndarray, shift: np.ndarray):
+        self.weights = (scale, shift)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray,
+                 const: Const) -> list[Op]:
+        scale, shift = self.weights
+        return [partial(np.multiply, x, scale, out=out),
                 partial(np.add, out, shift, out=out)]
-    return bind
 
 
 def _bn_affine(layer: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
@@ -134,11 +153,11 @@ def _tail_ops(layers: list, foldable: bool):
                 else:
                     scale, shift = scale * s, shift * s + t
             else:
-                postops.append(_affine_ops(s, t))
+                postops.append(_Affine(s, t))
         elif isinstance(lay, ReLU):
-            postops.append(_relu_ops)
+            postops.append(_relu)
         elif isinstance(lay, ReLU6):
-            postops.append(_relu6_ops)
+            postops.append(_relu6)
         elif isinstance(lay, Dropout):
             continue  # identity at inference
         else:  # pragma: no cover - fuse_kernels only groups known types
@@ -229,21 +248,29 @@ class Kernel:
         """
         return None
 
-    def bind(self, ins: list[np.ndarray], out: np.ndarray,
-             state) -> list[Op]:
+    def bind(self, ins: list[np.ndarray], out: np.ndarray, state,
+             const: Const) -> list[Op]:
         """The calls that compute this step from ``ins`` into ``out``.
 
         ``ins`` and ``out`` are the buffers of one batch size (prefixes
         of the plan's buffers) and ``state`` is :meth:`make_state`'s
-        scratch cut to the same prefix. Every view the step reads or
-        writes is taken here, once; calling the returned functions in
-        order performs the step.
+        scratch cut to the same prefix. ``const(value, like)`` returns a
+        read-only array shaped like ``like`` that holds ``value``, owned
+        by the plan: an activation clamps against it, because a ufunc on
+        two same-shape operands is faster than one on an array and a
+        Python scalar. Every view the step reads or writes is taken here,
+        once; calling the returned functions in order performs the step.
         """
         raise NotImplementedError
 
-    def _tail(self, out: np.ndarray) -> list[Op]:
+    def weights(self) -> list[np.ndarray]:
+        """The constant arrays the bound calls read every forward: GEMM
+        weights, a bias added by its own call, per-channel affines."""
+        return [w for op in self.postops for w in getattr(op, "weights", ())]
+
+    def _tail(self, out: np.ndarray, const: Const) -> list[Op]:
         """The fused post-ops, bound in place on ``out``, in order."""
-        return [op for bind in self.postops for op in bind(out)]
+        return [op for bind in self.postops for op in bind(out, out, const)]
 
 
 class _GemmConvBase(Kernel):
@@ -274,7 +301,7 @@ class _GemmConvBase(Kernel):
             cols[:, :, k] = 1.0
         return (self.pad.make_buf(n, 0.0), cols)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         oh, ow, f = self.out_shape
         padbuf, cols = state
         ops: list[Op] = []
@@ -286,18 +313,38 @@ class _GemmConvBase(Kernel):
                            self.wf, out=out.reshape(-1, f)))
         if self.bias is not None and not self.fold_bias:
             ops.append(partial(np.add, out, self.bias, out=out))
-        return ops + self._tail(out)
+        return ops + self._tail(out, const)
+
+    def weights(self):
+        # a folded bias is the weight matrix's last row
+        bias = [] if self.bias is None or self.fold_bias else [self.bias]
+        return [self.wf, *bias, *Kernel.weights(self)]
 
 
 class ConvKernel(_GemmConvBase):
-    """Conv2D anchor: im2col/GEMM with folded BN and in-place activation."""
+    """Conv2D anchor: im2col/GEMM with folded BN and in-place activation.
+
+    On a 1x1 input map every output pixel reads only tap ``(ph[0],
+    pw[0])``, where the SAME padding places the one input pixel; the other
+    taps multiply padding. Such a conv is built as the 1x1, stride-1,
+    unpadded conv it equals, with that tap's ``(C_in, F)`` weights, and
+    runs the ``fast_1x1`` path: no padding copy, no patch matrix, and a
+    GEMM ``kh*kw`` times narrower.
+    """
 
     def __init__(self, step: int, out_shape: Shape, layer: Conv2D,
                  in_shape: Shape, tail: list):
         _GemmConvBase.__init__(self, step, out_shape, layer, in_shape)
         self.filters = layer.filters
         scale, shift, self.postops = _tail_ops(tail, foldable=True)
-        w = layer.params["w"].value.reshape(-1, self.filters)
+        w = layer.params["w"].value
+        if self.pad.in_hw == (1, 1):
+            # dead-tap elimination: keep the one tap that reads data
+            ph, pw = self.pad.ph[0], self.pad.pw[0]
+            w = w[ph:ph + 1, pw:pw + 1]
+            self.kh = self.kw = self.stride = 1
+            self.pad = _PadPlan(in_shape, (1, 1), 1, "valid")
+        w = w.reshape(-1, self.filters)
         wf = np.ascontiguousarray(w if scale is None else w * scale,
                                   dtype=np.float32)
         self.bias = _fold_bias(layer, scale, shift)
@@ -316,9 +363,9 @@ class ConvKernel(_GemmConvBase):
             return np.empty((n, oh, ow, self.cin), dtype=np.float32)
         return None
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         if not self.fast_1x1:
-            return _GemmConvBase.bind(self, ins, out, state)
+            return _GemmConvBase.bind(self, ins, out, state, const)
         _, _, f = self.out_shape
         src = ins[0]
         ops: list[Op] = []
@@ -330,7 +377,7 @@ class ConvKernel(_GemmConvBase):
                            out=out.reshape(-1, f)))
         if self.bias is not None:
             ops.append(partial(np.add, out, self.bias, out=out))
-        return ops + self._tail(out)
+        return ops + self._tail(out, const)
 
 
 class DepthwiseConvKernel(Kernel):
@@ -375,9 +422,9 @@ class DepthwiseConvKernel(Kernel):
         cols = np.empty((n, oh, ow, self.kh * self.kw, c), dtype=np.float32)
         return (self.pad.make_buf(n, 0.0), cols)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         if self.as_gemm:
-            return _GemmConvBase.bind(self, ins, out, state)
+            return _GemmConvBase.bind(self, ins, out, state, const)
         oh, ow, c = self.out_shape
         padbuf, cols = state
         ops: list[Op] = []
@@ -389,7 +436,9 @@ class DepthwiseConvKernel(Kernel):
                            out=out))
         if self.bias is not None:
             ops.append(partial(np.add, out, self.bias, out=out))
-        return ops + self._tail(out)
+        return ops + self._tail(out, const)
+
+    weights = _GemmConvBase.weights
 
 
 class DenseKernel(Kernel):
@@ -406,12 +455,16 @@ class DenseKernel(Kernel):
                                        dtype=np.float32)
         self.bias = _fold_bias(layer, scale, shift)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         ops: list[Op] = [partial(np.matmul, ins[0].reshape(-1, self.d),
                                  self.wf, out=out.reshape(-1, self.units))]
         if self.bias is not None:
             ops.append(partial(np.add, out, self.bias, out=out))
-        return ops + self._tail(out)
+        return ops + self._tail(out, const)
+
+    def weights(self):
+        bias = [] if self.bias is None else [self.bias]
+        return [self.wf, *bias, *Kernel.weights(self)]
 
 
 class PoolKernel(Kernel):
@@ -430,7 +483,7 @@ class PoolKernel(Kernel):
     def make_state(self, n: int):
         return self.pad.make_buf(n, -np.inf if self.is_max else 0.0)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         ops: list[Op] = []
         xs = self.pad.source(ins[0], state, ops)
         oh, ow, _ = self.out_shape
@@ -443,7 +496,7 @@ class PoolKernel(Kernel):
         ops += [partial(reduce, out, tap, out=out) for tap in taps[1:]]
         if not self.is_max:
             ops.append(partial(np.multiply, out, 1.0 / (p * p), out=out))
-        return ops + self._tail(out)
+        return ops + self._tail(out, const)
 
 
 class GlobalAvgPoolKernel(Kernel):
@@ -451,12 +504,12 @@ class GlobalAvgPoolKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         # ``ndarray.mean``'s own two calls, without its Python wrapper
         x = ins[0]
         return [partial(np.add.reduce, x, axis=(1, 2), out=out),
                 partial(np.true_divide, out, x.shape[1] * x.shape[2],
-                        out=out)] + self._tail(out)
+                        out=out)] + self._tail(out, const)
 
 
 class FlattenKernel(Kernel):
@@ -464,10 +517,10 @@ class FlattenKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         n = out.shape[0]
         return ([partial(np.copyto, out.reshape(n, -1), ins[0].reshape(n, -1))]
-                + self._tail(out))
+                + self._tail(out, const))
 
 
 class SoftmaxKernel(Kernel):
@@ -479,7 +532,7 @@ class SoftmaxKernel(Kernel):
         # one keepdims row buffer: the row max, then the row sum
         return np.empty((n,) + self.out_shape[:-1] + (1,), dtype=np.float32)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         x = ins[0]
         return [partial(np.maximum.reduce, x, axis=-1, keepdims=True,
                         out=state),
@@ -488,7 +541,7 @@ class SoftmaxKernel(Kernel):
                 partial(np.add.reduce, out, axis=-1, keepdims=True,
                         out=state),
                 partial(np.true_divide, out, state, out=out),
-                ] + self._tail(out)
+                ] + self._tail(out, const)
 
 
 class AddKernel(Kernel):
@@ -496,14 +549,14 @@ class AddKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         if len(ins) == 1:
             ops: list[Op] = [partial(np.copyto, out, ins[0])]
         else:
             ops = [partial(np.add, ins[0], ins[1], out=out)]
             ops += [partial(np.add, out, extra, out=out)
                     for extra in ins[2:]]
-        return ops + self._tail(out)
+        return ops + self._tail(out, const)
 
 
 class ConcatKernel(Kernel):
@@ -511,9 +564,9 @@ class ConcatKernel(Kernel):
         super().__init__(step, out_shape)
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         return ([partial(np.concatenate, tuple(ins), axis=-1, out=out)]
-                + self._tail(out))
+                + self._tail(out, const))
 
 
 class BatchNormKernel(Kernel):
@@ -521,12 +574,14 @@ class BatchNormKernel(Kernel):
 
     def __init__(self, step, out_shape, layer, in_shape, tail):
         super().__init__(step, out_shape)
-        self.scale, self.shift = _bn_affine(layer)
+        self.affine = _Affine(*_bn_affine(layer))
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def bind(self, ins, out, state):
-        return [partial(np.multiply, ins[0], self.scale, out=out),
-                partial(np.add, out, self.shift, out=out)] + self._tail(out)
+    def bind(self, ins, out, state, const):
+        return self.affine(ins[0], out, const) + self._tail(out, const)
+
+    def weights(self):
+        return [*self.affine.weights, *Kernel.weights(self)]
 
 
 class ActivationKernel(Kernel):
@@ -535,22 +590,18 @@ class ActivationKernel(Kernel):
     def __init__(self, step, out_shape, layer, in_shape, tail):
         super().__init__(step, out_shape)
         if isinstance(layer, ReLU6):
-            self.mode = "relu6"
+            self.act = _relu6
         elif isinstance(layer, ReLU):
-            self.mode = "relu"
+            self.act = _relu
         else:
-            self.mode = "copy"  # inference-time dropout
+            self.act = None  # inference-time dropout: a copy
         _, _, self.postops = _tail_ops(tail, foldable=False)
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         x = ins[0]
-        if self.mode == "relu":
-            op = partial(np.maximum, x, 0.0, out=out)
-        elif self.mode == "relu6":
-            op = partial(np.clip, x, 0.0, 6.0, out=out)
-        else:
-            op = partial(np.copyto, out, x)
-        return [op] + self._tail(out)
+        ops = ([partial(np.copyto, out, x)] if self.act is None
+               else self.act(x, out, const))
+        return ops + self._tail(out, const)
 
 
 class FallbackKernel(Kernel):
@@ -571,7 +622,7 @@ class FallbackKernel(Kernel):
             raise TypeError("cannot fuse a tail behind an unknown anchor")
         self.layer = layer
 
-    def bind(self, ins, out, state):
+    def bind(self, ins, out, state, const):
         layer = self.layer
 
         def op():

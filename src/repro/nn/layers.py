@@ -48,9 +48,28 @@ __all__ = [
     "Add",
     "Concat",
     "WEIGHTED_TYPES",
+    "state_writes",
 ]
 
 Shape = tuple[int, ...]
+
+_state_writes = 0
+
+
+def state_writes() -> int:
+    """How many writes a compiled plan snapshots this process has made.
+
+    Every ``Parameter.value`` assignment and every batch-norm running
+    statistics update adds one, on any network. A plan whose last
+    confirmed check saw the current count has seen no such write since,
+    so it need not re-walk its network (see ``CompiledNetwork.valid``).
+    """
+    return _state_writes
+
+
+def _count_write() -> None:
+    global _state_writes
+    _state_writes += 1
 
 
 class Parameter:
@@ -58,9 +77,11 @@ class Parameter:
 
     Assignments through :attr:`value` bump :attr:`version`, which the
     compiled forward path (:mod:`repro.nn.compile`) uses to detect weight
-    mutation and invalidate cached execution plans. Augmented updates
-    (``p.value -= g``) go through the setter too; only raw in-place writes
-    into the array (``p.value[...] = x``) escape it.
+    mutation and invalidate cached execution plans, and the process-wide
+    :func:`state_writes` count, which tells a plan whether any weight
+    anywhere moved since its last check. Augmented updates (``p.value -=
+    g``) go through the setter too; only raw in-place writes into the
+    array (``p.value[...] = x``) escape both.
 
     The gradient buffer is allocated on first read of :attr:`grad`, and a
     copy starts without one (every training step zeroes it first), so a
@@ -94,6 +115,7 @@ class Parameter:
     def value(self, v: np.ndarray) -> None:
         self._value = np.asarray(v, dtype=np.float32)
         self.version += 1
+        _count_write()
 
     @property
     def size(self) -> int:
@@ -462,6 +484,7 @@ class BatchNorm(Layer):
             self.running_mean = m * self.running_mean + (1 - m) * mean
             self.running_var = m * self.running_var + (1 - m) * var
             self.stats_version += 1
+            _count_write()
         else:
             mean, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)

@@ -8,7 +8,10 @@ which forwards must route through the interpreted walk. It also pins the
 bound arena program: layers without a fused kernel, per-step timing over
 the flat call list, input casting and arena rebuilds. And it pins the one
 buffer set per plan: every batch size binds on prefixes of the largest
-batch's buffers, with outputs bit-identical to a fresh plan's.
+batch's buffers, with outputs bit-identical to a fresh plan's. Dead-tap
+elimination (SAME convs on a 1x1 map keep their one live tap), the shared
+read-only constant operands and the O(1) validity gate have their own
+classes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import make_tiny_net
 
 from repro.nn import (
     Add,
@@ -29,8 +33,10 @@ from repro.nn import (
     MaxPool2D,
     Network,
     ReLU,
+    ReLU6,
     Softmax,
 )
+from repro.nn import compile as compile_module
 from repro.nn.compile import (
     ANCHOR_TYPES,
     FUSABLE_TYPES,
@@ -90,6 +96,50 @@ def _net_with_constant_scratch() -> Network:
     net.add("gap", GlobalAvgPool())
     net.add("logits", Dense(5))
     return net.build(0)
+
+
+def _one_pixel_net(variant: str) -> Network:
+    """A SAME 3x3 conv on a 1x1 map, where 8 of its 9 taps read padding,
+    in one of the variants ``ONE_PIXEL_VARIANTS`` names."""
+    conv = {"stride1": Conv2D(5, 3, use_bias=False),
+            "stride2": Conv2D(5, 3, stride=2, use_bias=False),
+            "bias": Conv2D(5, 3),
+            "bn_relu": Conv2D(5, 3, use_bias=False),
+            "relu6": Conv2D(5, 3)}[variant]
+    net = Network(f"one_pixel_{variant}", (1, 1, 6))
+    net.add("conv", conv)
+    if variant == "bn_relu":
+        net.add("bn", BatchNorm())
+        net.add("relu", ReLU())
+    elif variant == "relu6":
+        net.add("relu6", ReLU6())
+    net.build(0)
+    rng = np.random.default_rng(1)
+    if variant == "bn_relu":
+        bn = net.nodes["bn"].layer
+        bn.params["gamma"].value = rng.uniform(0.5, 2.0, 5)
+        bn.params["beta"].value = rng.standard_normal(5)
+        bn.running_mean = rng.standard_normal(5).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, 5).astype(np.float32)
+    return net
+
+
+ONE_PIXEL_VARIANTS = ("stride1", "stride2", "bias", "bn_relu", "relu6")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The networks ``state_signature`` walked, as the compiled path calls
+    it, from here on."""
+    walked = []
+    real = compile_module.state_signature
+
+    def counting(net):
+        walked.append(net)
+        return real(net)
+
+    monkeypatch.setattr(compile_module, "state_signature", counting)
+    return walked
 
 
 class TestFusionDuality:
@@ -350,6 +400,111 @@ class TestBoundProgram:
             assert all(calls == 1 for calls, _ in times.values())
             arena = plan._arenas[n]
             assert [op for _, ops in arena.steps for op in ops] == arena.ops
+
+
+class TestDeadTaps:
+    """A SAME conv on a 1x1 map runs as the 1x1 conv of its one live tap."""
+
+    @pytest.mark.parametrize("variant", ONE_PIXEL_VARIANTS)
+    def test_one_pixel_conv_keeps_only_the_live_tap(self, variant):
+        net = _one_pixel_net(variant)
+        # inputs wide enough that the ReLU6 tail clamps at both ends
+        batches = {n: 8 * _batch(net, n, seed=n) for n in (1, 2, 3)}
+        interp = {n: net.forward(x) for n, x in batches.items()}
+        plan = net.compile()
+        for n in (1, 2, 3, 3, 2, 1):
+            np.testing.assert_allclose(
+                net.forward(batches[n]), interp[n], rtol=RTOL, atol=ATOL,
+                err_msg=f"{variant} n={n}")
+        if variant == "relu6":
+            assert (interp[3] == 6.0).any() and (interp[3] == 0.0).any()
+        kernel = plan.plan.steps[0].kernel
+        assert kernel.fast_1x1
+        assert kernel.wf.shape == (6, 5)           # (C_in, F), one tap
+        assert kernel.make_state(3) is None        # no padding, no patches
+        has_bias = variant in ("bias", "bn_relu", "relu6")
+        assert plan.weight_bytes == 4 * (6 * 5 + 5 * has_bias)
+
+
+class TestConstantOperands:
+    """Activations clamp against read-only same-shape constants."""
+
+    @pytest.mark.parametrize("name", ["resnet50", "mobilenet_v2_1.0"])
+    def test_constants_are_read_only_and_counted(self, name):
+        net = build_network(name).build(0)
+        plan = net.compile()
+        plan.run(_batch(net, 3))
+        buffers = plan._buffers
+        largest = max(buf.size for buf in buffers.slots.values())
+        clamps = {0.0, 6.0} if name.startswith("mobilenet_v2") else {0.0}
+        assert set(buffers.constants) == clamps
+        for value, flat in buffers.constants.items():
+            assert not flat.flags.writeable
+            assert flat.size == largest
+            assert (flat == value).all()
+        consts = sum(flat.nbytes for flat in buffers.constants.values())
+        unbound = compile_module._Buffers(3, plan.plan)  # no constants yet
+        assert plan.arena_bytes == unbound.nbytes + consts
+
+    def test_relu6_anchor_and_tail_match_the_interpreter(self):
+        net = Network("relu6", (8, 8, 3))
+        net.add("conv", Conv2D(8, 3))
+        net.add("tail", ReLU6())                   # fused behind conv
+        net.add("conv2", Conv2D(8, 1))
+        net.add("anchor", ReLU6())                 # conv2 has fan-out
+        net.add("out", Add(), inputs=["anchor", "conv2"])
+        net.build(0)
+        plan = net.compile()
+        for n in (2, 16):
+            x = 8 * _batch(net, n, seed=n)
+            out = plan.run(x)
+            net.uncompile()
+            interp, acts = net.forward(x, capture=["tail", "anchor"])
+            np.testing.assert_allclose(out, interp, rtol=RTOL, atol=ATOL)
+            assert all((a == 6.0).any() for a in acts.values())
+            plan = net.compile()
+
+
+class TestValidityGate:
+    """A plan re-walks its network only when a tracked write happened."""
+
+    def test_unchanged_plan_never_walks(self, tiny_net, monkeypatch):
+        plan = tiny_net.compile()
+        x = _batch(tiny_net, 2)
+        expected = plan.run(x)
+
+        def walk(net):
+            raise AssertionError("state_signature walked an unchanged plan")
+
+        monkeypatch.setattr(compile_module, "state_signature", walk)
+        np.testing.assert_array_equal(tiny_net.forward(x), expected)
+        assert tiny_net.compile() is plan
+
+    def test_write_on_another_network_walks_once(self, tiny_net, walks):
+        other = make_tiny_net("other")
+        plan = tiny_net.compile()
+        assert walks == [tiny_net]                 # the compile's snapshot
+        p = other.nodes["logits"].layer.params["w"]
+        p.value = p.value * 0.5
+        assert plan.valid
+        assert walks == [tiny_net] * 2
+        assert plan.valid and tiny_net.compile() is plan
+        assert walks == [tiny_net] * 2             # confirmed: no new walk
+
+    def test_structure_edit_invalidates_without_a_walk(self, tiny_net,
+                                                       walks):
+        plan = tiny_net.compile()
+        stats = {k: v + 1.0 for k, v in tiny_net.state_dict().items()
+                 if k.endswith(("running_mean", "running_var"))}
+        tiny_net.load_state_dict(stats, strict=False)  # no Parameter write
+        assert not plan.valid
+        assert walks == [tiny_net]                 # the triple decided
+        x = _batch(tiny_net, 2)
+        compiled = tiny_net.forward(x)             # recompiles
+        assert tiny_net._compiled is not plan
+        tiny_net.uncompile()
+        np.testing.assert_allclose(compiled, tiny_net.forward(x),
+                                   rtol=RTOL, atol=ATOL)
 
 
 class TestPlanInvalidation:
