@@ -6,7 +6,7 @@
 # 148-TRN exploration — minutes of work with tight tolerances — so they
 # stay out of the smoke run; this covers the serve, cluster, obs and
 # faults and workload benchmarks, all seeded and wall-clock-independent,
-# then emits BENCH_serve.json, BENCH_workload.json, BENCH_forward.json and
+# and emits BENCH_serve.json, BENCH_workload.json, BENCH_forward.json and
 # BENCH_builders.json at the repo root so the perf trajectory accumulates
 # commit over commit.
 # (BENCH_forward.json is real wall-clock NumPy compute — its speedup and
@@ -22,6 +22,11 @@
 # by prefix, so a cached run could serve rungs an older commit built.
 # BENCH_builders.json then pins builder and serving outcomes like the
 # other virtual-time payloads.
+#
+# The payloads are regenerated and archived first and the pytest subset
+# runs last: one failed wall-clock assert there must not leave stale
+# payloads for the byte-identity check and the gate that follow. The
+# script exits with the subset's status.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,16 +35,6 @@ REPRO_RUNSTORE="${REPRO_RUNSTORE:-RUNSTORE.sqlite}"
 export REPRO_RUNSTORE
 REPRO_CACHE_DIR="${REPRO_CACHE_DIR:-$HOME/.cache/repro-netcut}"
 export REPRO_CACHE_DIR
-
-PYTHONHASHSEED=random PYTHONPATH=src python -m pytest \
-    benchmarks/test_serve_throughput.py \
-    benchmarks/test_cluster_scaleout.py \
-    benchmarks/test_obs_overhead.py \
-    benchmarks/test_faults_chaos.py \
-    benchmarks/test_netcut_online.py \
-    benchmarks/test_workload_slo.py \
-    benchmarks/test_builder_bakeoff.py \
-    -q --benchmark-disable "$@"
 
 PYTHONPATH=src python scripts/bench_serve.py --store "$REPRO_RUNSTORE"
 PYTHONPATH=src python scripts/bench_workload.py
@@ -64,3 +59,15 @@ with RunStore(os.environ["REPRO_RUNSTORE"]) as store:
 print(f"archived {len(payloads)} BENCH payloads as run #{run_id} "
       f"in {os.environ['REPRO_RUNSTORE']}")
 EOF
+
+status=0
+PYTHONHASHSEED=random PYTHONPATH=src python -m pytest \
+    benchmarks/test_serve_throughput.py \
+    benchmarks/test_cluster_scaleout.py \
+    benchmarks/test_obs_overhead.py \
+    benchmarks/test_faults_chaos.py \
+    benchmarks/test_netcut_online.py \
+    benchmarks/test_workload_slo.py \
+    benchmarks/test_builder_bakeoff.py \
+    -q --benchmark-disable "$@" || status=$?
+exit "$status"

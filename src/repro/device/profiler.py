@@ -80,7 +80,6 @@ class LatencyTable:
 
 def profile_network(net: Network, spec: DeviceSpec,
                     rng: np.random.Generator | int | None = None,
-                    fused: bool = True, precision: str = "fp32",
                     profile_runs: int = 100) -> LatencyTable:
     """Profile a network: per-kernel table + end-to-end measurement.
 
@@ -90,7 +89,7 @@ def profile_network(net: Network, spec: DeviceSpec,
     if rng is None:
         rng = stable_seed("profile", net.name, spec.name)
     rng = np.random.default_rng(rng)
-    breakdown = network_latency(net, spec, fused=fused, precision=precision)
+    breakdown = network_latency(net, spec)
     records = []
     overhead = spec.event_overhead_ms()
     for kernel in breakdown.kernels:
@@ -98,7 +97,6 @@ def profile_network(net: Network, spec: DeviceSpec,
         recorded = (kernel.latency_ms + overhead) * max(noise, 0.5)
         records.append(LayerRecord(kernel.anchor, kernel.node_names,
                                    float(recorded)))
-    measured = measure_latency(net, spec, rng=rng, fused=fused,
-                               precision=precision, breakdown=breakdown)
+    measured = measure_latency(net, spec, rng=rng, breakdown=breakdown)
     return LatencyTable(net.name, spec.name, tuple(records),
                         measured.mean_ms)

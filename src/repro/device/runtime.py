@@ -60,7 +60,6 @@ def sample_runs(base_ms: float, n: int, spec: DeviceSpec,
 def measure_latency(net: Network, spec: DeviceSpec,
                     rng: np.random.Generator | int | None = None,
                     warmup: int = 200, runs: int = 800,
-                    fused: bool = True, precision: str = "fp32",
                     breakdown: LatencyBreakdown | None = None
                     ) -> MeasurementResult:
     """Measure a network with the paper's protocol (200 warm-up + 800 runs).
@@ -75,7 +74,7 @@ def measure_latency(net: Network, spec: DeviceSpec,
         rng = stable_seed(net.name, spec.name)
     rng = np.random.default_rng(rng)
     if breakdown is None:
-        breakdown = network_latency(net, spec, fused=fused, precision=precision)
+        breakdown = network_latency(net, spec)
     base = breakdown.total_ms
     _ = sample_runs(base, warmup, spec, rng, start_run=0)
     samples = sample_runs(base, runs, spec, rng, start_run=warmup)
@@ -97,12 +96,9 @@ class ServiceTimeSampler:
     """
 
     def __init__(self, net: Network, spec: DeviceSpec,
-                 rng: np.random.Generator | int = 0,
-                 fused: bool = True, precision: str = "fp32"):
+                 rng: np.random.Generator | int = 0):
         self.net = net
         self.spec = spec
-        self.fused = fused
-        self.precision = precision
         self._base_ms: dict[int, float] = {}
         self.reseed(rng)
 
@@ -125,8 +121,7 @@ class ServiceTimeSampler:
         """Noise-free latency of one batched inference (cached)."""
         if batch_size not in self._base_ms:
             self._base_ms[batch_size] = network_latency(
-                self.net, self.spec, fused=self.fused,
-                precision=self.precision, batch_size=batch_size).total_ms
+                self.net, self.spec, batch_size=batch_size).total_ms
         return self._base_ms[batch_size]
 
     def sample_ms(self, batch_size: int = 1) -> float:

@@ -203,10 +203,5 @@ class FaultedRung:
             raise RungFailureError(self.name)
         return self._rung.forward(samples)
 
-    def forward_one(self, x):
-        if self._injector.fails(self.name):
-            raise RungFailureError(self.name)
-        return self._rung.forward_one(x)
-
     def __repr__(self) -> str:
         return f"FaultedRung({self._rung!r})"

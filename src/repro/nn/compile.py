@@ -17,7 +17,9 @@ Compilation (:func:`compile_network`, or :meth:`Network.compile
    assignment, so activation buffers are reused both across steps (a slot
    freed by its last consumer is recycled for a later output of the same
    shape) and across calls (one buffer set persists between forwards),
-3. every step gets a fused kernel from :mod:`repro.nn.kernels`.
+3. every step gets a fused kernel from :mod:`repro.nn.kernels`, picked
+   by the anchor's exact layer type and geometry; a layer type with no
+   kernel raises ``TypeError`` here.
 
 A compiled network keeps one buffer set, sized for the largest batch it
 has run: an input slot (the network input, value 0), the output slots
@@ -272,12 +274,12 @@ class ExecutionPlan:
         node_value = {"input": 0}
         self.steps: list[_Step] = []
         self.num_values = 1
-        for i, group in enumerate(groups):
+        for group in groups:
             anchor = net.nodes[group.anchor]
             tail = [net.nodes[name].layer for name in group.node_names[1:]]
             in_shape = net.in_shapes(anchor.name)[0]
             out_shape = net.shape_of(group.node_names[-1])
-            kernel = build_kernel(i, anchor.layer, tail, in_shape, out_shape)
+            kernel = build_kernel(anchor.layer, tail, in_shape, out_shape)
             input_ids = [node_value[d] for d in anchor.inputs] or [0]
             out_id = self.num_values
             self.num_values += 1
@@ -504,8 +506,7 @@ class CompiledNetwork:
     def weight_bytes(self) -> int:
         """Bytes of the weight, bias and affine arrays the bound program
         reads every forward, whatever the batch: what a batch-1 forward
-        streams besides its activations (a fallback layer's own
-        parameters are not counted)."""
+        streams besides its activations."""
         return sum(w.nbytes for step in self.plan.steps
                    for w in step.kernel.weights())
 

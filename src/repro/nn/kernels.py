@@ -1,40 +1,51 @@
 """Fused NumPy compute kernels for the compiled forward path.
 
-Each kernel computes one :class:`~repro.nn.compile.KernelGroup` — an anchor
-layer plus the element-wise layers fused behind it. A kernel is bound, not
-run: :meth:`Kernel.bind` turns it, once per arena, into a short list of
-zero-argument NumPy calls (``functools.partial`` objects) whose input,
-output and scratch buffers, and every view over them, are fixed at bind
-time. A compiled forward is then a flat walk over those calls, with no
-per-kernel Python dispatch and no allocation:
+Each kernel computes one :class:`~repro.nn.compile.KernelGroup`: an
+*anchor* layer plus the *tail* of element-wise layers fused behind it.
+:func:`build_kernel` picks one class per algorithm from the anchor's
+exact layer type and geometry:
 
-- Convolutions run as im2col/GEMM with the patch matrix written into a
-  preallocated scratch buffer and the GEMM accumulating straight into the
-  output arena slot. 1x1 convolutions skip im2col entirely (a reshape is
-  already the GEMM operand). When a bias exists (or a batch norm folded
-  into one), the im2col patch matrix grows a constant ones column and the
-  bias becomes an extra weight row, so the GEMM emits ``x @ w + b`` in one
-  call; the 1x1, dense and einsum-depthwise kernels, which have no patch
-  matrix to grow, add the bias as a separate in-place call.
-- Dead taps are dropped: a SAME convolution on a 1x1 input map reads
-  data through one tap only (the one the padding aligns with the pixel),
-  so it is built as the 1x1 convolution of that tap's weights.
-- Depthwise convolutions pick their algorithm per layer at compile time:
-  narrow layers (few channels) run as an im2col GEMM against a
-  block-diagonal weight matrix — more FLOPs, but BLAS-speed FLOPs — while
-  wide layers run a per-tap einsum over the patch tensor.
-- Batch-norm layers that directly follow a conv/dense anchor are *folded
-  into the weights* at compile time (``w' = w * gamma/sqrt(var+eps)``,
-  ``b' = beta + (b - mean) * gamma/sqrt(var+eps)``), so inference pays
-  nothing for them. Batch norms that cannot fold (after pools, adds,
-  concats, or behind an activation) become a two-pass in-place affine.
-- Activations (ReLU/ReLU6) are applied in place on the output buffer,
-  as ``np.maximum``/``np.minimum`` against read-only same-shape constant
-  arrays the plan owns (``const`` in :meth:`Kernel.bind`) rather than
-  Python scalars; inference-time dropout disappears.
-- Pooling runs as a short tap loop of ``np.maximum``/``np.add`` over
-  shifted views — several times faster than an axis reduction over the
-  strided patch tensor.
+- :class:`GemmKernel`, ``x @ W (+ b)`` on the input as it lies: dense
+  layers, 1x1 convolutions (a strided one first copies every
+  ``stride``-th pixel) and SAME convolutions on a 1x1 map. Such a
+  convolution reads data through one tap only (the one the padding
+  aligns with the pixel), so it is the 1x1 convolution of that tap's
+  weights: the other taps are dead.
+- :class:`Im2colKernel`, im2col then one GEMM: kxk convolutions, and
+  depthwise convolutions of at most ``DEPTHWISE_GEMM_MAX_CHANNELS``
+  channels against a block-diagonal weight (more FLOPs, but BLAS-speed
+  FLOPs). The patch matrix grows a constant ones column and the weight a
+  bias row, so the GEMM emits ``x @ W + b`` in one call.
+- :class:`DepthwiseEinsumKernel`, wider depthwise convolutions: a
+  per-tap einsum over the patch tensor.
+- :class:`PoolKernel`, max/average pooling as a short tap loop of
+  ``np.maximum``/``np.add`` over shifted views, several times faster
+  than an axis reduction over the strided patch tensor; and one small
+  class each for global average pooling, flatten, softmax, add and
+  concat.
+- :class:`ElementwiseKernel`, a batch norm, ReLU, ReLU6 or dropout that
+  anchors its own group because its producer's output has other
+  consumers. It binds the same op a tail binds.
+
+Batch norms that directly follow a conv or dense anchor are *folded into
+its weights* once, in :func:`build_kernel` (``w' = w * gamma/sqrt(var +
+eps)``, ``b' = beta + (b - mean) * gamma/sqrt(var + eps)``), so inference
+pays nothing for them. The rest of a tail runs in place on the output, in
+order: a batch norm that cannot fold as a two-call affine, ReLU/ReLU6 as
+``np.maximum``/``np.minimum`` against read-only same-shape constant
+arrays the plan owns (``const`` in :meth:`Kernel.bind`) rather than
+Python scalars. Inference-time dropout disappears. A GEMM with no patch
+matrix to carry its bias adds it by one in-place call ahead of the tail.
+Dispatch is on the exact type, so a subclass of a layer type is never
+compiled as its base: a layer type with no kernel raises ``TypeError``
+when the plan is built.
+
+A kernel is bound, not run: :meth:`Kernel.bind` turns it, once per
+arena, into a short list of zero-argument NumPy calls
+(``functools.partial`` objects) whose input, output and scratch buffers,
+and every view over them, are fixed at bind time. A compiled forward is
+then a flat walk over those calls, with no per-kernel Python dispatch and
+no allocation.
 
 Kernels are *stateless across batch sizes*: all scratch (padding borders,
 patch matrices, softmax row reductions) lives in the state built by
@@ -78,7 +89,7 @@ from .layers import (
     Softmax,
 )
 
-__all__ = ["Kernel", "KERNEL_TYPES", "build_kernel"]
+__all__ = ["Kernel", "build_kernel"]
 
 Shape = tuple[int, ...]
 #: one bound call of a compiled forward: every operand is fixed
@@ -98,7 +109,8 @@ DEPTHWISE_GEMM_MAX_CHANNELS = 8
 # -- element-wise ops (a fused tail in place on the output, or an anchor) ----
 # Each takes its source ``x``, the output ``out`` (``x`` itself for a
 # fused tail) and the plan's constant operands (see ``Kernel.bind``), and
-# returns the calls that compute ``out``.
+# returns the calls that compute ``out``. An op with constant arrays of
+# its own lists them as ``weights``.
 
 def _relu(x: np.ndarray, out: np.ndarray, const: Const) -> list[Op]:
     return [partial(np.maximum, x, const(0.0, out), out=out)]
@@ -109,6 +121,12 @@ def _relu6(x: np.ndarray, out: np.ndarray, const: Const) -> list[Op]:
     # from clip's only in the sign of a zero
     return [partial(np.maximum, x, const(0.0, out), out=out),
             partial(np.minimum, out, const(6.0, out), out=out)]
+
+
+def _identity(x: np.ndarray, out: np.ndarray, const: Const) -> list[Op]:
+    # inference-time dropout anchoring its own group; in a tail it binds
+    # nothing
+    return [partial(np.copyto, out, x)]
 
 
 class _Affine:
@@ -125,6 +143,24 @@ class _Affine:
                 partial(np.add, out, shift, out=out)]
 
 
+class _Bias:
+    """A per-channel bias added by one call of its own, ahead of the tail
+    of a GEMM or einsum that has no patch matrix to carry it."""
+
+    def __init__(self, bias: np.ndarray):
+        self.weights = (bias,)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray,
+                 const: Const) -> list[Op]:
+        return [partial(np.add, x, self.weights[0], out=out)]
+
+
+def _no_kernel(layer) -> TypeError:
+    return TypeError(
+        f"no compiled kernel for layer type {type(layer).__name__} "
+        "(kernels are picked by exact type; a subclass has none)")
+
+
 def _bn_affine(layer: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
     """Inference batch-norm as a per-channel (scale, shift) pair."""
     inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
@@ -134,43 +170,50 @@ def _bn_affine(layer: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def _tail_ops(layers: list, foldable: bool):
-    """Split a group's element-wise tail into (folded BN, runtime post-ops).
+_ACTIVATIONS = {ReLU: _relu, ReLU6: _relu6, Dropout: _identity}
 
-    ``foldable`` anchors (conv/dense) absorb any leading batch norms into
-    their weights; everything else becomes an in-place post-op, in order
-    (see :meth:`Kernel._tail`). Returns ``(scale, shift, postops)`` where
-    ``scale``/``shift`` are ``None`` when nothing folded.
+
+def _elementwise(layer):
+    """The op that computes one element-wise layer."""
+    kind = type(layer)
+    if kind is BatchNorm:
+        return _Affine(*_bn_affine(layer))
+    if kind not in _ACTIVATIONS:
+        raise _no_kernel(layer)
+    return _ACTIVATIONS[kind]
+
+
+def _fold(layer, w: np.ndarray, tail: list):
+    """``(w, b, rest)``: a conv or dense anchor's ``(K, F)`` weight ``w``
+    and its bias with the batch norms that lead its tail folded in, and
+    the rest of the tail.
+
+    ``b`` is float32 or ``None``. Dropout, an identity at inference, is
+    passed over; any other layer ends the fold.
     """
     scale = shift = None
-    postops = []
-    for lay in layers:
-        if isinstance(lay, BatchNorm):
+    rest = list(tail)
+    while rest and type(rest[0]) in (BatchNorm, Dropout):
+        lay = rest.pop(0)
+        if type(lay) is BatchNorm:
             s, t = _bn_affine(lay)
-            if foldable and not postops:
-                if scale is None:
-                    scale, shift = s, t
-                else:
-                    scale, shift = scale * s, shift * s + t
-            else:
-                postops.append(_Affine(s, t))
-        elif isinstance(lay, ReLU):
-            postops.append(_relu)
-        elif isinstance(lay, ReLU6):
-            postops.append(_relu6)
-        elif isinstance(lay, Dropout):
-            continue  # identity at inference
-        else:  # pragma: no cover - fuse_kernels only groups known types
-            raise TypeError(f"no fused post-op for {type(lay).__name__}")
-    return scale, shift, postops
-
-
-def _fold_bias(layer, scale, shift):
-    """The effective bias after folding a batch norm into the anchor."""
+            scale, shift = ((s, t) if scale is None
+                            else (scale * s, shift * s + t))
     bias = layer.params["b"].value if layer.use_bias else None
     if scale is not None:
+        w = w * scale
         bias = shift if bias is None else bias * scale + shift
-    return None if bias is None else bias.astype(np.float32)
+    return w, None if bias is None else bias.astype(np.float32), rest
+
+
+def _block_diagonal(w: np.ndarray) -> np.ndarray:
+    """A depthwise ``(kh*kw, C)`` weight as the ``(kh*kw*C, C)`` matrix
+    that multiplies its im2col patch rows."""
+    k2, c = w.shape
+    idx = np.arange(c)
+    bd = np.zeros((k2, c, c), dtype=np.float32)
+    bd[:, idx, idx] = w
+    return bd.reshape(k2 * c, c)
 
 
 # -- geometry helpers --------------------------------------------------------
@@ -225,18 +268,20 @@ class _PadPlan:
 # -- kernels -----------------------------------------------------------------
 
 class Kernel:
-    """One compiled execution step: anchor + fused element-wise tail."""
+    """One compiled execution step: anchor + fused element-wise tail.
 
-    #: whether the whole group runs as fused compute (False = generic
-    #: per-layer fallback, used only for layer types outside the zoo set)
-    fused = True
+    ``tail`` is the fused element-wise layers the anchor's weights did not
+    absorb, and ``bias`` a per-channel bias the kernel adds by its own
+    call; both run in place on the output after the anchor's calls.
+    """
 
-    #: post-op binders of the fused element-wise tail (see ``_tail_ops``)
-    postops = ()
-
-    def __init__(self, step: int, out_shape: Shape):
-        self.step = step
+    def __init__(self, out_shape: Shape, tail: list,
+                 bias: np.ndarray | None = None):
         self.out_shape = out_shape
+        #: the element-wise ops bound in place on the output, in order
+        self.postops = [] if bias is None else [_Bias(bias)]
+        self.postops += [_elementwise(lay) for lay in tail
+                         if type(lay) is not Dropout]
 
     def make_state(self, n: int):
         """Scratch for batches of up to ``n``: ``None``, an array, or a
@@ -269,36 +314,67 @@ class Kernel:
         return [w for op in self.postops for w in getattr(op, "weights", ())]
 
     def _tail(self, out: np.ndarray, const: Const) -> list[Op]:
-        """The fused post-ops, bound in place on ``out``, in order."""
+        """The post-ops, bound in place on ``out``, in order."""
         return [op for bind in self.postops for op in bind(out, out, const)]
 
 
-class _GemmConvBase(Kernel):
-    """Shared im2col/GEMM machinery for dense and depthwise convolutions.
+class GemmKernel(Kernel):
+    """``x @ W (+ b)`` on the input as it lies, against a ``(C_in, F)``
+    weight: dense layers, 1x1 convolutions and SAME convolutions on a 1x1
+    map. A strided 1x1 convolution first copies every ``stride``-th pixel
+    into its state."""
 
-    Subclasses set ``self.wf`` (the ``(K[+1], F)`` weight matrix),
-    ``self.bias`` and ``self.fold_bias`` (True = bias rides in the GEMM as
-    a ones column / extra weight row). ``state`` is ``(padbuf, cols)``:
-    the padding buffer (``None`` when unpadded) and the ``(N, OH*OW,
-    K[+1])`` patch matrix, whose 2-D GEMM view and 6-D patch view
-    :meth:`bind` takes.
+    def __init__(self, out_shape: Shape, tail: list, w: np.ndarray,
+                 bias: np.ndarray | None, stride: int = 1):
+        super().__init__(out_shape, tail, bias)
+        self.wf = np.ascontiguousarray(w, dtype=np.float32)
+        self.stride = stride
+
+    def make_state(self, n: int):
+        if self.stride == 1:
+            return None
+        oh, ow, _ = self.out_shape
+        return np.empty((n, oh, ow, len(self.wf)), dtype=np.float32)
+
+    def bind(self, ins, out, state, const):
+        src = ins[0]
+        ops: list[Op] = []
+        if self.stride > 1:
+            s = self.stride
+            ops.append(partial(np.copyto, state, src[:, ::s, ::s, :]))
+            src = state
+        ops.append(partial(np.matmul, src.reshape(-1, len(self.wf)),
+                           self.wf, out=out.reshape(-1, self.out_shape[-1])))
+        return ops + self._tail(out, const)
+
+    def weights(self):
+        return [self.wf, *super().weights()]
+
+
+class Im2colKernel(Kernel):
+    """im2col then one GEMM against a ``(kh*kw*C_in, F)`` weight: kxk
+    convolutions, and narrow depthwise ones (block-diagonal weight).
+
+    A bias rides in the GEMM: the patch matrix grows a ones column and
+    the weight a bias row. ``state`` is ``(padbuf, cols)``: the padding
+    buffer (``None`` when unpadded) and the ``(N, OH*OW, K[+1])`` patch
+    matrix, whose 2-D GEMM view and 6-D patch view :meth:`bind` takes.
     """
 
-    def __init__(self, step: int, out_shape: Shape, layer, in_shape: Shape):
-        super().__init__(step, out_shape)
+    def __init__(self, out_shape: Shape, tail: list, w: np.ndarray,
+                 bias: np.ndarray | None, layer, pad: _PadPlan):
+        super().__init__(out_shape, tail)
         self.kh, self.kw = layer.kernel
         self.stride = layer.stride
-        self.cin = in_shape[-1]
-        self.pad = _PadPlan(in_shape, layer.kernel, layer.stride,
-                            layer.padding)
+        self.pad = pad
+        wf = np.ascontiguousarray(w, dtype=np.float32)
+        self.k = len(wf)
+        self.wf = wf if bias is None else np.vstack([wf, bias[None]])
 
     def make_state(self, n: int):
         oh, ow, _ = self.out_shape
-        k = self.kh * self.kw * self.cin
-        cols = np.empty((n, oh * ow, k + 1 if self.fold_bias else k),
-                        dtype=np.float32)
-        if self.fold_bias:
-            cols[:, :, k] = 1.0
+        cols = np.empty((n, oh * ow, len(self.wf)), dtype=np.float32)
+        cols[:, :, self.k:] = 1.0          # the bias's ones column, if any
         return (self.pad.make_buf(n, 0.0), cols)
 
     def bind(self, ins, out, state, const):
@@ -307,124 +383,36 @@ class _GemmConvBase(Kernel):
         ops: list[Op] = []
         xs = self.pad.source(ins[0], padbuf, ops)
         ops.append(partial(
-            np.copyto, _cols_view(cols, oh, ow, self.kh, self.kw, self.cin),
+            np.copyto,
+            _cols_view(cols, oh, ow, self.kh, self.kw, xs.shape[-1]),
             F.patch_view(xs, self.kh, self.kw, self.stride)))
         ops.append(partial(np.matmul, cols.reshape(-1, cols.shape[-1]),
                            self.wf, out=out.reshape(-1, f)))
-        if self.bias is not None and not self.fold_bias:
-            ops.append(partial(np.add, out, self.bias, out=out))
         return ops + self._tail(out, const)
 
     def weights(self):
-        # a folded bias is the weight matrix's last row
-        bias = [] if self.bias is None or self.fold_bias else [self.bias]
-        return [self.wf, *bias, *Kernel.weights(self)]
+        return [self.wf, *super().weights()]
 
 
-class ConvKernel(_GemmConvBase):
-    """Conv2D anchor: im2col/GEMM with folded BN and in-place activation.
+class DepthwiseEinsumKernel(Kernel):
+    """A depthwise convolution wider than ``DEPTHWISE_GEMM_MAX_CHANNELS``:
+    the ``(N, OH, OW, kh*kw, C)`` patch tensor contracted with the
+    ``(kh*kw, C)`` weight by one einsum. ``state`` is ``(padbuf, cols)``."""
 
-    On a 1x1 input map every output pixel reads only tap ``(ph[0],
-    pw[0])``, where the SAME padding places the one input pixel; the other
-    taps multiply padding. Such a conv is built as the 1x1, stride-1,
-    unpadded conv it equals, with that tap's ``(C_in, F)`` weights, and
-    runs the ``fast_1x1`` path: no padding copy, no patch matrix, and a
-    GEMM ``kh*kw`` times narrower.
-    """
-
-    def __init__(self, step: int, out_shape: Shape, layer: Conv2D,
-                 in_shape: Shape, tail: list):
-        _GemmConvBase.__init__(self, step, out_shape, layer, in_shape)
-        self.filters = layer.filters
-        scale, shift, self.postops = _tail_ops(tail, foldable=True)
-        w = layer.params["w"].value
-        if self.pad.in_hw == (1, 1):
-            # dead-tap elimination: keep the one tap that reads data
-            ph, pw = self.pad.ph[0], self.pad.pw[0]
-            w = w[ph:ph + 1, pw:pw + 1]
-            self.kh = self.kw = self.stride = 1
-            self.pad = _PadPlan(in_shape, (1, 1), 1, "valid")
-        w = w.reshape(-1, self.filters)
-        wf = np.ascontiguousarray(w if scale is None else w * scale,
-                                  dtype=np.float32)
-        self.bias = _fold_bias(layer, scale, shift)
-        # a 1x1 kernel needs no patch matrix: the input *is* the GEMM
-        # operand (strided row subsampling when stride > 1)
-        self.fast_1x1 = (self.kh, self.kw) == (1, 1) and not self.pad.needed
-        self.fold_bias = self.bias is not None and not self.fast_1x1
-        self.wf = (np.vstack([wf, self.bias[None]])
-                   if self.fold_bias else wf)
-
-    def make_state(self, n: int):
-        if not self.fast_1x1:
-            return _GemmConvBase.make_state(self, n)
-        if self.stride > 1:
-            oh, ow, _ = self.out_shape
-            return np.empty((n, oh, ow, self.cin), dtype=np.float32)
-        return None
-
-    def bind(self, ins, out, state, const):
-        if not self.fast_1x1:
-            return _GemmConvBase.bind(self, ins, out, state, const)
-        _, _, f = self.out_shape
-        src = ins[0]
-        ops: list[Op] = []
-        if self.stride > 1:
-            s = self.stride
-            ops.append(partial(np.copyto, state, src[:, ::s, ::s, :]))
-            src = state
-        ops.append(partial(np.matmul, src.reshape(-1, self.cin), self.wf,
-                           out=out.reshape(-1, f)))
-        if self.bias is not None:
-            ops.append(partial(np.add, out, self.bias, out=out))
-        return ops + self._tail(out, const)
-
-
-class DepthwiseConvKernel(Kernel):
-    """DepthwiseConv2D anchor, algorithm chosen per layer at compile time.
-
-    Narrow layers (``C <= DEPTHWISE_GEMM_MAX_CHANNELS``) run the patch
-    matrix against a block-diagonal ``(kh*kw*C, C)`` weight — a ``C``-fold
-    FLOP blow-up that BLAS still wins on. Wide layers contract the patch
-    tensor with an einsum.
-    """
-
-    def __init__(self, step: int, out_shape: Shape, layer: DepthwiseConv2D,
-                 in_shape: Shape, tail: list):
-        super().__init__(step, out_shape)
+    def __init__(self, out_shape: Shape, tail: list, w: np.ndarray,
+                 bias: np.ndarray | None, layer, pad: _PadPlan):
+        super().__init__(out_shape, tail, bias)
         self.kh, self.kw = layer.kernel
         self.stride = layer.stride
-        self.cin = self.channels = c = in_shape[-1]
-        self.pad = _PadPlan(in_shape, layer.kernel, layer.stride,
-                            layer.padding)
-        scale, shift, self.postops = _tail_ops(tail, foldable=True)
-        w = layer.params["w"].value.reshape(self.kh * self.kw, c)
-        wf = np.ascontiguousarray(w if scale is None else w * scale,
-                                  dtype=np.float32)
-        self.bias = _fold_bias(layer, scale, shift)
-        self.as_gemm = c <= DEPTHWISE_GEMM_MAX_CHANNELS
-        self.fold_bias = self.as_gemm and self.bias is not None
-        if self.as_gemm:
-            k2 = self.kh * self.kw
-            bd = np.zeros((k2 * c, c), dtype=np.float32)
-            idx = np.arange(c)
-            for t in range(k2):
-                bd[t * c + idx, idx] = wf[t]
-            self.wf = (np.vstack([bd, self.bias[None]])
-                       if self.fold_bias else bd)
-        else:
-            self.wf = wf
+        self.pad = pad
+        self.wf = np.ascontiguousarray(w, dtype=np.float32)
 
     def make_state(self, n: int):
-        if self.as_gemm:
-            return _GemmConvBase.make_state(self, n)
         oh, ow, c = self.out_shape
         cols = np.empty((n, oh, ow, self.kh * self.kw, c), dtype=np.float32)
         return (self.pad.make_buf(n, 0.0), cols)
 
     def bind(self, ins, out, state, const):
-        if self.as_gemm:
-            return _GemmConvBase.bind(self, ins, out, state, const)
         oh, ow, c = self.out_shape
         padbuf, cols = state
         ops: list[Op] = []
@@ -434,51 +422,22 @@ class DepthwiseConvKernel(Kernel):
             xs, self.kh, self.kw, self.stride)))
         ops.append(partial(np.einsum, "nhwkc,kc->nhwc", cols, self.wf,
                            out=out))
-        if self.bias is not None:
-            ops.append(partial(np.add, out, self.bias, out=out))
-        return ops + self._tail(out, const)
-
-    weights = _GemmConvBase.weights
-
-
-class DenseKernel(Kernel):
-    """Dense anchor: GEMM with folded BN and in-place activation."""
-
-    def __init__(self, step: int, out_shape: Shape, layer: Dense,
-                 in_shape: Shape, tail: list):
-        super().__init__(step, out_shape)
-        self.units = layer.units
-        self.d = in_shape[-1]
-        scale, shift, self.postops = _tail_ops(tail, foldable=True)
-        w = layer.params["w"].value
-        self.wf = np.ascontiguousarray(w if scale is None else w * scale,
-                                       dtype=np.float32)
-        self.bias = _fold_bias(layer, scale, shift)
-
-    def bind(self, ins, out, state, const):
-        ops: list[Op] = [partial(np.matmul, ins[0].reshape(-1, self.d),
-                                 self.wf, out=out.reshape(-1, self.units))]
-        if self.bias is not None:
-            ops.append(partial(np.add, out, self.bias, out=out))
         return ops + self._tail(out, const)
 
     def weights(self):
-        bias = [] if self.bias is None else [self.bias]
-        return [self.wf, *bias, *Kernel.weights(self)]
+        return [self.wf, *super().weights()]
 
 
 class PoolKernel(Kernel):
     """Max/average pooling as a tap loop over shifted strided views."""
 
-    def __init__(self, step: int, out_shape: Shape, layer, in_shape: Shape,
-                 tail: list):
-        super().__init__(step, out_shape)
+    def __init__(self, out_shape: Shape, tail: list, layer, in_shape: Shape):
+        super().__init__(out_shape, tail)
         self.pool = layer.pool
         self.stride = layer.stride
-        self.is_max = isinstance(layer, MaxPool2D)
+        self.is_max = type(layer) is MaxPool2D
         self.pad = _PadPlan(in_shape, (layer.pool, layer.pool), layer.stride,
                             layer.padding)
-        _, _, self.postops = _tail_ops(tail, foldable=False)
 
     def make_state(self, n: int):
         return self.pad.make_buf(n, -np.inf if self.is_max else 0.0)
@@ -500,10 +459,6 @@ class PoolKernel(Kernel):
 
 
 class GlobalAvgPoolKernel(Kernel):
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        _, _, self.postops = _tail_ops(tail, foldable=False)
-
     def bind(self, ins, out, state, const):
         # ``ndarray.mean``'s own two calls, without its Python wrapper
         x = ins[0]
@@ -513,10 +468,6 @@ class GlobalAvgPoolKernel(Kernel):
 
 
 class FlattenKernel(Kernel):
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        _, _, self.postops = _tail_ops(tail, foldable=False)
-
     def bind(self, ins, out, state, const):
         n = out.shape[0]
         return ([partial(np.copyto, out.reshape(n, -1), ins[0].reshape(n, -1))]
@@ -524,10 +475,6 @@ class FlattenKernel(Kernel):
 
 
 class SoftmaxKernel(Kernel):
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        _, _, self.postops = _tail_ops(tail, foldable=False)
-
     def make_state(self, n: int):
         # one keepdims row buffer: the row max, then the row sum
         return np.empty((n,) + self.out_shape[:-1] + (1,), dtype=np.float32)
@@ -545,10 +492,6 @@ class SoftmaxKernel(Kernel):
 
 
 class AddKernel(Kernel):
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        _, _, self.postops = _tail_ops(tail, foldable=False)
-
     def bind(self, ins, out, state, const):
         if len(ins) == 1:
             ops: list[Op] = [partial(np.copyto, out, ins[0])]
@@ -560,98 +503,64 @@ class AddKernel(Kernel):
 
 
 class ConcatKernel(Kernel):
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        _, _, self.postops = _tail_ops(tail, foldable=False)
-
     def bind(self, ins, out, state, const):
         return ([partial(np.concatenate, tuple(ins), axis=-1, out=out)]
                 + self._tail(out, const))
 
 
-class BatchNormKernel(Kernel):
-    """A batch norm that anchors its own group (producer has fan-out)."""
+class ElementwiseKernel(Kernel):
+    """A batch norm, ReLU, ReLU6 or dropout anchoring its own group: the
+    op a tail binds in place, here from the input into the output."""
 
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        self.affine = _Affine(*_bn_affine(layer))
-        _, _, self.postops = _tail_ops(tail, foldable=False)
+    def __init__(self, out_shape: Shape, tail: list, layer):
+        super().__init__(out_shape, tail)
+        self.op = _elementwise(layer)
 
     def bind(self, ins, out, state, const):
-        return self.affine(ins[0], out, const) + self._tail(out, const)
+        return self.op(ins[0], out, const) + self._tail(out, const)
 
     def weights(self):
-        return [*self.affine.weights, *Kernel.weights(self)]
+        return [*getattr(self.op, "weights", ()), *super().weights()]
 
 
-class ActivationKernel(Kernel):
-    """A ReLU/ReLU6/Dropout that anchors its own group."""
-
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        if isinstance(layer, ReLU6):
-            self.act = _relu6
-        elif isinstance(layer, ReLU):
-            self.act = _relu
-        else:
-            self.act = None  # inference-time dropout: a copy
-        _, _, self.postops = _tail_ops(tail, foldable=False)
-
-    def bind(self, ins, out, state, const):
-        x = ins[0]
-        ops = ([partial(np.copyto, out, x)] if self.act is None
-               else self.act(x, out, const))
-        return ops + self._tail(out, const)
+#: anchors whose kernel needs only the output shape and the tail
+_SHAPE_ONLY = {GlobalAvgPool: GlobalAvgPoolKernel, Flatten: FlattenKernel,
+               Softmax: SoftmaxKernel, Add: AddKernel, Concat: ConcatKernel}
 
 
-class FallbackKernel(Kernel):
-    """Generic per-layer execution for types without a fused kernel.
+def build_kernel(anchor, tail: list, in_shape: Shape,
+                 out_shape: Shape) -> Kernel:
+    """The kernel for one group, picked from the anchor's exact type and
+    geometry (see the module docstring), with the batch norms that lead a
+    conv or dense anchor's tail folded into its ``(W, b)``.
 
-    Only single-node groups can take this path (``fuse_kernels`` never
-    groups unknown layer types), so interpreted and compiled execution
-    remain node-for-node identical for exotic layers. The layer's own
-    ``forward`` runs on the step's input buffers and its result is copied
-    into the step's arena slot.
+    Raises ``TypeError`` naming the type of an anchor or tail layer that
+    has no kernel, a subclass of a known type included.
     """
-
-    fused = False
-
-    def __init__(self, step, out_shape, layer, in_shape, tail):
-        super().__init__(step, out_shape)
-        if tail:  # pragma: no cover - fusion rules prevent this
-            raise TypeError("cannot fuse a tail behind an unknown anchor")
-        self.layer = layer
-
-    def bind(self, ins, out, state, const):
-        layer = self.layer
-
-        def op():
-            np.copyto(out, layer.forward(list(ins), training=False))
-        return [op]
-
-
-#: anchor layer type -> kernel class (the compute half of the fusion
-#: rules; :mod:`repro.nn.compile` holds the grouping half)
-KERNEL_TYPES: dict[type, type] = {
-    Conv2D: ConvKernel,
-    DepthwiseConv2D: DepthwiseConvKernel,
-    Dense: DenseKernel,
-    MaxPool2D: PoolKernel,
-    AvgPool2D: PoolKernel,
-    GlobalAvgPool: GlobalAvgPoolKernel,
-    Flatten: FlattenKernel,
-    Softmax: SoftmaxKernel,
-    Add: AddKernel,
-    Concat: ConcatKernel,
-    BatchNorm: BatchNormKernel,
-    ReLU: ActivationKernel,
-    ReLU6: ActivationKernel,
-    Dropout: ActivationKernel,
-}
-
-
-def build_kernel(step: int, anchor_layer, tail_layers: list,
-                 in_shape: Shape, out_shape: Shape) -> Kernel:
-    """Construct the fused kernel for one group (fallback for unknowns)."""
-    cls = KERNEL_TYPES.get(type(anchor_layer), FallbackKernel)
-    return cls(step, out_shape, anchor_layer, in_shape, tail_layers)
+    kind = type(anchor)
+    if kind in _SHAPE_ONLY:
+        return _SHAPE_ONLY[kind](out_shape, tail)
+    if kind in (MaxPool2D, AvgPool2D):
+        return PoolKernel(out_shape, tail, anchor, in_shape)
+    if kind in (BatchNorm, ReLU, ReLU6, Dropout):
+        return ElementwiseKernel(out_shape, tail, anchor)
+    if kind not in (Conv2D, DepthwiseConv2D, Dense):
+        raise _no_kernel(anchor)
+    w = anchor.params["w"].value
+    pad = (None if kind is Dense else
+           _PadPlan(in_shape, anchor.kernel, anchor.stride, anchor.padding))
+    if kind is Conv2D and pad.in_hw == (1, 1):
+        # dead taps: only tap (ph[0], pw[0]) reads the one input pixel
+        w = w[pad.ph[0]:pad.ph[0] + 1, pad.pw[0]:pad.pw[0] + 1]
+    w, bias, tail = _fold(anchor, w.reshape(-1, out_shape[-1]), tail)
+    if kind is DepthwiseConv2D:
+        if out_shape[-1] > DEPTHWISE_GEMM_MAX_CHANNELS:
+            return DepthwiseEinsumKernel(out_shape, tail, w, bias, anchor,
+                                         pad)
+        return Im2colKernel(out_shape, tail, _block_diagonal(w), bias,
+                            anchor, pad)
+    if kind is Dense or pad.in_hw == (1, 1):
+        return GemmKernel(out_shape, tail, w, bias)
+    if anchor.kernel == (1, 1) and not pad.needed:
+        return GemmKernel(out_shape, tail, w, bias, anchor.stride)
+    return Im2colKernel(out_shape, tail, w, bias, anchor, pad)

@@ -141,9 +141,6 @@ class Layer:
         not accumulate parameter gradients (transfer-learning phase 1).
     """
 
-    #: class-level default used by the device model for fusion decisions
-    fusable_activation = False
-
     def __init__(self) -> None:
         self.params: dict[str, Parameter] = {}
         self.frozen = False
@@ -213,8 +210,6 @@ class Conv2D(Layer):
 
     Weight layout is ``(kh, kw, in_channels, filters)``.
     """
-
-    fusable_activation = True
 
     def __init__(self, filters: int, kernel: int | tuple[int, int],
                  stride: int = 1, padding: str = "same",
@@ -312,8 +307,6 @@ class DepthwiseConv2D(Layer):
     is not needed by the networks in the zoo and is not supported.
     """
 
-    fusable_activation = True
-
     def __init__(self, kernel: int | tuple[int, int], stride: int = 1,
                  padding: str = "same", use_bias: bool = False):
         super().__init__()
@@ -395,8 +388,6 @@ class DepthwiseConv2D(Layer):
 
 class Dense(Layer):
     """Fully connected layer over the last axis. Weight layout ``(in, out)``."""
-
-    fusable_activation = True
 
     def __init__(self, units: int, use_bias: bool = True):
         super().__init__()

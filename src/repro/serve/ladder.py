@@ -107,10 +107,6 @@ class TRNRung:
         """Run the rung's network on a list of single samples, batched."""
         return self.network.forward_batch(samples)
 
-    def forward_one(self, x: np.ndarray) -> np.ndarray:
-        """Run the rung's network on exactly one un-batched sample."""
-        return self.network.forward_one(x)
-
 
 class TRNLadder:
     """An ordered set of TRNs, most accurate (slowest) first."""

@@ -104,19 +104,6 @@ class TenantMix:
         return {t.name: float(total_rps * s)
                 for t, s in zip(self.tenants, self.shares)}
 
-    def assign(self, requests: list,
-               rng: np.random.Generator | int = 0) -> list:
-        """Stamp tenant names and per-tenant deadlines onto requests.
-
-        Mutates (and returns) the request list: each request gets a
-        tenant drawn by share and that tenant's ``deadline_ms``. Used to
-        lift a single-class trace into a multi-tenant one.
-        """
-        for req, tenant in zip(requests, self.draw(len(requests), rng)):
-            req.tenant = tenant.name
-            req.deadline_ms = tenant.deadline_ms
-        return requests
-
     def describe(self) -> str:
         lines = []
         for t, s in zip(self.tenants, self.shares):

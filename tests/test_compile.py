@@ -5,13 +5,14 @@ parity with the interpreter (every zoo network, batched and single
 sample), transparent plan invalidation (weight reassignment, structure
 edits, clones), and the fallback conditions (training, capture) under
 which forwards must route through the interpreted walk. It also pins the
-bound arena program: layers without a fused kernel, per-step timing over
-the flat call list, input casting and arena rebuilds. And it pins the one
-buffer set per plan: every batch size binds on prefixes of the largest
-batch's buffers, with outputs bit-identical to a fresh plan's. Dead-tap
-elimination (SAME convs on a 1x1 map keep their one live tap), the shared
-read-only constant operands and the O(1) validity gate have their own
-classes.
+kernel each anchor gets (one class per algorithm), the compile-time
+``TypeError`` for a layer type without one, and the bound arena program:
+per-step timing over the flat call list, input casting and arena
+rebuilds. And it pins the one buffer set per plan: every batch size
+binds on prefixes of the largest batch's buffers, with outputs
+bit-identical to a fresh plan's. Dead-tap elimination (SAME convs on a
+1x1 map keep their one live tap), the shared read-only constant operands
+and the O(1) validity gate have their own classes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.nn import (
     Conv2D,
     Dense,
     DepthwiseConv2D,
+    Dropout,
     GlobalAvgPool,
     Layer,
     MaxPool2D,
@@ -46,7 +48,14 @@ from repro.nn.compile import (
     fuse_kernels,
     state_signature,
 )
-from repro.nn.kernels import KERNEL_TYPES, FallbackKernel, build_kernel
+from repro.nn.kernels import (
+    DepthwiseEinsumKernel,
+    ElementwiseKernel,
+    GemmKernel,
+    Im2colKernel,
+    Kernel,
+    build_kernel,
+)
 from repro.zoo import NETWORKS, build_network
 
 RTOL, ATOL = 1e-4, 1e-5
@@ -58,7 +67,7 @@ def _batch(net, n, seed=0):
 
 
 class Negate(Layer):
-    """A layer type with no fused kernel: compiles to a FallbackKernel."""
+    """A layer type with no compiled kernel."""
 
     def forward(self, inputs, training=False):
         return -inputs[0]
@@ -67,20 +76,48 @@ class Negate(Layer):
         return in_shapes[0]
 
 
-def _net_with_fallback() -> Network:
-    """A tiny CNN with a ``Negate`` mid-network whose output fans out."""
-    net = Network("fallback", (8, 8, 3))
-    net.add("stem_conv", Conv2D(4, 3))
-    net.add("stem_relu", ReLU())
-    net.add("neg", Negate())
+class HalvedConv(Conv2D):
+    """A Conv2D subclass whose forward differs from its base's."""
+
+    def forward(self, inputs, training=False):
+        return 0.5 * super().forward(inputs, training)
+
+
+class LeakyReLU(ReLU):
+    """A ReLU subclass: fused behind a conv like its base."""
+
+    def forward(self, inputs, training=False):
+        return np.where(inputs[0] > 0, inputs[0], 0.1 * inputs[0])
+
+
+def _net_without_a_kernel(case: str) -> Network:
+    """A tiny CNN with one layer whose exact type has no kernel, in one of
+    the ``NO_KERNEL_CASES``: a ``Negate`` whose output fans out, a
+    ``Negate`` with a ReLU fused behind it, a ``Conv2D`` subclass and a
+    ``ReLU`` subclass fused behind a conv."""
+    net = Network(f"no_kernel_{case}", (8, 8, 3))
+    net.add("stem_conv", HalvedConv(4, 3) if case == "conv-subclass"
+            else Conv2D(4, 3))
+    net.add("stem_relu", LeakyReLU() if case == "relu-subclass" else ReLU())
+    skip = "stem_relu"
+    if case in ("fan-out", "relu-tail"):
+        skip = net.add("neg", Negate())
+        if case == "relu-tail":
+            skip = net.add("neg_relu", ReLU())     # fused behind neg
     net.add("b1_conv", Conv2D(4, 3))
     net.add("b1_bn", BatchNorm())
     net.add("b1_relu", ReLU())
-    net.add("b1_add", Add(), inputs=["neg", "b1_relu"])
+    net.add("b1_add", Add(), inputs=[skip, "b1_relu"])
     net.add("gap", GlobalAvgPool())
     net.add("logits", Dense(5))
     net.add("probs", Softmax())
     return net.build(0)
+
+
+#: case -> the type the compile-time TypeError names
+NO_KERNEL_CASES = {"fan-out": "Negate", "relu-tail": "Negate",
+                   "conv-subclass": "HalvedConv",
+                   "relu-subclass": "LeakyReLU"}
 
 
 def _net_with_constant_scratch() -> Network:
@@ -146,36 +183,89 @@ class TestFusionDuality:
     """Every pattern the latency model fuses must run as fused compute."""
 
     def test_every_anchor_type_has_a_compute_kernel(self):
-        for anchor in ANCHOR_TYPES:
-            cls = KERNEL_TYPES.get(anchor)
-            assert cls is not None, f"no compute kernel for {anchor.__name__}"
-            assert cls is not FallbackKernel
-            assert cls.fused, f"{anchor.__name__} kernel is not fused compute"
+        # every type that starts a group, a fusable one with fan-out
+        # included, builds a kernel (there is no interpreter fallback)
+        shape = (6, 6, 4)
+        args = {Conv2D: (4, 3), DepthwiseConv2D: (3,), Dense: (4,)}
+        for anchor in ANCHOR_TYPES + FUSABLE_TYPES:
+            layer = anchor(*args.get(anchor, ()))
+            layer.build([shape, shape], np.random.default_rng(0))
+            out_shape = layer.out_shape([shape, shape])
+            kernel = build_kernel(layer, [], shape, out_shape)
+            assert isinstance(kernel, Kernel), anchor.__name__
 
     def test_every_fusable_type_fuses_behind_a_conv(self, tiny_net):
-        # a conv followed by each fusable tail must build a fused kernel
-        from repro.nn.layers import Conv2D, Dropout
-
-        conv = None
-        for node in tiny_net.nodes.values():
-            if isinstance(node.layer, Conv2D):
-                conv = node
-                break
+        # a conv followed by each fusable tail builds one kernel: a batch
+        # norm folds into its weights, dropout vanishes, an activation
+        # runs in place on its output
+        conv = tiny_net.nodes["stem_conv"]
         in_shape = tiny_net.in_shapes(conv.name)[0]
         out_shape = tiny_net.shape_of(conv.name)
         for tail_type in FUSABLE_TYPES:
             tail = tail_type(0.5) if tail_type is Dropout else tail_type()
             tail.build([out_shape], np.random.default_rng(0))
-            kernel = build_kernel(0, conv.layer, [tail], in_shape, out_shape)
-            assert kernel.fused, (
-                f"Conv2D+{tail_type.__name__} fell back to the interpreter "
-                "but the latency model prices it as one fused kernel")
+            kernel = build_kernel(conv.layer, [tail], in_shape, out_shape)
+            assert type(kernel) is Im2colKernel, tail_type.__name__
+            activation = tail_type in (ReLU, ReLU6)
+            assert len(kernel.postops) == activation, tail_type.__name__
 
     def test_compiled_steps_match_fusion_groups(self, tiny_net):
         plan = ExecutionPlan(tiny_net)
         groups = fuse_kernels(tiny_net, enabled=True)
         assert [s.node_names for s in plan.steps] == [
             g.node_names for g in groups]
+
+
+def _one_layer_net(layer, in_shape) -> Network:
+    """``layer`` alone on an input of ``in_shape``, with random nonzero
+    parameters and batch-norm statistics."""
+    net = Network("one_layer", in_shape)
+    net.add("layer", layer)
+    net.build(0)
+    rng = np.random.default_rng(2)
+    for p in layer.params.values():
+        p.value = rng.uniform(0.5, 1.5, p.value.shape) * rng.choice(
+            [-1.0, 1.0], p.value.shape)
+    if isinstance(layer, BatchNorm):
+        c = in_shape[-1]
+        layer.running_mean = rng.standard_normal(c).astype(np.float32)
+        layer.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    return net
+
+
+#: case -> (anchor, input shape, expected kernel class)
+SELECTION_CASES = {
+    "conv1x1": (lambda: Conv2D(5, 1), (6, 6, 4), GemmKernel),
+    "conv1x1-stride2": (lambda: Conv2D(5, 1, stride=2), (7, 7, 4),
+                        GemmKernel),
+    "conv3x3-on-1x1-map": (lambda: Conv2D(5, 3), (1, 1, 4), GemmKernel),
+    "conv3x3": (lambda: Conv2D(5, 3), (6, 6, 4), Im2colKernel),
+    "depthwise8": (lambda: DepthwiseConv2D(3, use_bias=True), (6, 6, 8),
+                   Im2colKernel),
+    "depthwise12": (lambda: DepthwiseConv2D(3, use_bias=True), (6, 6, 12),
+                    DepthwiseEinsumKernel),
+    "dense": (lambda: Dense(5), (7,), GemmKernel),
+    "batchnorm": (BatchNorm, (4, 4, 3), ElementwiseKernel),
+    "relu6": (ReLU6, (4, 4, 3), ElementwiseKernel),
+}
+
+
+class TestKernelSelection:
+    """``build_kernel`` picks one class per algorithm from the anchor's
+    exact type and geometry, and that class computes the layer."""
+
+    @pytest.mark.parametrize("case", SELECTION_CASES)
+    def test_kernel_class_and_parity(self, case):
+        make, in_shape, expected = SELECTION_CASES[case]
+        net = _one_layer_net(make(), in_shape)
+        x = 4 * _batch(net, 3)                     # ReLU6 clamps both ends
+        interp = net.forward(x)
+        plan = net.compile()
+        (step,) = plan.plan.steps
+        assert type(step.kernel) is expected
+        for n in (3, 1, 2):
+            np.testing.assert_allclose(plan.run(x[:n]), interp[:n],
+                                       rtol=RTOL, atol=ATOL, err_msg=case)
 
 
 class TestZooParity:
@@ -317,20 +407,16 @@ class TestCompiledExecution:
 class TestBoundProgram:
     """The per-arena program of bound calls that a compiled forward runs."""
 
-    def test_fallback_layer_runs_in_an_arena_slot(self):
-        net = _net_with_fallback()
+    @pytest.mark.parametrize("case", NO_KERNEL_CASES)
+    def test_layer_without_a_kernel_fails_at_plan_build(self, case):
+        net = _net_without_a_kernel(case)
         x = _batch(net, 3)
         interp = net.forward(x)
-        plan = net.compile()
-        step = next(s for s in plan.plan.steps if s.name == "neg")
-        assert isinstance(step.kernel, FallbackKernel)
-        assert step.slot in plan.plan.slot_shapes
-        assert plan.plan.value_slot[step.out_id] == step.slot
-        assert f"[{step.slot:>3}] FallbackKernel" in plan.describe()
-        np.testing.assert_allclose(net.forward(x), interp,
-                                   rtol=RTOL, atol=ATOL)
-        ops = dict(plan._arenas[3].steps)["neg"]
-        assert len(ops) == 1                       # one copy-out call
+        with pytest.raises(TypeError,
+                           match=rf"layer type {NO_KERNEL_CASES[case]} "):
+            net.compile()
+        assert not net.compiled
+        np.testing.assert_array_equal(net.forward(x), interp)
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_every_state_array_leads_with_the_batch(self, name):
@@ -350,7 +436,8 @@ class TestBoundProgram:
         net = _net_with_constant_scratch()
         plan = net.compile()
         conv, dw, pool = (s.kernel for s in plan.plan.steps[:3])
-        assert conv.fold_bias and not dw.as_gemm
+        assert type(conv) is Im2colKernel and len(conv.wf) == 3 * 3 * 3 + 1
+        assert type(dw) is DepthwiseEinsumKernel
         assert pool.is_max and pool.pad.needed
         for n in sizes:
             x = _batch(net, n, seed=n)
@@ -419,7 +506,7 @@ class TestDeadTaps:
         if variant == "relu6":
             assert (interp[3] == 6.0).any() and (interp[3] == 0.0).any()
         kernel = plan.plan.steps[0].kernel
-        assert kernel.fast_1x1
+        assert type(kernel) is GemmKernel
         assert kernel.wf.shape == (6, 5)           # (C_in, F), one tap
         assert kernel.make_state(3) is None        # no padding, no patches
         has_bias = variant in ("bias", "bn_relu", "relu6")

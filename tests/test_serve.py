@@ -238,14 +238,6 @@ class TestLadder:
         for rung in ladder.rungs:
             assert rung.network.compiled
 
-    def test_rung_forward_one(self, ladder):
-        rung = ladder.rungs[0]
-        x = np.zeros(rung.network.input_shape, dtype=np.float32)
-        out = rung.forward_one(x)
-        assert out.shape == (5,)
-        np.testing.assert_allclose(out, rung.forward([x])[0],
-                                   rtol=1e-4, atol=1e-5)
-
     def test_sorted_slowest_first(self, ladder):
         ests = [r.estimate_ms(1) for r in ladder.rungs]
         assert ests == sorted(ests, reverse=True)

@@ -167,13 +167,6 @@ class TestTenancy:
         assert rates["interactive"] == pytest.approx(300.0)
         assert rates["batch"] == pytest.approx(700.0)
 
-    def test_assign_lifts_single_class_trace(self, mix):
-        trace = generate_trace(ConstantRate(1000), 100.0, deadline_ms=1.0,
-                               rng=0)
-        mix.assign(trace, rng=0)
-        assert all(r.tenant in mix for r in trace)
-        assert all(r.deadline_ms == mix[r.tenant].deadline_ms for r in trace)
-
     def test_tenant_class_validation(self):
         with pytest.raises(ValueError):
             TenantClass("", deadline_ms=1.0)
