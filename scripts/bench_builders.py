@@ -5,11 +5,15 @@ Runs every registered :class:`repro.netcut.LadderBuilder` strategy
 DP depth selection) over the zoo nets and device profiles, and writes
 ``BENCH_builders.json`` at the repo root: per-strategy Pareto frontiers,
 accuracy-at-deadline per strategy, whether the mixed-strategy frontier
-dominates-or-ties each single-strategy one, and a seeded Poisson
-overload served through the mixed ladder. Everything is analytic or
-virtual-time and seeded, so the JSON is byte-identical across machines
-and ``PYTHONHASHSEED`` values — two commits differ only when builder
-behaviour changed.
+dominates-or-ties each single-strategy one, a seeded Poisson overload
+served through the mixed ladder, and that ladder's compiled memory: each
+rung's ``weight_bytes`` and its ``arena_bytes`` after one forward at the
+server's ``max_batch``, the ladder's summed weight bytes, and the bytes
+of the distinct weight arrays its rungs read (rungs cut from one base
+share the layers they keep). Everything is analytic, virtual-time or a
+function of shapes and weights, and seeded, so the JSON is
+byte-identical across machines and ``PYTHONHASHSEED`` values — two
+commits differ only when builder behaviour or compiled memory changed.
 
 Rung construction (the expensive part: each pruned/cut rung is a full
 network rebuild) is cached per ``(net, device, max_rungs)`` under the
@@ -30,6 +34,8 @@ import argparse
 import json
 import os
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
@@ -101,8 +107,31 @@ def build_or_load_rungs(name, device, max_rungs, cache_dir):
     return per_strategy, spec
 
 
+def ladder_memory(ladder, batch: int) -> dict:
+    """Compiled memory of a ladder: per rung, ``weight_bytes`` and
+    ``arena_bytes`` after one forward at ``batch``; the summed weight
+    bytes, and the bytes of the distinct weight arrays the rungs read."""
+    rungs = {}
+    distinct = {}
+    for rung in ladder.rungs:
+        x = np.zeros(rung.network.input_shape, dtype=np.float32)
+        rung.forward([x] * batch)
+        plan = rung.network.compile()
+        rungs[rung.name] = {"weight_bytes": plan.weight_bytes,
+                            "arena_bytes": plan.arena_bytes}
+        for step in plan.plan.steps:
+            distinct.update((id(w), w) for w in step.kernel.weights())
+    return {
+        "rungs": dict(sorted(rungs.items())),
+        "weight_bytes": sum(r["weight_bytes"] for r in rungs.values()),
+        "distinct_weight_bytes": sum(w.nbytes for w in distinct.values()),
+        "arena_bytes": sum(r["arena_bytes"] for r in rungs.values()),
+    }
+
+
 def serve_mixed(artifacts, spec, deadline_ms) -> dict:
-    """Replay the seeded overload through the mixed-frontier ladder."""
+    """Replay the seeded overload through the mixed-frontier ladder, then
+    record its compiled memory at the server's ``max_batch``."""
     ladder = TRNLadder.from_artifacts(artifacts, spec)
     full_ms = max(r.estimate_ms(1) for r in ladder.rungs)
     config = ServerConfig(deadline_ms=deadline_ms, execute=False, seed=SEED,
@@ -120,6 +149,7 @@ def serve_mixed(artifacts, spec, deadline_ms) -> dict:
         "rung_share": {
             rung: round(count / max(snapshot["counters"]["completed"], 1), 6)
             for rung, count in sorted(snapshot["per_rung"].items())},
+        "memory": ladder_memory(ladder, config.max_batch),
     }
 
 

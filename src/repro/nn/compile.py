@@ -23,7 +23,12 @@ Compilation (:func:`compile_network`, or :meth:`Network.compile
 
 A compiled network keeps one buffer set, sized for the largest batch it
 has run: an input slot (the network input, value 0), the output slots
-and every kernel's scratch. Batch is the leading axis of each buffer, so
+and every kernel's scratch. The im2col steps whose patch matrices have
+the same width and ones column share one patch buffer, sized for the
+largest of them, whose ones column is written once, at allocation: each
+step's matrix is a C-contiguous view of its leading part, and every
+matrix row starts on a multiple of the width. Batch is the leading axis
+of each buffer, so
 the arena for a batch of ``n`` binds on ``[:n]`` prefixes: each kernel is
 *bound* to its buffers once as a few zero-argument NumPy calls. A larger
 batch allocates a new set at its size and drops every binding of the old
@@ -34,7 +39,10 @@ building or allocation.
 
 The buffer set also holds the read-only constant operands activations
 clamp against (zeros, and sixes for ReLU6), one flat array per value the
-size of the largest slot.
+size of the largest slot. Weights are not part of it: every kernel's
+constant arrays come from the process-wide table in
+:mod:`repro.nn.kernels`, one read-only copy per distinct content, so the
+plans of a ladder's rungs read one copy of each layer they share.
 
 The plan is validated on every use against a state signature (structure
 version + parameter/batch-norm-statistic version counters); weight
@@ -186,9 +194,10 @@ class _Buffers:
     """A plan's one buffer set, sized for a batch of ``batch``.
 
     The input slot (value 0, which ``run`` fills), one buffer per arena
-    slot, each step's kernel state (padding borders, patch matrices) and
-    the read-only constant operands :meth:`const` hands out. Batch is the
-    leading axis of every one, so a smaller batch runs on their prefixes.
+    slot, each step's private kernel state (padding borders, softmax
+    rows), one patch buffer per patch layout and the read-only constant
+    operands :meth:`const` hands out. Batch is the leading axis of every
+    one, so a smaller batch runs on their prefixes.
     """
 
     def __init__(self, batch: int, plan: "ExecutionPlan"):
@@ -197,9 +206,27 @@ class _Buffers:
         self.slots = {sid: np.empty((batch,) + shape, dtype=np.float32)
                       for sid, shape in plan.slot_shapes.items()}
         self.states = [step.kernel.make_state(batch) for step in plan.steps]
+        self.patches: dict[tuple[int, int], np.ndarray] = {}
+        for (width, ones), rows in plan.patch_rows.items():
+            flat = np.empty(batch * rows * width, dtype=np.float32)
+            flat.reshape(-1, width)[:, ones:] = 1.0   # no forward writes it
+            self.patches[width, ones] = flat
         self._largest = max((buf.size for buf in self.slots.values()),
                             default=0)
         self.constants: dict[float, np.ndarray] = {}
+
+    def state(self, step: _Step, index: int, batch: int):
+        """What ``step`` (the plan's ``index``-th) binds for a batch of
+        ``batch``: its private state's prefix, paired with its patch
+        matrix when it reads one. The matrix is the leading ``batch *
+        rows * width`` floats of its layout's buffer, so it is
+        C-contiguous and its rows start on multiples of the width."""
+        state = _prefix(self.states[index], batch)
+        if step.kernel.patches is None:
+            return state
+        rows, width, ones = step.kernel.patches
+        cols = self.patches[width, ones][:batch * rows * width]
+        return state, cols.reshape(batch, rows, width)
 
     def const(self, value: float, like: np.ndarray) -> np.ndarray:
         """A read-only array shaped like ``like`` holding ``value``.
@@ -222,7 +249,8 @@ class _Buffers:
 
     @property
     def nbytes(self) -> int:
-        bufs = [self.input, *self.slots.values(), *self.constants.values()]
+        bufs = [self.input, *self.slots.values(), *self.patches.values(),
+                *self.constants.values()]
         for state in self.states:
             bufs += state if isinstance(state, tuple) else [state]
         return sum(buf.nbytes for buf in bufs if buf is not None)
@@ -245,10 +273,10 @@ class _Arena:
         value_buf = {vid: slots[sid] for vid, sid in plan.value_slot.items()}
         value_buf[0] = self.input
         self.steps = []
-        for step, state in zip(plan.steps, buffers.states):
+        for i, step in enumerate(plan.steps):
             ins = [value_buf[vid] for vid in step.input_ids]
             self.steps.append((step.name, step.kernel.bind(
-                ins, value_buf[step.out_id], _prefix(state, batch),
+                ins, value_buf[step.out_id], buffers.state(step, i, batch),
                 buffers.const)))
         self.ops = [op for _, ops in self.steps for op in ops]
         self.output = value_buf[plan.out_value]
@@ -288,6 +316,14 @@ class ExecutionPlan:
                                     input_ids, out_id, out_shape))
         self.out_value = node_value.get(net.output_name, 0)
         self._assign_slots()
+        #: ``(width, ones column)`` -> the most patch rows a step of that
+        #: layout reads: the size of the one buffer those steps share
+        self.patch_rows: dict[tuple[int, int], int] = {}
+        for step in self.steps:
+            if step.kernel.patches is not None:
+                rows, width, ones = step.kernel.patches
+                self.patch_rows[width, ones] = max(
+                    rows, self.patch_rows.get((width, ones), 0))
 
     def _assign_slots(self) -> None:
         """Liveness-based arena assignment: recycle freed same-shape slots."""
@@ -497,16 +533,18 @@ class CompiledNetwork:
     @property
     def arena_bytes(self) -> int:
         """Bytes of the plan's one buffer set: input slot, arena slots,
-        kernel scratch and constant operands, sized for the largest batch
-        run so far (0 before the first forward). Every batch size runs on
-        these buffers."""
+        kernel scratch, patch buffers and constant operands, sized for the
+        largest batch run so far (0 before the first forward). Every batch
+        size runs on these buffers, and a patch buffer its steps share
+        counts once."""
         return 0 if self._buffers is None else self._buffers.nbytes
 
     @property
     def weight_bytes(self) -> int:
         """Bytes of the weight, bias and affine arrays the bound program
         reads every forward, whatever the batch: what a batch-1 forward
-        streams besides its activations."""
+        streams besides its activations. Per plan: an array another plan
+        (or another step) shares counts in every step that reads it."""
         return sum(w.nbytes for step in self.plan.steps
                    for w in step.kernel.weights())
 

@@ -40,6 +40,15 @@ Dispatch is on the exact type, so a subclass of a layer type is never
 compiled as its base: a layer type with no kernel raises ``TypeError``
 when the plan is built.
 
+Every constant array a kernel binds (a GEMM, im2col or einsum weight, a
+bias added by its own call, a batch norm's scale and shift) comes from
+:data:`WEIGHTS`, a process-wide :class:`WeightTable` that holds one
+read-only copy of each distinct content. The rungs of a ladder keep most
+of their base's layers unchanged, so their plans read one copy of each.
+The table copies on a miss, so a compiled weight never aliases a
+``Parameter``'s array: a raw in-place write into a parameter reaches a
+plan only through ``Network.compile(force=True)``.
+
 A kernel is bound, not run: :meth:`Kernel.bind` turns it, once per
 arena, into a short list of zero-argument NumPy calls
 (``functools.partial`` objects) whose input, output and scratch buffers,
@@ -48,11 +57,13 @@ then a flat walk over those calls, with no per-kernel Python dispatch and
 no allocation.
 
 Kernels are *stateless across batch sizes*: all scratch (padding borders,
-patch matrices, softmax row reductions) lives in the state built by
-:meth:`Kernel.make_state` and owned by the plan, which passes it to
-:meth:`Kernel.bind`. Bound calls never write their inputs — only the
-output buffer and the kernel's own state — so arena slots can be shared
-between steps safely.
+patch matrices, softmax row reductions) is owned by the plan, which
+passes it to :meth:`Kernel.bind`. A kernel's private scratch is built by
+:meth:`Kernel.make_state`. An im2col patch matrix is not private: the
+kernel describes it in :attr:`Kernel.patches`, and the plan lets every
+step with the same width and ones column read one buffer. Bound calls
+never write their inputs — only the output buffer and the kernel's own
+state — so arena slots can be shared between steps safely.
 
 Batch is the leading axis of every buffer: the input and arena slots,
 and every array ``make_state`` returns. What a buffer holds beyond what
@@ -66,6 +77,8 @@ at bind time is a view of it; the compiled path is an inference path.
 
 from __future__ import annotations
 
+import weakref
+import zlib
 from collections.abc import Callable
 from functools import partial
 
@@ -89,7 +102,7 @@ from .layers import (
     Softmax,
 )
 
-__all__ = ["Kernel", "build_kernel"]
+__all__ = ["Kernel", "WEIGHTS", "WeightTable", "build_kernel"]
 
 Shape = tuple[int, ...]
 #: one bound call of a compiled forward: every operand is fixed
@@ -104,6 +117,46 @@ Const = Callable[[float, np.ndarray], np.ndarray]
 #: channel count is small (the early, large-spatial layers where depthwise
 #: time concentrates).
 DEPTHWISE_GEMM_MAX_CHANNELS = 8
+
+
+class WeightTable:
+    """One read-only float32 array per distinct content, held weakly.
+
+    :meth:`intern` finds an array by its shape and CRC-32 and confirms it
+    by a bitwise compare, so ``-0.0`` and ``0.0`` stay apart and a shared
+    array holds exactly the bits each plan computed. On a miss the table
+    stores a read-only copy of its own: it never aliases, and never
+    freezes, the array it was given. It holds its arrays by weak
+    reference, so an array lives as long as some kernel binds it, and the
+    table holds nothing once every plan is gone.
+    """
+
+    def __init__(self):
+        self._arrays: weakref.WeakValueDictionary = (
+            weakref.WeakValueDictionary())
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+    def intern(self, a: np.ndarray) -> np.ndarray:
+        """The table's read-only float32 array bitwise equal to ``a``."""
+        a = np.ascontiguousarray(a, dtype=np.float32)
+        bits = a.view(np.uint32)
+        key = (a.shape, zlib.crc32(a))
+        # a checksum collision probes the next slot
+        probe = 0
+        while (held := self._arrays.get((*key, probe))) is not None:
+            if np.array_equal(held.view(np.uint32), bits):
+                return held
+            probe += 1
+        held = a.copy()
+        held.flags.writeable = False
+        self._arrays[(*key, probe)] = held
+        return held
+
+
+#: the table every kernel's constant arrays come from
+WEIGHTS = WeightTable()
 
 
 # -- element-wise ops (a fused tail in place on the output, or an anchor) ----
@@ -134,7 +187,7 @@ class _Affine:
     tail behind an anchor it cannot fold into, or its own anchor."""
 
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
-        self.weights = (scale, shift)
+        self.weights = (WEIGHTS.intern(scale), WEIGHTS.intern(shift))
 
     def __call__(self, x: np.ndarray, out: np.ndarray,
                  const: Const) -> list[Op]:
@@ -148,7 +201,7 @@ class _Bias:
     of a GEMM or einsum that has no patch matrix to carry it."""
 
     def __init__(self, bias: np.ndarray):
-        self.weights = (bias,)
+        self.weights = (WEIGHTS.intern(bias),)
 
     def __call__(self, x: np.ndarray, out: np.ndarray,
                  const: Const) -> list[Op]:
@@ -275,6 +328,13 @@ class Kernel:
     call; both run in place on the output after the anchor's calls.
     """
 
+    #: ``(rows, width, ones_at)`` of the ``(N, rows, width)`` patch matrix
+    #: the plan provides a kernel whose GEMM reads one, holding 1 in every
+    #: column from ``ones_at`` on (none when ``ones_at == width``); the
+    #: plan's steps of one ``(width, ones_at)`` share a buffer. ``None``:
+    #: the kernel reads no patch matrix.
+    patches: tuple[int, int, int] | None = None
+
     def __init__(self, out_shape: Shape, tail: list,
                  bias: np.ndarray | None = None):
         self.out_shape = out_shape
@@ -284,8 +344,8 @@ class Kernel:
                          if type(lay) is not Dropout]
 
     def make_state(self, n: int):
-        """Scratch for batches of up to ``n``: ``None``, an array, or a
-        tuple of arrays and ``None``. Default: none.
+        """Private scratch for batches of up to ``n``: ``None``, an array,
+        or a tuple of arrays and ``None``. Default: none.
 
         Every array has leading axis ``n``, and its contents beyond what
         a forward overwrites do not depend on ``n``, so the ``[:m]``
@@ -299,7 +359,8 @@ class Kernel:
 
         ``ins`` and ``out`` are the buffers of one batch size (prefixes
         of the plan's buffers) and ``state`` is :meth:`make_state`'s
-        scratch cut to the same prefix. ``const(value, like)`` returns a
+        scratch cut to the same prefix; a kernel with :attr:`patches`
+        gets ``(scratch, patch matrix)``. ``const(value, like)`` returns a
         read-only array shaped like ``like`` that holds ``value``, owned
         by the plan: an activation clamps against it, because a ufunc on
         two same-shape operands is faster than one on an array and a
@@ -327,7 +388,7 @@ class GemmKernel(Kernel):
     def __init__(self, out_shape: Shape, tail: list, w: np.ndarray,
                  bias: np.ndarray | None, stride: int = 1):
         super().__init__(out_shape, tail, bias)
-        self.wf = np.ascontiguousarray(w, dtype=np.float32)
+        self.wf = WEIGHTS.intern(w)
         self.stride = stride
 
     def make_state(self, n: int):
@@ -356,9 +417,11 @@ class Im2colKernel(Kernel):
     convolutions, and narrow depthwise ones (block-diagonal weight).
 
     A bias rides in the GEMM: the patch matrix grows a ones column and
-    the weight a bias row. ``state`` is ``(padbuf, cols)``: the padding
-    buffer (``None`` when unpadded) and the ``(N, OH*OW, K[+1])`` patch
-    matrix, whose 2-D GEMM view and 6-D patch view :meth:`bind` takes.
+    the weight a bias row. The plan provides the ``(N, OH*OW, K[+1])``
+    patch matrix :attr:`patches` describes, its ones column already
+    written, so ``state`` is ``(padbuf, cols)``: :meth:`make_state`'s
+    padding buffer (``None`` when unpadded) and that matrix, whose 2-D
+    GEMM view and 6-D patch view :meth:`bind` takes.
     """
 
     def __init__(self, out_shape: Shape, tail: list, w: np.ndarray,
@@ -367,15 +430,14 @@ class Im2colKernel(Kernel):
         self.kh, self.kw = layer.kernel
         self.stride = layer.stride
         self.pad = pad
-        wf = np.ascontiguousarray(w, dtype=np.float32)
-        self.k = len(wf)
-        self.wf = wf if bias is None else np.vstack([wf, bias[None]])
+        self.k = len(w)
+        self.wf = WEIGHTS.intern(
+            w if bias is None else np.vstack([w, bias[None]]))
+        oh, ow, _ = out_shape
+        self.patches = (oh * ow, len(self.wf), self.k)
 
     def make_state(self, n: int):
-        oh, ow, _ = self.out_shape
-        cols = np.empty((n, oh * ow, len(self.wf)), dtype=np.float32)
-        cols[:, :, self.k:] = 1.0          # the bias's ones column, if any
-        return (self.pad.make_buf(n, 0.0), cols)
+        return self.pad.make_buf(n, 0.0)
 
     def bind(self, ins, out, state, const):
         oh, ow, f = self.out_shape
@@ -405,7 +467,7 @@ class DepthwiseEinsumKernel(Kernel):
         self.kh, self.kw = layer.kernel
         self.stride = layer.stride
         self.pad = pad
-        self.wf = np.ascontiguousarray(w, dtype=np.float32)
+        self.wf = WEIGHTS.intern(w)
 
     def make_state(self, n: int):
         oh, ow, c = self.out_shape

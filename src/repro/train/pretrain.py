@@ -98,20 +98,21 @@ def get_pretrained(name: str, config: PretrainConfig | None = None,
     cache_dir = cache_dir or default_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, config.cache_key(name) + ".npz")
-    net = build_network(name, input_shape=(config.image_size,
-                                           config.image_size, 3),
-                        num_classes=config.num_classes)
-    net.build(config.seed)
-    if os.path.exists(path):
-        with np.load(path) as archive:
-            net.load_state_dict(dict(archive))
-        return net
-    if verbose:
-        print(f"pretraining {name} (cache miss: {path})")
-    pretrain(net, config, verbose=verbose)
-    np.savez_compressed(path, **net.state_dict())
-    # release the gradient buffers training allocated, so a miss returns
-    # the same network a hit loads
-    for _, param in net.parameters(trainable_only=False):
-        param.grad = None
+
+    def build() -> Network:
+        return build_network(name, input_shape=(config.image_size,
+                                                config.image_size, 3),
+                             num_classes=config.num_classes
+                             ).build(config.seed)
+
+    if not os.path.exists(path):
+        if verbose:
+            print(f"pretraining {name} (cache miss: {path})")
+        trained = pretrain(build(), config, verbose=verbose)
+        np.savez_compressed(path, **trained.state_dict())
+    # a miss returns what a hit loads: the trained network's layers still
+    # hold their last batch's backward caches and gradient buffers
+    net = build()
+    with np.load(path) as archive:
+        net.load_state_dict(dict(archive))
     return net

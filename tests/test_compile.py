@@ -11,12 +11,14 @@ per-step timing over the flat call list, input casting and arena
 rebuilds. And it pins the one buffer set per plan: every batch size
 binds on prefixes of the largest batch's buffers, with outputs
 bit-identical to a fresh plan's. Dead-tap elimination (SAME convs on a
-1x1 map keep their one live tap), the shared read-only constant operands
-and the O(1) validity gate have their own classes.
+1x1 map keep their one live tap), the shared read-only constant operands,
+the process-wide table of compiled weights, the patch buffer each patch
+layout shares and the O(1) validity gate have their own classes.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -39,6 +41,7 @@ from repro.nn import (
     Softmax,
 )
 from repro.nn import compile as compile_module
+from repro.nn import kernels as kernels_module
 from repro.nn.compile import (
     ANCHOR_TYPES,
     FUSABLE_TYPES,
@@ -54,6 +57,7 @@ from repro.nn.kernels import (
     GemmKernel,
     Im2colKernel,
     Kernel,
+    WeightTable,
     build_kernel,
 )
 from repro.zoo import NETWORKS, build_network
@@ -64,6 +68,27 @@ RTOL, ATOL = 1e-4, 1e-5
 def _batch(net, n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n,) + net.input_shape).astype(np.float32)
+
+
+def _randomize(net: Network, seed: int = 0) -> Network:
+    """Seeded non-trivial biases and batch norms, in place: a freshly
+    built net's biases are 0 and its batch norms the identity, which
+    hides a dropped bias, a mis-folded shift or a corrupted ones column.
+    Gamma ~ U(0.5, 1.5), variance ~ U(0.5, 2); biases, beta and mean ~
+    N(0, 0.1)."""
+    rng = np.random.default_rng(seed)
+    for node in net.nodes.values():
+        layer = node.layer
+        if type(layer) is BatchNorm:
+            c = layer.params["gamma"].value.shape
+            layer.params["gamma"].value = rng.uniform(0.5, 1.5, c)
+            layer.params["beta"].value = rng.normal(0.0, 0.1, c)
+            layer.running_mean = rng.normal(0.0, 0.1, c).astype(np.float32)
+            layer.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        elif "b" in layer.params:
+            bias = layer.params["b"]
+            bias.value = rng.normal(0.0, 0.1, bias.value.shape)
+    return net
 
 
 class Negate(Layer):
@@ -133,6 +158,31 @@ def _net_with_constant_scratch() -> Network:
     net.add("gap", GlobalAvgPool())
     net.add("logits", Dense(5))
     return net.build(0)
+
+
+def _arrays_in(state) -> list[np.ndarray]:
+    """The arrays of a bound kernel state, nested tuples flattened."""
+    if isinstance(state, tuple):
+        return [buf for part in state for buf in _arrays_in(part)]
+    return [] if state is None else [state]
+
+
+def _net_with_patch_layouts() -> Network:
+    """Three im2col convs of patch width 28 in two layouts: ``a1`` (3x3 on
+    3 channels, bias: ones column 27, 64 rows) and ``a2`` (the same at
+    stride 2: 16 rows) share a buffer; ``b`` (2x2 on 7 channels, no bias,
+    64 rows) has no ones column and a buffer of its own. Biases are
+    random, so a clobbered ones column shows in the output."""
+    net = Network("patch_layouts", (8, 8, 3))
+    net.add("a1", Conv2D(7, 3))
+    net.add("a1_relu", ReLU())
+    net.add("b", Conv2D(7, 2, use_bias=False))
+    net.add("b_gap", GlobalAvgPool())
+    net.add("a2", Conv2D(7, 3, stride=2), inputs="input")
+    net.add("a2_gap", GlobalAvgPool())
+    net.add("sum", Add(), inputs=["b_gap", "a2_gap"])
+    net.add("logits", Dense(5))
+    return _randomize(net.build(0), seed=3)
 
 
 def _one_pixel_net(variant: str) -> Network:
@@ -269,11 +319,12 @@ class TestKernelSelection:
 
 
 class TestZooParity:
-    """Compiled output == interpreted output on every zoo network."""
+    """Compiled output == interpreted output on every zoo network, with
+    random biases and batch-norm statistics."""
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_batched_parity(self, name):
-        net = build_network(name).build(0)
+        net = _randomize(build_network(name).build(0))
         x = _batch(net, 2)
         interp = net.forward(x)
         net.compile()
@@ -283,7 +334,7 @@ class TestZooParity:
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_single_sample_parity(self, name):
-        net = build_network(name).build(0)
+        net = _randomize(build_network(name).build(0))
         x = _batch(net, 1)[0]
         interp = net.forward_one(x)
         net.compile()
@@ -294,14 +345,15 @@ class TestZooParity:
 
 class TestBuilderParity:
     """Compiled output == interpreted output on every rung a builder emits:
-    greedy cuts, pruned channels, HALP and DP-depth selections."""
+    greedy cuts, pruned channels, HALP and DP-depth selections, cut from a
+    base with random biases and batch-norm statistics."""
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_every_rung_matches_its_interpreted_copy(self, name):
         from repro.device import xavier
         from repro.netcut import build_rungs
 
-        base = build_network(name).build(0)
+        base = _randomize(build_network(name).build(0))
         rungs = build_rungs(base, xavier(), max_rungs=4)
         for builder, artifacts in rungs.items():
             assert artifacts, builder
@@ -420,13 +472,14 @@ class TestBoundProgram:
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_every_state_array_leads_with_the_batch(self, name):
+        # what each step binds, private scratch and shared patch matrix
+        # alike, at the buffer set's batch and at a smaller prefix
         plan = compile_network(build_network(name).build(0))
-        for step in plan.plan.steps:
-            state = step.kernel.make_state(3)
-            bufs = state if isinstance(state, tuple) else (state,)
-            for buf in bufs:
-                if buf is not None:
-                    assert buf.shape[0] == 3, step.name
+        buffers = compile_module._Buffers(3, plan.plan)
+        for i, step in enumerate(plan.plan.steps):
+            for n in (3, 2):
+                for buf in _arrays_in(buffers.state(step, i, n)):
+                    assert buf.shape[0] == n, step.name
                     assert buf.flags.c_contiguous, step.name
 
     @pytest.mark.parametrize("sizes", [
@@ -550,6 +603,151 @@ class TestConstantOperands:
             np.testing.assert_allclose(out, interp, rtol=RTOL, atol=ATOL)
             assert all((a == 6.0).any() for a in acts.values())
             plan = net.compile()
+
+
+class TestWeightTable:
+    """Every constant array a kernel binds comes from one process-wide
+    table: one read-only copy per distinct content, held weakly."""
+
+    def test_miss_stores_a_read_only_copy_held_weakly(self):
+        table = WeightTable()
+        given = np.arange(6, dtype=np.float32).reshape(2, 3)
+        held = table.intern(given)
+        assert held is not given and not np.shares_memory(held, given)
+        assert not held.flags.writeable and given.flags.writeable
+        np.testing.assert_array_equal(held, given)
+        assert table.intern(given.astype(np.float64)) is held
+        assert table.intern(given.T.copy().T) is held  # any layout
+        assert len(table) == 1
+        del held
+        gc.collect()
+        assert len(table) == 0
+
+    def test_equal_keys_are_confirmed_bitwise(self, monkeypatch):
+        # with every checksum equal, only the compare tells arrays apart;
+        # -0.0 == 0.0 as values, but not as bits
+        monkeypatch.setattr(kernels_module.zlib, "crc32", lambda data: 0)
+        table = WeightTable()
+        arrays = [np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32),
+                  np.full(4, -0.0, dtype=np.float32)]
+        held = [table.intern(a) for a in arrays]
+        assert len({id(h) for h in held}) == 3 and len(table) == 3
+        for a, h in zip(arrays, held):
+            assert table.intern(a.copy()) is h
+            assert h.tobytes() == a.tobytes()
+
+    @staticmethod
+    def _weights(plan) -> list[list[np.ndarray]]:
+        return [step.kernel.weights() for step in plan.plan.steps]
+
+    @staticmethod
+    def _twin(name: str) -> Network:
+        return _randomize(build_network(name).build(0), seed=5)
+
+    @pytest.mark.parametrize("name", ["resnet50", "mobilenet_v2_1.0"])
+    def test_separately_built_copies_share_every_weight(self, name):
+        a, b = self._twin(name).compile(), self._twin(name).compile()
+        wa, wb = self._weights(a), self._weights(b)
+        assert sum(map(len, wa)) > 0
+        for step, xs, ys in zip(a.plan.steps, wa, wb):
+            assert len(xs) == len(ys)
+            assert all(x is y for x, y in zip(xs, ys)), step.name
+        assert a.weight_bytes == b.weight_bytes
+
+    def test_reassignment_renews_only_the_steps_that_read_it(self):
+        net, other = self._twin("resnet50"), self._twin("resnet50")
+        plan, kept = net.compile(), other.compile()
+        x = _batch(net, 2)
+        before = kept.run(x)
+        old = self._weights(plan)
+        conv = net.nodes["block3_b_conv"].layer
+        conv.params["w"].value = conv.params["w"].value * 0.5
+        renewed = net.compile()
+        assert renewed is not plan and kept.valid
+        for step, xs, ys in zip(renewed.plan.steps, old,
+                                self._weights(renewed)):
+            reads = "block3_b_conv" in step.node_names
+            assert all((x is y) != reads for x, y in zip(xs, ys)), step.name
+        for xs, ys in zip(self._weights(kept), old):
+            assert all(x is y for x, y in zip(xs, ys))
+        np.testing.assert_array_equal(kept.run(x), before)
+        assert not np.array_equal(renewed.run(x), before)
+
+    def test_parameters_are_never_frozen_or_aliased(self, tiny_net):
+        _randomize(tiny_net)
+        plan = tiny_net.compile()
+        weights = [w for ws in self._weights(plan) for w in ws]
+        assert weights and not any(w.flags.writeable for w in weights)
+        for _, p in tiny_net.parameters(trainable_only=False):
+            assert p.value.flags.writeable
+            assert not any(np.may_share_memory(p.value, w) for w in weights)
+        # a raw in-place write reaches the plan only through a recompile
+        x = _batch(tiny_net, 2)
+        before = plan.run(x)
+        tiny_net.nodes["logits"].layer.params["w"].value[...] = 0.0
+        np.testing.assert_array_equal(plan.run(x), before)
+        after = tiny_net.compile(force=True).run(x)
+        assert not np.allclose(after, before)
+        tiny_net.uncompile()
+        np.testing.assert_allclose(after, tiny_net.forward(x),
+                                   rtol=RTOL, atol=ATOL)
+
+    def test_table_empties_once_every_plan_is_gone(self, monkeypatch):
+        table = WeightTable()
+        monkeypatch.setattr(kernels_module, "WEIGHTS", table)
+        nets = [self._twin("mobilenet_v1_0.25") for _ in range(2)]
+        plans = [net.compile() for net in nets]
+        plans[0].run(_batch(nets[0], 2))
+        distinct = {id(w) for ws in self._weights(plans[0]) for w in ws}
+        assert len(table) == len(distinct) > 0
+        del nets, plans
+        gc.collect()
+        assert len(table) == 0
+
+
+class TestPatchBuffers:
+    """The im2col steps of one patch layout (width, ones column) share one
+    patch buffer, sized for the largest of them."""
+
+    def test_one_buffer_per_layout_counted_once(self):
+        net = _net_with_patch_layouts()
+        plan = net.compile()
+        layouts = [s.kernel.patches for s in plan.plan.steps
+                   if s.kernel.patches is not None]
+        assert layouts == [(64, 28, 27), (64, 28, 28), (16, 28, 27)]
+        assert plan.plan.patch_rows == {(28, 27): 64, (28, 28): 64}
+        weight_bytes = plan.weight_bytes
+        for n in (3, 1, 2):
+            plan.run(_batch(net, n, seed=n))
+        buffers = plan._buffers
+        shared = sum(flat.nbytes for flat in buffers.patches.values())
+        assert shared == 4 * 3 * 28 * (64 + 64)
+        # per step, the parent layout allocated a matrix for each
+        per_step = 4 * 3 * 28 * (64 + 64 + 16)
+        private = [buffers.input, *buffers.slots.values(),
+                   *buffers.constants.values()]
+        private += [b for st in buffers.states for b in _arrays_in(st)]
+        rest = sum(buf.nbytes for buf in private)
+        assert plan.arena_bytes == rest + shared == rest + per_step - (
+            4 * 3 * 28 * 16)
+        ones = buffers.patches[28, 27].reshape(-1, 28)[:, 27]
+        assert (ones == 1.0).all()
+        assert plan.weight_bytes == weight_bytes
+
+    @pytest.mark.parametrize("sizes", [
+        [1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 1, 2, 6, 4, 5, 1]],
+        ids=["ascending", "descending", "interleaved"])
+    def test_shared_patches_match_a_fresh_plan(self, sizes):
+        net = _net_with_patch_layouts()
+        plan = net.compile()
+        for n in sizes:
+            x = _batch(net, n, seed=n)
+            out = plan.run(x)
+            np.testing.assert_array_equal(
+                out, compile_network(net).run(x), err_msg=f"n={n}")
+            net.uncompile()
+            np.testing.assert_allclose(out, net.forward(x), rtol=RTOL,
+                                       atol=ATOL, err_msg=f"n={n}")
 
 
 class TestValidityGate:

@@ -11,6 +11,14 @@ from repro.zoo import build_network
 TINY = PretrainConfig(n_images=40, epochs=1, batch_size=16)
 
 
+def _holds_array(value) -> bool:
+    """Whether an attribute value is, or a tuple or list holding, an
+    array."""
+    if isinstance(value, (tuple, list)):
+        return any(_holds_array(v) for v in value)
+    return isinstance(value, np.ndarray)
+
+
 class TestRecipes:
     def test_mobilenets_get_longer_recipe(self):
         base = PretrainConfig()
@@ -51,6 +59,17 @@ class TestCache:
         files = os.listdir(cache)
         assert any(f.endswith(".npz") for f in files)
         b = get_pretrained("mobilenet_v1_0.25", TINY, cache_dir=cache)
+        # no training state: a layer holds no array but its parameters'
+        # (inside ``params``) and its batch-norm statistics
+        for net in (a, b):
+            for node in net.nodes.values():
+                held = [k for k, v in vars(node.layer).items()
+                        if k not in ("running_mean", "running_var")
+                        and _holds_array(v)]
+                assert not held, (node.name, held)
+        assert a.state_dict().keys() == b.state_dict().keys()
+        for key, value in a.state_dict().items():
+            np.testing.assert_array_equal(value, b.state_dict()[key])
         x = np.random.default_rng(0).normal(size=(1, 32, 32, 3)).astype(
             np.float32)
         np.testing.assert_allclose(a.forward(x), b.forward(x), rtol=1e-5)
