@@ -23,8 +23,16 @@ at every batch size in BATCHES: one buffer set (input slot, arena slots,
 kernel scratch and constant operands) sized for the largest batch, on
 whose prefixes every smaller batch runs. ``weight_bytes`` is what the
 plan's bound calls read besides activations on every forward, at any
-batch size: weights, separately added biases and per-channel affines.
-At batch 1 it is most of the bytes a forward moves.
+batch size: weights, and the per-sample tiles of separately added biases
+and batch-norm affines. At batch 1 it is most of the bytes a forward
+moves.
+
+``bound_calls`` is the number of calls in the batch-1 arena's program,
+and ``channel_broadcast_calls`` the number of those that are element-wise
+ufuncs reading an array of fewer dimensions than their output: a
+per-channel vector broadcast over an activation, which NumPy runs through
+its buffered iterator a vector's length at a time. Both are counts, the
+same on every host.
 
 Unlike the serving benchmarks this one is real wall-clock compute
 (NumPy kernels), so absolute numbers vary across machines; the
@@ -113,6 +121,16 @@ def _time_sps_and_kernels(plan, fn, x):
     return best, min(tables, key=lambda table: table.end_to_end_ms)
 
 
+def _broadcasts_channels(op) -> bool:
+    """Whether a bound call is an element-wise ufunc that reads an array of
+    fewer dimensions than its output."""
+    func = op.func
+    if not isinstance(func, np.ufunc) or func.signature is not None:
+        return False
+    out = op.keywords["out"] if "out" in op.keywords else op.args[func.nin]
+    return any(isinstance(a, np.ndarray) and a.ndim < out.ndim for a in op.args[: func.nin])
+
+
 def bench_network(name: str) -> dict:
     net = build_network(name).build(0)
     rng = np.random.default_rng(SEED)
@@ -149,6 +167,9 @@ def bench_network(name: str) -> dict:
         plan.run(np.zeros((batch,) + net.input_shape, dtype=np.float32))
     out["arena_bytes"] = plan.arena_bytes
     out["weight_bytes"] = plan.weight_bytes
+    ops = plan._arenas[1].ops
+    out["bound_calls"] = len(ops)
+    out["channel_broadcast_calls"] = sum(map(_broadcasts_channels, ops))
     out["allclose"] = allclose
     out["speedup"] = out["batches"]["1"]["speedup"]  # real-time headline
     out["plan_steps"] = len(plan.plan.steps)

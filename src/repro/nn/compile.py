@@ -23,19 +23,19 @@ Compilation (:func:`compile_network`, or :meth:`Network.compile
 
 A compiled network keeps one buffer set, sized for the largest batch it
 has run: an input slot (the network input, value 0), the output slots
-and every kernel's scratch. The im2col steps whose patch matrices have
-the same width and ones column share one patch buffer, sized for the
-largest of them, whose ones column is written once, at allocation: each
-step's matrix is a C-contiguous view of its leading part, and every
-matrix row starts on a multiple of the width. Batch is the leading axis
-of each buffer, so
-the arena for a batch of ``n`` binds on ``[:n]`` prefixes: each kernel is
-*bound* to its buffers once as a few zero-argument NumPy calls. A larger
-batch allocates a new set at its size and drops every binding of the old
-one; they rebind on their next use. A forward copies the batch into the
-input slot, calls the arena's flat list of bound calls in order and
-returns a copy of the output slot; it does no per-kernel dispatch, view
-building or allocation.
+and every kernel's scratch. The im2col and depthwise einsum steps whose
+patch matrices have the same width and ones column share one patch
+buffer, sized for the largest of them, whose ones column (an im2col
+step's, when it has one) is written once, at allocation: each step's
+matrix is a C-contiguous view of its leading part, and every matrix row
+starts on a multiple of the width. Batch is the leading axis of each
+buffer, so the arena for a batch of ``n`` binds on ``[:n]`` prefixes:
+each kernel is *bound* to its buffers once as a few zero-argument NumPy
+calls. A larger batch allocates a new set at its size and drops every
+binding of the old one; they rebind on their next use. A forward copies
+the batch into the input slot, calls the arena's flat list of bound calls
+in order and returns a copy of the output slot; it does no per-kernel
+dispatch, view building or allocation.
 
 The buffer set also holds the read-only constant operands activations
 clamp against (zeros, and sixes for ReLU6), one flat array per value the

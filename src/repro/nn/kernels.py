@@ -40,30 +40,43 @@ Dispatch is on the exact type, so a subclass of a layer type is never
 compiled as its base: a layer type with no kernel raises ``TypeError``
 when the plan is built.
 
+A bias added by its own call and a batch norm's scale and shift are
+per-channel, but a kernel binds each as a *per-sample tile*: the vector
+repeated over one sample's output, shape ``(1,) + out_shape``. At batch 1
+the call then runs NumPy's same-shape contiguous loop instead of
+broadcasting a ``(C,)`` vector through its buffered iterator ``C``
+elements at a time; at batch ``n`` the tile broadcasts along the batch
+axis only. A tile holds the floats the broadcast read, so the result is
+the same to the bit.
+
 Every constant array a kernel binds (a GEMM, im2col or einsum weight, a
-bias added by its own call, a batch norm's scale and shift) comes from
-:data:`WEIGHTS`, a process-wide :class:`WeightTable` that holds one
-read-only copy of each distinct content. The rungs of a ladder keep most
-of their base's layers unchanged, so their plans read one copy of each.
-The table copies on a miss, so a compiled weight never aliases a
-``Parameter``'s array: a raw in-place write into a parameter reaches a
-plan only through ``Network.compile(force=True)``.
+bias or affine tile) comes from :data:`WEIGHTS`, a process-wide
+:class:`WeightTable` that holds one read-only copy of each distinct
+content. The rungs of a ladder keep most of their base's layers
+unchanged, so their plans read one copy of each. The table copies on a
+miss, so a compiled weight never aliases a ``Parameter``'s array: a raw
+in-place write into a parameter reaches a plan only through
+``Network.compile(force=True)``.
 
 A kernel is bound, not run: :meth:`Kernel.bind` turns it, once per
 arena, into a short list of zero-argument NumPy calls
 (``functools.partial`` objects) whose input, output and scratch buffers,
 and every view over them, are fixed at bind time. A compiled forward is
 then a flat walk over those calls, with no per-kernel Python dispatch and
-no allocation.
+no allocation. A ufunc or ``np.matmul`` call takes its output
+positionally, which spares the partial its per-call keyword dict and
+NumPy its keyword parsing; ``np.maximum`` and ``np.minimum`` keep
+``out=``, because NumPy 2.4 deprecates a third positional argument for
+those two.
 
 Kernels are *stateless across batch sizes*: all scratch (padding borders,
 patch matrices, softmax row reductions) is owned by the plan, which
 passes it to :meth:`Kernel.bind`. A kernel's private scratch is built by
-:meth:`Kernel.make_state`. An im2col patch matrix is not private: the
-kernel describes it in :attr:`Kernel.patches`, and the plan lets every
-step with the same width and ones column read one buffer. Bound calls
-never write their inputs — only the output buffer and the kernel's own
-state — so arena slots can be shared between steps safely.
+:meth:`Kernel.make_state`. A patch matrix is not private: an im2col or
+einsum kernel describes it in :attr:`Kernel.patches`, and the plan lets
+every step with the same width and ones column read one buffer. Bound
+calls never write their inputs — only the output buffer and the kernel's
+own state — so arena slots can be shared between steps safely.
 
 Batch is the leading axis of every buffer: the input and arena slots,
 and every array ``make_state`` returns. What a buffer holds beyond what
@@ -182,30 +195,38 @@ def _identity(x: np.ndarray, out: np.ndarray, const: Const) -> list[Op]:
     return [partial(np.copyto, out, x)]
 
 
-class _Affine:
-    """Inference batch norm as a per-channel ``x * scale + shift``: a
-    tail behind an anchor it cannot fold into, or its own anchor."""
+def _tile(v: np.ndarray, out_shape: Shape) -> np.ndarray:
+    """The per-channel ``v`` repeated over one sample's ``out_shape``: the
+    interned ``(1,) + out_shape`` tile a bias or affine call reads."""
+    return WEIGHTS.intern(np.broadcast_to(v, (1,) + out_shape))
 
-    def __init__(self, scale: np.ndarray, shift: np.ndarray):
-        self.weights = (WEIGHTS.intern(scale), WEIGHTS.intern(shift))
+
+class _Affine:
+    """Inference batch norm as ``x * scale + shift`` against per-sample
+    tiles: a tail behind an anchor it cannot fold into, or its own
+    anchor."""
+
+    def __init__(self, scale: np.ndarray, shift: np.ndarray,
+                 out_shape: Shape):
+        self.weights = (_tile(scale, out_shape), _tile(shift, out_shape))
 
     def __call__(self, x: np.ndarray, out: np.ndarray,
                  const: Const) -> list[Op]:
         scale, shift = self.weights
-        return [partial(np.multiply, x, scale, out=out),
-                partial(np.add, out, shift, out=out)]
+        return [partial(np.multiply, x, scale, out),
+                partial(np.add, out, shift, out)]
 
 
 class _Bias:
-    """A per-channel bias added by one call of its own, ahead of the tail
-    of a GEMM or einsum that has no patch matrix to carry it."""
+    """A bias tile added by one call of its own, ahead of the tail of a
+    GEMM or einsum that has no patch matrix to carry it."""
 
-    def __init__(self, bias: np.ndarray):
-        self.weights = (WEIGHTS.intern(bias),)
+    def __init__(self, bias: np.ndarray, out_shape: Shape):
+        self.weights = (_tile(bias, out_shape),)
 
     def __call__(self, x: np.ndarray, out: np.ndarray,
                  const: Const) -> list[Op]:
-        return [partial(np.add, x, self.weights[0], out=out)]
+        return [partial(np.add, x, self.weights[0], out)]
 
 
 def _no_kernel(layer) -> TypeError:
@@ -226,11 +247,12 @@ def _bn_affine(layer: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
 _ACTIVATIONS = {ReLU: _relu, ReLU6: _relu6, Dropout: _identity}
 
 
-def _elementwise(layer):
-    """The op that computes one element-wise layer."""
+def _elementwise(layer, out_shape: Shape):
+    """The op that computes one element-wise layer on a per-sample
+    ``out_shape``."""
     kind = type(layer)
     if kind is BatchNorm:
-        return _Affine(*_bn_affine(layer))
+        return _Affine(*_bn_affine(layer), out_shape)
     if kind not in _ACTIVATIONS:
         raise _no_kernel(layer)
     return _ACTIVATIONS[kind]
@@ -329,18 +351,19 @@ class Kernel:
     """
 
     #: ``(rows, width, ones_at)`` of the ``(N, rows, width)`` patch matrix
-    #: the plan provides a kernel whose GEMM reads one, holding 1 in every
-    #: column from ``ones_at`` on (none when ``ones_at == width``); the
-    #: plan's steps of one ``(width, ones_at)`` share a buffer. ``None``:
-    #: the kernel reads no patch matrix.
+    #: the plan provides a kernel that reads one (an im2col GEMM or a
+    #: depthwise einsum), holding 1 in every column from ``ones_at`` on
+    #: (none when ``ones_at == width``); the plan's steps of one
+    #: ``(width, ones_at)`` share a buffer. ``None``: the kernel reads no
+    #: patch matrix.
     patches: tuple[int, int, int] | None = None
 
     def __init__(self, out_shape: Shape, tail: list,
                  bias: np.ndarray | None = None):
         self.out_shape = out_shape
         #: the element-wise ops bound in place on the output, in order
-        self.postops = [] if bias is None else [_Bias(bias)]
-        self.postops += [_elementwise(lay) for lay in tail
+        self.postops = [] if bias is None else [_Bias(bias, out_shape)]
+        self.postops += [_elementwise(lay, out_shape) for lay in tail
                          if type(lay) is not Dropout]
 
     def make_state(self, n: int):
@@ -371,7 +394,8 @@ class Kernel:
 
     def weights(self) -> list[np.ndarray]:
         """The constant arrays the bound calls read every forward: GEMM
-        weights, a bias added by its own call, per-channel affines."""
+        weights, and the tiles of a bias added by its own call and of a
+        batch-norm affine."""
         return [w for op in self.postops for w in getattr(op, "weights", ())]
 
     def _tail(self, out: np.ndarray, const: Const) -> list[Op]:
@@ -405,7 +429,7 @@ class GemmKernel(Kernel):
             ops.append(partial(np.copyto, state, src[:, ::s, ::s, :]))
             src = state
         ops.append(partial(np.matmul, src.reshape(-1, len(self.wf)),
-                           self.wf, out=out.reshape(-1, self.out_shape[-1])))
+                           self.wf, out.reshape(-1, self.out_shape[-1])))
         return ops + self._tail(out, const)
 
     def weights(self):
@@ -449,7 +473,7 @@ class Im2colKernel(Kernel):
             _cols_view(cols, oh, ow, self.kh, self.kw, xs.shape[-1]),
             F.patch_view(xs, self.kh, self.kw, self.stride)))
         ops.append(partial(np.matmul, cols.reshape(-1, cols.shape[-1]),
-                           self.wf, out=out.reshape(-1, f)))
+                           self.wf, out.reshape(-1, f)))
         return ops + self._tail(out, const)
 
     def weights(self):
@@ -459,7 +483,12 @@ class Im2colKernel(Kernel):
 class DepthwiseEinsumKernel(Kernel):
     """A depthwise convolution wider than ``DEPTHWISE_GEMM_MAX_CHANNELS``:
     the ``(N, OH, OW, kh*kw, C)`` patch tensor contracted with the
-    ``(kh*kw, C)`` weight by one einsum. ``state`` is ``(padbuf, cols)``."""
+    ``(kh*kw, C)`` weight by one einsum.
+
+    The patch tensor is the plan's ``(N, OH*OW, kh*kw*C)`` patch matrix
+    :attr:`patches` describes, with no ones column, so ``state`` is
+    ``(padbuf, cols)`` as for :class:`Im2colKernel`.
+    """
 
     def __init__(self, out_shape: Shape, tail: list, w: np.ndarray,
                  bias: np.ndarray | None, layer, pad: _PadPlan):
@@ -468,22 +497,25 @@ class DepthwiseEinsumKernel(Kernel):
         self.stride = layer.stride
         self.pad = pad
         self.wf = WEIGHTS.intern(w)
+        oh, ow, c = out_shape
+        width = self.kh * self.kw * c
+        self.patches = (oh * ow, width, width)
 
     def make_state(self, n: int):
-        oh, ow, c = self.out_shape
-        cols = np.empty((n, oh, ow, self.kh * self.kw, c), dtype=np.float32)
-        return (self.pad.make_buf(n, 0.0), cols)
+        return self.pad.make_buf(n, 0.0)
 
     def bind(self, ins, out, state, const):
         oh, ow, c = self.out_shape
         padbuf, cols = state
+        n = cols.shape[0]
         ops: list[Op] = []
         xs = self.pad.source(ins[0], padbuf, ops)
-        cols6 = cols.reshape(cols.shape[0], oh, ow, self.kh, self.kw, c)
-        ops.append(partial(np.copyto, cols6, F.patch_view(
-            xs, self.kh, self.kw, self.stride)))
-        ops.append(partial(np.einsum, "nhwkc,kc->nhwc", cols, self.wf,
-                           out=out))
+        ops.append(partial(
+            np.copyto, cols.reshape(n, oh, ow, self.kh, self.kw, c),
+            F.patch_view(xs, self.kh, self.kw, self.stride)))
+        ops.append(partial(
+            np.einsum, "nhwkc,kc->nhwc",
+            cols.reshape(n, oh, ow, self.kh * self.kw, c), self.wf, out=out))
         return ops + self._tail(out, const)
 
     def weights(self):
@@ -513,10 +545,12 @@ class PoolKernel(Kernel):
         taps = [xs[:, i:i + he:s, j:j + we:s, :]
                 for i in range(p) for j in range(p)]
         ops.append(partial(np.copyto, out, taps[0]))
-        reduce = np.maximum if self.is_max else np.add
-        ops += [partial(reduce, out, tap, out=out) for tap in taps[1:]]
-        if not self.is_max:
-            ops.append(partial(np.multiply, out, 1.0 / (p * p), out=out))
+        if self.is_max:
+            ops += [partial(np.maximum, out, tap, out=out)
+                    for tap in taps[1:]]
+        else:
+            ops += [partial(np.add, out, tap, out) for tap in taps[1:]]
+            ops.append(partial(np.multiply, out, 1.0 / (p * p), out))
         return ops + self._tail(out, const)
 
 
@@ -526,7 +560,7 @@ class GlobalAvgPoolKernel(Kernel):
         x = ins[0]
         return [partial(np.add.reduce, x, axis=(1, 2), out=out),
                 partial(np.true_divide, out, x.shape[1] * x.shape[2],
-                        out=out)] + self._tail(out, const)
+                        out)] + self._tail(out, const)
 
 
 class FlattenKernel(Kernel):
@@ -545,11 +579,11 @@ class SoftmaxKernel(Kernel):
         x = ins[0]
         return [partial(np.maximum.reduce, x, axis=-1, keepdims=True,
                         out=state),
-                partial(np.subtract, x, state, out=out),
-                partial(np.exp, out, out=out),
+                partial(np.subtract, x, state, out),
+                partial(np.exp, out, out),
                 partial(np.add.reduce, out, axis=-1, keepdims=True,
                         out=state),
-                partial(np.true_divide, out, state, out=out),
+                partial(np.true_divide, out, state, out),
                 ] + self._tail(out, const)
 
 
@@ -558,9 +592,8 @@ class AddKernel(Kernel):
         if len(ins) == 1:
             ops: list[Op] = [partial(np.copyto, out, ins[0])]
         else:
-            ops = [partial(np.add, ins[0], ins[1], out=out)]
-            ops += [partial(np.add, out, extra, out=out)
-                    for extra in ins[2:]]
+            ops = [partial(np.add, ins[0], ins[1], out)]
+            ops += [partial(np.add, out, extra, out) for extra in ins[2:]]
         return ops + self._tail(out, const)
 
 
@@ -576,7 +609,7 @@ class ElementwiseKernel(Kernel):
 
     def __init__(self, out_shape: Shape, tail: list, layer):
         super().__init__(out_shape, tail)
-        self.op = _elementwise(layer)
+        self.op = _elementwise(layer, out_shape)
 
     def bind(self, ins, out, state, const):
         return self.op(ins[0], out, const) + self._tail(out, const)

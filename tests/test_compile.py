@@ -13,7 +13,8 @@ binds on prefixes of the largest batch's buffers, with outputs
 bit-identical to a fresh plan's. Dead-tap elimination (SAME convs on a
 1x1 map keep their one live tap), the shared read-only constant operands,
 the process-wide table of compiled weights, the patch buffer each patch
-layout shares and the O(1) validity gate have their own classes.
+layout shares, the per-sample bias and batch-norm tiles with positional
+ufunc outputs, and the O(1) validity gate have their own classes.
 """
 
 from __future__ import annotations
@@ -212,6 +213,63 @@ def _one_pixel_net(variant: str) -> Network:
 
 
 ONE_PIXEL_VARIANTS = ("stride1", "stride2", "bias", "bn_relu", "relu6")
+
+
+def _net_with_einsum_layouts() -> Network:
+    """Three steps of patch width 108 and no ones column share a buffer:
+    the depthwise einsums ``dw1`` (3x3 on 12 channels, 64 rows) and ``dw2``
+    (the same at stride 2: 16 rows), and the bias-free im2col ``conv``
+    (3x3 on 12 channels, 64 rows). Biases are random."""
+    net = Network("einsum_layouts", (8, 8, 12))
+    net.add("dw1", DepthwiseConv2D(3, use_bias=True))
+    net.add("dw1_relu", ReLU())
+    net.add("dw2", DepthwiseConv2D(3, stride=2, use_bias=True))
+    net.add("dw2_gap", GlobalAvgPool())
+    net.add("conv", Conv2D(12, 3, use_bias=False), inputs="input")
+    net.add("conv_gap", GlobalAvgPool())
+    net.add("sum", Add(), inputs=["dw2_gap", "conv_gap"])
+    net.add("logits", Dense(5))
+    return _randomize(net.build(0), seed=4)
+
+
+#: the calls that take their output positionally; np.maximum and
+#: np.minimum keep ``out=``, because NumPy 2.4 deprecates a third
+#: positional argument for those two
+POSITIONAL_OUT = (np.add, np.multiply, np.subtract, np.true_divide,
+                  np.matmul)
+
+
+def _check_bound_calls(plan: CompiledNetwork, n: int, where: str) -> None:
+    """Run ``plan`` at batch ``n`` and check every call of that arena.
+
+    No element-wise ufunc reads an array of fewer dimensions than its
+    output, such as a per-channel vector broadcast over an activation.
+    Each read-only operand of one (a bias or affine tile, or a clamp
+    constant) has the output's shape or ``(1,) + out.shape[1:]``, and a
+    tile is among its step's ``weights()``, which ``weight_bytes`` sums.
+    No call in POSITIONAL_OUT takes ``out`` as a keyword.
+    """
+    plan.run(_batch(plan.net, n))
+    consts = list(plan._buffers.constants.values())
+    for step, (name, ops) in zip(plan.plan.steps, plan._arenas[n].steps):
+        weights = {id(w) for w in step.kernel.weights()}
+        for op in ops:
+            func = op.func
+            msg = f"{where} n={n} {name} {getattr(func, '__name__', func)}"
+            assert not (func in POSITIONAL_OUT and "out" in op.keywords), msg
+            if not isinstance(func, np.ufunc) or func.signature is not None:
+                continue
+            out = op.keywords["out"] if "out" in op.keywords else (
+                op.args[func.nin])
+            for a in op.args[:func.nin]:
+                if not isinstance(a, np.ndarray):
+                    continue
+                assert a.ndim == out.ndim, msg
+                if a.flags.writeable:
+                    continue
+                assert a.shape in (out.shape, (1,) + out.shape[1:]), msg
+                if not any(np.may_share_memory(a, c) for c in consts):
+                    assert id(a) in weights, msg
 
 
 @pytest.fixture
@@ -734,11 +792,10 @@ class TestPatchBuffers:
         assert (ones == 1.0).all()
         assert plan.weight_bytes == weight_bytes
 
-    @pytest.mark.parametrize("sizes", [
-        [1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 1, 2, 6, 4, 5, 1]],
-        ids=["ascending", "descending", "interleaved"])
-    def test_shared_patches_match_a_fresh_plan(self, sizes):
-        net = _net_with_patch_layouts()
+    @staticmethod
+    def _match_fresh_plans(net: Network, sizes: list[int]) -> None:
+        """One plan run at ``sizes`` in turn: each output bit-equal to a
+        fresh plan's and close to the interpreter's."""
         plan = net.compile()
         for n in sizes:
             x = _batch(net, n, seed=n)
@@ -748,6 +805,104 @@ class TestPatchBuffers:
             net.uncompile()
             np.testing.assert_allclose(out, net.forward(x), rtol=RTOL,
                                        atol=ATOL, err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("sizes", [
+        [1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 1, 2, 6, 4, 5, 1]],
+        ids=["ascending", "descending", "interleaved"])
+    def test_shared_patches_match_a_fresh_plan(self, sizes):
+        self._match_fresh_plans(_net_with_patch_layouts(), sizes)
+
+    def test_einsum_steps_share_the_layout_buffer(self):
+        # a depthwise einsum's patch tensor is a patch matrix with no ones
+        # column: the einsums and a bias-free im2col of its width share it
+        net = _net_with_einsum_layouts()
+        plan = net.compile()
+        layouts = [(type(s.kernel), s.kernel.patches) for s in plan.plan.steps
+                   if s.kernel.patches is not None]
+        assert layouts == [(DepthwiseEinsumKernel, (64, 108, 108)),
+                           (DepthwiseEinsumKernel, (16, 108, 108)),
+                           (Im2colKernel, (64, 108, 108))]
+        assert plan.plan.patch_rows == {(108, 108): 64}
+        for n in (3, 1, 2):
+            plan.run(_batch(net, n, seed=n))
+        buffers = plan._buffers
+        (shared,) = buffers.patches.values()
+        assert shared.nbytes == 4 * 3 * 64 * 108
+        # an einsum's private state is its padding buffer alone
+        for step, state in zip(plan.plan.steps, buffers.states):
+            if type(step.kernel) is DepthwiseEinsumKernel:
+                assert isinstance(state, np.ndarray), step.name
+                assert state.shape[1:] == step.kernel.pad.padded_shape
+        private = [buffers.input, *buffers.slots.values(),
+                   *buffers.constants.values()]
+        private += [b for st in buffers.states for b in _arrays_in(st)]
+        assert plan.arena_bytes == sum(b.nbytes for b in private) + (
+            shared.nbytes)
+
+    @pytest.mark.parametrize("sizes", [
+        [1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 1, 2, 6, 4, 5, 1]],
+        ids=["ascending", "descending", "interleaved"])
+    def test_shared_einsum_patches_match_a_fresh_plan(self, sizes):
+        self._match_fresh_plans(_net_with_einsum_layouts(), sizes)
+
+
+class TestSameShapeCalls:
+    """A bias or batch-norm call reads a per-sample tile, never a broadcast
+    per-channel vector, and ufuncs take their output positionally: on every
+    zoo net and every builder rung, at batch 1 and 3."""
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_zoo_calls(self, name):
+        plan = _randomize(build_network(name).build(0)).compile()
+        for n in (1, 3):
+            _check_bound_calls(plan, n, name)
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_builder_rung_calls(self, name):
+        from repro.device import xavier
+        from repro.netcut import build_rungs
+
+        base = _randomize(build_network(name).build(0))
+        rungs = build_rungs(base, xavier(), max_rungs=4)
+        for builder, artifacts in rungs.items():
+            for artifact in artifacts:
+                plan = artifact.network.compile()
+                for n in (1, 3):
+                    _check_bound_calls(
+                        plan, n, f"{builder} rung {artifact.trn_name}")
+
+    def test_tiles_are_one_sample_of_the_output(self):
+        # a dense bias, a conv's folded batch norm and a batch norm that
+        # anchors its own group: each tile repeats its vector per sample
+        net = Network("tiles", (4, 4, 3))
+        net.add("conv", Conv2D(6, 1))              # GEMM: bias by a call
+        net.add("conv_bn", BatchNorm())            # folded into the bias
+        net.add("bn", BatchNorm())                 # conv_bn has fan-out
+        net.add("sum", Add(), inputs=["conv_bn", "bn"])
+        net.add("gap", GlobalAvgPool())
+        net.add("logits", Dense(5))
+        _randomize(net.build(0), seed=6)
+        plan = net.compile()
+        conv, bn, _, _, logits = (s.kernel for s in plan.plan.steps)
+        (bias,) = conv.postops[0].weights
+        assert bias.shape == (1, 4, 4, 6)
+        assert (bias == bias[0, 0, 0]).all()
+        scale, shift = bn.op.weights
+        assert scale.shape == shift.shape == (1, 4, 4, 6)
+        layer = net.nodes["bn"].layer
+        inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        np.testing.assert_array_equal(
+            scale[0, 2, 1], (layer.params["gamma"].value * inv).astype(
+                np.float32))
+        assert logits.postops[0].weights[0].shape == (1, 5)
+        weights = sum(w.nbytes for k in (conv, bn, logits)
+                      for w in k.weights())
+        assert plan.weight_bytes == weights == 4 * (
+            3 * 6 + 96 + 2 * 96 + 6 * 5 + 5)
+        x = _batch(net, 3)
+        out = plan.run(x)
+        net.uncompile()
+        np.testing.assert_allclose(out, net.forward(x), rtol=RTOL, atol=ATOL)
 
 
 class TestValidityGate:
